@@ -28,6 +28,10 @@ from .acceptance import run_all
 
 FORMAT_VERSION = "1.0.0"
 
+# Largest `congruences --n`: the Hermite/Smith step takes about 5 s at 12
+# and over half a minute at 13.
+MAX_CONGRUENCE_WEIGHT = 12
+
 
 class CliError(ValueError):
     """Validation failure reported with exit code 2."""
@@ -166,7 +170,12 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
 def cmd_genus(args):
     target = args.of
     if target.startswith("theta:"):
-        n = int(target[6:])
+        try:
+            n = int(target[6:])
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise CliError(f"--of theta:N needs an integer N >= 0, got {target!r}")
         spec = _load_genus(args.name, max(n, 2))
         value = genera.genus_of_theta(spec, n)
         shown = f"theta:{n}"
@@ -226,6 +235,8 @@ def _load_chern_vector(path: str) -> ChernVector:
 
 
 def cmd_congruences(args):
+    if not 0 <= args.n <= MAX_CONGRUENCE_WEIGHT:
+        raise CliError(f"--n must be between 0 and {MAX_CONGRUENCE_WEIGHT}, got {args.n}")
     sys_n = genera.congruence_system(args.n)
     if args.check:
         vec = _load_chern_vector(args.check)
@@ -279,6 +290,8 @@ def cmd_quantize(args):
 
 def cmd_fgl_check(args):
     order = args.order
+    if order < 1:
+        raise CliError(f"--order must be >= 1, got {order}")
     res = fgl_axiom_residuals(cob.beta(max(order, 2)), order=order,
                               assoc_order=min(order, 6))
     payload = {name: ("0" if ok else "nonzero") for name, ok in res.items()}
@@ -443,8 +456,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "max_weight") and args.max_weight is None:
-            args.max_weight = _default_weight()
+        if hasattr(args, "max_weight"):
+            if args.max_weight is None:
+                args.max_weight = _default_weight()
+            elif args.max_weight < 1:
+                raise CliError(f"--max-weight must be >= 1, got {args.max_weight}")
         args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, lcm
 
 from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
-from .gradedring import GradedPoly
+from .gradedring import GradedPoly, ZERO
 from .series import TruncSeries, TruncationError
 from .symfun import (
     ChernVector,
@@ -31,7 +31,7 @@ from .symfun import (
     to_normal_monomial,
 )
 from .cobordism import theta_monomial
-from .landweber import ln_apply
+from .landweber import ln_apply, quantize  # noqa: F401  (ln_apply stays importable here)
 from . import lattices
 
 
@@ -228,6 +228,17 @@ class CongruenceSystem:
         return True
 
 
+def _todd_of_operations(p: GradedPoly) -> GradedPoly:
+    """(Td (x) id) S_t(p) = sum over mu of Td(S_mu(p)) t'^mu/(mu+1)!, with t'
+    written as t.  Td is applied to each generator image S_t(t_n) first,
+    which leaves a polynomial in t' alone; these are substituted into p.
+    """
+    todd = todd_genus(p.top_weight() + 1)
+    images = {n: quantize(GradedPoly.gen(n)).contract(
+        lambda mu: genus_of_poly(todd, GradedPoly.monomial(mu))) for n in p.generators_used()}
+    return ZERO + p.substitute(images)  # a polynomial even when p is constant
+
+
 @lru_cache(maxsize=None)
 def congruence_system(n: int) -> CongruenceSystem:
     """Generate all divisibility conditions on weight-n normal Chern numbers.
@@ -237,14 +248,13 @@ def congruence_system(n: int) -> CongruenceSystem:
     and the Todd genus is integral, each row must evaluate to an integer.
     """
     parts = partitions_of(n)
-    todd = todd_genus(n + 1)
+    columns = {lam: _todd_of_operations(theta_monomial(lam)) for lam in parts}
     functionals = []
     for w in range(n + 1):
         for mu in partitions_of(w):
             row = {}
             for lam in parts:
-                image = ln_apply(mu, theta_monomial(lam))
-                val = genus_of_poly(todd, image) / partition_factorial(lam)
+                val = columns[lam].coeff(mu) * partition_factorial(mu) / partition_factorial(lam)
                 if val:
                     row[lam] = val
             functionals.append((mu, row))
@@ -346,12 +356,5 @@ def integrality_multiplier(p: GradedPoly) -> int:
     lying in the integral cobordism ring.  Computed as the lcm of the
     denominators of Td(S_mu(p)) over all mu up to the weight of p.
     """
-    top = p.top_weight()
-    todd = todd_genus(top + 1)
-    q = 1
-    for w in range(top + 1):
-        for mu in partitions_of(w):
-            val = genus_of_poly(todd, ln_apply(mu, p))
-            den = val.denominator
-            q = q * den // gcd(q, den)
-    return q
+    image = _todd_of_operations(p)
+    return lcm(1, *((c * partition_factorial(mu)).denominator for mu, c in image.items()))

@@ -179,11 +179,13 @@ class GradedPoly:
 
     # -- homomorphisms -------------------------------------------------------
 
-    def substitute(self, assign) -> Fraction:
+    def substitute(self, assign):
         """Image under the ring homomorphism t_n -> assign(n).
 
         ``assign`` is a mapping or a callable; for mappings a missing
-        generator raises MissingGeneratorError naming it.
+        generator raises MissingGeneratorError naming it.  The values are
+        rationals, giving a Fraction, or polynomials, giving a polynomial
+        unless self is constant.
         """
         if callable(assign):
             get = assign
@@ -195,10 +197,10 @@ class GradedPoly:
                     raise MissingGeneratorError(f"no value assigned for generator t{n}") from None
         total = Fraction(0)
         for mono, c in self._terms.items():
-            val = Fraction(c)
+            val = c
             for part in mono:
-                val *= Fraction(get(part))
-            total += val
+                val = val * get(part)
+            total = total + val
         return total
 
     def map_coeff(self, fn) -> "GradedPoly":

@@ -1,24 +1,27 @@
 """Landweber-Novikov operations on the theta-class ring.
 
-The operation indexed by a one-part partition (k) sends the generator t_n
-to the intersection class of the n-th theta divisor with k of its generic
-translates, computed as the residue (n+1)! [z^{n+1}] beta^{k+1}; every
-other partition kills generators.  Products follow the Cartan rule
+Every operation is read off one ring homomorphism, the total operation
 
-    S_lam(x y) = sum over splittings lam = (mu, nu) of S_mu(x) S_nu(y),
+    S_t: t_n -> sum_{k=0..n} I(n, k) (x) t'_k / (k+1)!    (t'_0 = 1),
 
-each ordered pair of sub-multisets counted once.  These rules make the
-family {t^lam/(lam+1)!} the dual basis of {S_lam} under aug(S_lam(.)),
-which is what the quantisation / dequantisation round trip exercises.
+with I(n, k) = (n+1)! [z^{n+1}] beta^{k+1} the intersection class of the
+n-th theta divisor with k generic translates (I(n, 0) = t_n) and t' an
+independent family of generators.  S_lam is (lam+1)! times the t'^lam
+coefficient of S_t, so S_t(x) = sum S_lam(x) (x) t'^lam/(lam+1)! is the
+quantisation of x, and the Cartan rule S_lam(x y) = sum over splittings
+lam = mu + nu of S_mu(x) S_nu(y) holds because S_t is multiplicative.
+The family {t^lam/(lam+1)!} is the dual basis of {S_lam} under
+aug(S_lam(.)), which the quantisation / dequantisation round trip checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .core import EMPTY, Partition, partition_factorial, partitions_of, splittings
-from .gradedring import GradedPoly, ONE, ZERO, format_monomial
+from .core import EMPTY, Partition, partition_factorial, partition_union
+from .gradedring import GradedPoly, ZERO, format_monomial
 from .series import TruncSeries, residue_extract
 from .cobordism import beta
 
@@ -32,42 +35,42 @@ def intersection_class(n: int, k: int) -> GradedPoly:
     return residue_extract(beta(max(n + 1, 2)), n, k)
 
 
-def ln_on_generator(lam: Partition, n: int) -> GradedPoly:
-    """S_lam(t_n): zero unless lam is empty or a one-part partition (k), k <= n."""
-    lam = Partition(lam)
-    if lam == EMPTY:
-        return GradedPoly.gen(n)
-    if lam.length != 1:
-        return ZERO
-    k = lam[0]
-    if k > n:
-        return ZERO
-    return intersection_class(n, k)
+@lru_cache(maxsize=None)
+def _generator_image(n: int) -> "TensorElement":
+    """S_t(t_n) = sum_{k=0..n} I(n, k) (x) t'_k / (k+1)!."""
+    terms = {}
+    for k in range(n + 1):
+        nu = Partition((k,)) if k else EMPTY
+        for mu, c in intersection_class(n, k).items():
+            terms[(mu, nu)] = c / factorial(k + 1)
+    return TensorElement._raw(terms)
 
 
-def _ln_on_factors(lam: Partition, factors: tuple[int, ...]) -> GradedPoly:
-    if not factors:
-        return ONE if lam == EMPTY else ZERO
-    head, tail = factors[0], factors[1:]
-    acc = ZERO
-    for mu, nu in splittings(lam):
-        left = ln_on_generator(mu, head)
-        if left.is_zero():
-            continue
-        right = _ln_on_factors(nu, tail)
-        if right.is_zero():
-            continue
-        acc = acc + left * right
-    return acc
+def _substitute(p: GradedPoly, keep=None) -> "TensorElement":
+    """S_t(p): substitute t_n -> S_t(t_n) into p.
+
+    With ``keep`` (a set of t' monomials closed under taking
+    sub-multisets), every partial product drops the t' monomials outside
+    it; the coefficients of those inside are unchanged.
+    """
+    total = TensorElement()
+    for mono, c in p.items():
+        term = TensorElement({(EMPTY, EMPTY): c})
+        for n in mono:
+            term = term.times(_generator_image(n), keep)
+        total = total + term
+    return total
 
 
 def ln_apply(lam, p: GradedPoly) -> GradedPoly:
-    """Apply the operation S_lam to a polynomial in the theta classes."""
+    """Apply the operation S_lam to a polynomial: (lam+1)! [t'^lam] S_t(p)."""
     lam = Partition(lam)
-    acc = ZERO
-    for mono, coeff in p.items():
-        acc = acc + coeff * _ln_on_factors(lam, tuple(mono))
-    return acc
+    keep = {EMPTY}
+    for part in lam:  # grow the set of sub-multisets of lam one part at a time
+        keep |= {partition_union(sub, (part,)) for sub in keep}
+    scale = partition_factorial(lam)
+    return GradedPoly({mu: c * scale for (mu, nu), c in _substitute(p, keep)._terms.items()
+                       if nu == lam})
 
 
 def ln_apply_series(lam, f: TruncSeries) -> TruncSeries:
@@ -119,12 +122,11 @@ class TensorElement:
         self._terms = clean
 
     @classmethod
-    def from_pair(cls, left: GradedPoly, right: GradedPoly) -> "TensorElement":
-        terms = {}
-        for mu, a in left.items():
-            for nu, b in right.items():
-                terms[(mu, nu)] = terms.get((mu, nu), Fraction(0)) + a * b
-        return cls(terms)
+    def _raw(cls, terms: dict) -> "TensorElement":
+        """Wrap a dict of non-zero Fraction values keyed by Partition pairs."""
+        out = cls()
+        out._terms = terms
+        return out
 
     def items(self):
         def key(kv):
@@ -140,21 +142,30 @@ class TensorElement:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return TensorElement(out)
+        return TensorElement._raw(out)
 
     def __mul__(self, other):
-        from .core import partition_union
+        return self.times(other)
 
+    def times(self, other, keep=None) -> "TensorElement":
+        """The product; with ``keep``, only its terms whose t' monomial is in ``keep``."""
         out: dict[tuple[Partition, Partition], Fraction] = {}
         for (m1, n1), c1 in self._terms.items():
             for (m2, n2), c2 in other._terms.items():
-                key = (partition_union(m1, m2), partition_union(n1, n2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TensorElement(out)
+                nu = partition_union(n1, n2)
+                if keep is not None and nu not in keep:
+                    continue
+                key = (partition_union(m1, m2), nu)
+                out[key] = out.get(key, 0) + c1 * c2
+        return TensorElement._raw({key: c for key, c in out.items() if c})
+
+    def contract(self, phi) -> GradedPoly:
+        """(phi (x) id)(self) for a linear functional phi on t monomials,
+        with t'_n written as t_n."""
+        out: dict[Partition, Fraction] = {}
+        for (mu, nu), c in self._terms.items():
+            out[nu] = out.get(nu, 0) + c * phi(mu)
+        return GradedPoly(out)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -197,33 +208,18 @@ def _format_primed(nu: Partition) -> str:
 
 
 def quantize(p: GradedPoly) -> TensorElement:
-    """x -> sum over partitions lam of S_lam(x) (x) t'^lam/(lam+1)!.
+    """x -> S_t(x) = sum over partitions lam of S_lam(x) (x) t'^lam/(lam+1)!.
 
     The lam = empty term is x (x) 1.  The map is an algebra homomorphism,
     and it doubles as the point form of the quantum character: the image
     of x (x) 1 under the deformed character map is exactly this sum.
     """
-    top = p.top_weight()
-    terms: dict[tuple[Partition, Partition], Fraction] = {}
-    for w in range(top + 1):
-        for lam in partitions_of(w):
-            image = ln_apply(lam, p)
-            if image.is_zero():
-                continue
-            scale = Fraction(1, partition_factorial(lam))
-            for mu, c in image.items():
-                key = (mu, lam)
-                terms[key] = terms.get(key, Fraction(0)) + c * scale
-    return TensorElement(terms)
+    return _substitute(p)
 
 
 def dequantize(T: TensorElement) -> GradedPoly:
     """Augmentation on the t side, substitution t'_n -> t_n on the other."""
-    acc = ZERO
-    for (mu, nu), c in T._terms.items():
-        if mu == EMPTY:
-            acc = acc + GradedPoly.monomial(nu) * c
-    return acc
+    return T.contract(lambda mu: 1 if mu == EMPTY else 0)
 
 
 # -- vector-field realisation -----------------------------------------------------------

@@ -112,6 +112,26 @@ def test_validation_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "genus", "--name", "todd", "--of", "nonsense")
     assert code == 2
+    for weight in ("0", "-3"):
+        code, out, err = run_cli(capsys, "classes", "vn", "--max-weight", weight)
+        assert code == 2 and out == "" and "--max-weight" in err
+        assert "order must be" not in err
+    for order in ("0", "-1"):
+        code, out, err = run_cli(capsys, "fgl", "check", "--order", order)
+        assert code == 2 and out == "" and "--order" in err
+    for target in ("theta:x", "theta:", "theta:-1"):
+        code, out, err = run_cli(capsys, "genus", "--name", "todd", "--of", target)
+        assert code == 2 and out == "" and "--of" in err
+        assert "int()" not in err
+
+
+def test_congruences_weight_bounded(capsys):
+    for n in ("-1", "13", "25"):
+        code, out, err = run_cli(capsys, "congruences", "--n", n)
+        assert code == 2 and out == "" and "--n" in err
+        assert "n must be >= 0" not in err
+    code, out, _ = run_cli(capsys, "congruences", "--n", "0")
+    assert code == 0 and "elementary divisors: [1]" in out
 
 
 def test_weierstrass_verify_exit_codes(capsys):

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
-from thetacob.core import Partition, bernoulli, catalan
+from thetacob.core import Partition, bernoulli, catalan, partition_factorial, partitions_of
 from thetacob.gradedring import t
 from thetacob.series import TruncationError
 from thetacob.symfun import ChernVector
@@ -12,6 +12,7 @@ from thetacob.cobordism import (
     decompose,
     product_chern_vector,
     q_multiplier,
+    theta_monomial,
     v_classes,
     w_classes,
 )
@@ -36,6 +37,7 @@ from thetacob.genera import (
     todd_genus,
     tangent_product_functional_to_normal_monomial,
 )
+from test_landweber import _cartan_ln_apply
 
 P = Partition
 
@@ -152,6 +154,22 @@ def test_congruence_system_low_weights():
     assert sys3.elementary_divisors == (2, 2, 24)
 
 
+def test_congruence_rows_match_cartan_expansion():
+    for n in range(7):
+        todd = todd_genus(n + 1)
+        rows = []
+        for w in range(n + 1):
+            for mu in partitions_of(w):
+                row = {}
+                for lam in partitions_of(n):
+                    image = _cartan_ln_apply(mu, theta_monomial(lam))
+                    val = genus_of_poly(todd, image) / partition_factorial(lam)
+                    if val:
+                        row[lam] = val
+                rows.append((mu, row))
+        assert congruence_system(n).functionals == tuple(rows), n
+
+
 def test_congruence_equivalence_with_classical_lists():
     for n in (1, 2, 3):
         gen, cls = congruence_system(n), classical_system(n)
@@ -206,6 +224,15 @@ def test_integrality_multiplier_matches_q_for_v_classes():
     vs = v_classes(6)
     for n in range(1, 7):
         assert integrality_multiplier(vs[n]) == q_multiplier(n)
+
+
+def test_integrality_multiplier_matches_cartan_expansion():
+    ws = w_classes(8)
+    for n in range(1, 9):
+        todd = todd_genus(n + 1)
+        dens = [genus_of_poly(todd, _cartan_ln_apply(mu, ws[n])).denominator
+                for w in range(n + 1) for mu in partitions_of(w)]
+        assert integrality_multiplier(ws[n]) == lcm(*dens), n
 
 
 def test_integrality_multiplier_on_w_classes():

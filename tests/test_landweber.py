@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thetacob.core import EMPTY, Partition, partitions_of
-from thetacob.gradedring import GradedPoly, ONE, t
+from thetacob.core import EMPTY, Partition, partition_factorial, partitions_of, splittings
+from thetacob.gradedring import GradedPoly, ONE, ZERO, t
 from thetacob.cobordism import beta, beta_over_z, v_classes, w_classes
 from thetacob.landweber import (
     Diff1Field,
@@ -16,20 +17,83 @@ from thetacob.landweber import (
     intersection_class,
     ln_apply,
     ln_apply_series,
-    ln_on_generator,
     quantize,
 )
 
 P = Partition
 
 
+# -- reference route: the recursive Cartan expansion ---------------------------------
+#
+# S_lam on a generator is read off the one-part rule, and on a monomial it is
+# expanded factor by factor over the splittings of lam.  The package computes
+# the operations from the total operation S_t instead; the two routes must agree.
+
+
+def _cartan_on_generator(lam: Partition, n: int) -> GradedPoly:
+    """S_lam(t_n): zero unless lam is empty or a one-part partition (k), k <= n."""
+    lam = Partition(lam)
+    if lam == EMPTY:
+        return GradedPoly.gen(n)
+    if lam.length != 1:
+        return ZERO
+    k = lam[0]
+    if k > n:
+        return ZERO
+    return intersection_class(n, k)
+
+
+def _cartan_on_factors(lam: Partition, factors: tuple[int, ...]) -> GradedPoly:
+    if not factors:
+        return ONE if lam == EMPTY else ZERO
+    head, tail = factors[0], factors[1:]
+    acc = ZERO
+    for mu, nu in splittings(lam):
+        left = _cartan_on_generator(mu, head)
+        if left.is_zero():
+            continue
+        right = _cartan_on_factors(nu, tail)
+        if right.is_zero():
+            continue
+        acc = acc + left * right
+    return acc
+
+
+def _cartan_ln_apply(lam, p: GradedPoly) -> GradedPoly:
+    """Apply the operation S_lam to a polynomial in the theta classes."""
+    lam = Partition(lam)
+    acc = ZERO
+    for mono, coeff in p.items():
+        acc = acc + coeff * _cartan_on_factors(lam, tuple(mono))
+    return acc
+
+
+def _cartan_quantize(p: GradedPoly) -> TensorElement:
+    """sum over lam of S_lam(p) (x) t'^lam/(lam+1)!, each S_lam from the Cartan route."""
+    terms = {}
+    for w in range(p.top_weight() + 1):
+        for lam in partitions_of(w):
+            for mu, c in _cartan_ln_apply(lam, p).items():
+                terms[(mu, lam)] = c / partition_factorial(lam)
+    return TensorElement(terms)
+
+
+def _random_poly(rng, max_weight, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        w = rng.randint(0, max_weight)
+        lam = rng.choice(partitions_of(w)) if w else EMPTY
+        terms[lam] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return GradedPoly(terms)
+
+
 def test_generator_action_table():
     assert ln_apply(P((1,)), t(1)) == GradedPoly.const(2)
     for n in range(1, 8):
         assert ln_apply(P((n,)), t(n)) == GradedPoly.const(factorial(n + 1))
-    assert ln_on_generator(P((3,)), 2).is_zero()              # k > n
-    assert ln_on_generator(P((1, 1)), 3).is_zero()            # non-one-part
-    assert ln_on_generator(EMPTY, 3) == t(3)                  # identity operation
+    assert ln_apply(P((3,)), t(2)).is_zero()                  # k > n
+    assert ln_apply(P((1, 1)), t(3)).is_zero()                # non-one-part
+    assert ln_apply(EMPTY, t(3)) == t(3)                      # identity operation
     assert intersection_class(2, 1) == 6 * t(1)
     assert intersection_class(3, 2) == 36 * t(1)
 
@@ -43,6 +107,32 @@ def test_cartan_rule_products():
     p = Fraction(2, 3) * t(2) - 5 * t(1) ** 2
     img = ln_apply(P((1,)), p)
     assert img == Fraction(2, 3) * intersection_class(2, 1) - 5 * (2 * 2 * t(1))
+
+
+def test_operations_match_cartan_expansion():
+    rng = random.Random(67)
+    polys = [_random_poly(rng, 8) for _ in range(12)]
+    polys += [t(3) * t(2) * t(1) ** 2, t(4) ** 2, t(1) ** 6]
+    for p in polys:
+        for w in range(7):
+            for lam in partitions_of(w):
+                assert ln_apply(lam, p) == _cartan_ln_apply(lam, p), (lam, p)
+        assert quantize(p) == _cartan_quantize(p), p
+
+
+def _polys(max_weight):
+    monomial = st.integers(0, max_weight).flatmap(
+        lambda w: st.sampled_from(partitions_of(w)))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return st.dictionaries(monomial, coeff, max_size=4).map(GradedPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_polys(7), w=st.integers(0, 5), data=st.data())
+def test_operations_match_cartan_expansion_property(p, w, data):
+    lam = data.draw(st.sampled_from(partitions_of(w)))
+    assert ln_apply(lam, p) == _cartan_ln_apply(lam, p)
+    assert quantize(p) == _cartan_quantize(p)
 
 
 def test_operations_on_constants():
