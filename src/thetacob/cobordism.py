@@ -20,7 +20,7 @@ from math import comb, factorial
 
 from .core import Partition, partition_factorial, partitions_of, bernoulli
 from .gradedring import GradedPoly, ONE, ZERO, t
-from .series import TruncSeries
+from .series import Reversion, TruncSeries
 from .symfun import ChernVector, FrameBasisError
 
 
@@ -41,10 +41,19 @@ def beta_over_z(order: int) -> TruncSeries:
     return beta(order + 1).divide_by_z()
 
 
+# The logarithm's coefficients so far; a higher order extends them.
+_LOG = Reversion()
+
+
 @lru_cache(maxsize=None)
 def mischenko_log(order: int) -> TruncSeries:
-    """Compositional inverse of beta: the universal logarithm series."""
-    return beta(order).revert()
+    """Compositional inverse of beta: the universal logarithm series.
+
+    One list of coefficients serves every order: a new order below the
+    longest computed is a truncation of it, one above computes only the
+    missing coefficients.
+    """
+    return TruncSeries(_LOG.coefficients(beta(order)), order=order, grade_shift=1)
 
 
 @lru_cache(maxsize=None)

@@ -141,6 +141,9 @@ class GradedPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return ZERO
+        if len(other._terms) == 1 and EMPTY in other._terms:
+            c = other._terms[EMPTY]
+            return _raw({m: c1 * c for m, c1 in self._terms.items()})
         out: dict[Partition, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():

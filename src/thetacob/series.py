@@ -11,12 +11,19 @@ coexist in this package and are never converted silently:
 
 BiTruncSeries is the bivariate analogue truncated by total degree; it
 carries the formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)).
+
+Reversion is Lagrange-Buermann inversion with J.C.P. Miller's power
+recurrence (see Reversion; Brent and Kung, J. ACM 1978): O(n^3)
+coefficient products, one coefficient at a time, so a kept inverse grows
+by its missing coefficients only.  fgl builds F from the univariate powers
+of the logarithm instead of composing bivariate series.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .gradedring import GradedPoly, ONE, ZERO, _as_poly, format_poly
 
@@ -101,9 +108,6 @@ class TruncSeries:
         if m < 0 or m > self.order:
             raise TruncationError(f"coefficient z^{m} outside truncation order {self.order}")
         return self.coeffs[m]
-
-    def coefficient(self, m: int) -> GradedPoly:
-        return self[m]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -241,20 +245,13 @@ class TruncSeries:
     def revert(self) -> "TruncSeries":
         """Compositional inverse g with f(g(z)) = g(f(z)) = z.
 
-        Solved order by order: the coefficient of z^m in f(g) is g_m plus
-        terms involving only g_1..g_{m-1}, so each step is a triangular
-        read-off.  Needs f_0 = 0 and f_1 = 1.
+        Lagrange-Buermann inversion, one coefficient at a time (see
+        Reversion).  Needs f_0 = 0 and f_1 = 1.
         """
         if not self.coeffs[0].is_zero() or self.coeffs[1] != ONE:
             raise NotNormalizedError("reversion needs f_0 = 0 and f_1 = 1")
-        n = self.order
-        g = [ZERO, ONE]
-        for m in range(2, n + 1):
-            partial = TruncSeries(g + [ZERO], order=m)
-            h = self.truncated(m, grade_shift=None).compose(partial)
-            g.append(-h.coeffs[m])
         shift = 1 if self.grade_shift == 1 else None
-        return TruncSeries(g, order=n, grade_shift=shift)
+        return TruncSeries(Reversion().coefficients(self), order=self.order, grade_shift=shift)
 
     # -- exp / log ---------------------------------------------------------------
 
@@ -287,6 +284,60 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({format_series(self)!r})"
+
+
+class Reversion:
+    """Compositional inverse of a normalised series, kept as a growing prefix.
+
+    Lagrange-Buermann inversion gives each coefficient of g = f^{-1} on its
+    own,
+
+        g_m = (1/m) [z^(m-1)] h^m,    h = (f/z)^{-1},
+
+    and J.C.P. Miller's power recurrence gives the coefficients of a = h^m
+    from those of h: a_0 = 1 and
+
+        a_k = (1/k) sum_{j=1..k} ((m+1) j - k) h_j a_{k-j}.
+
+    So g_m costs O(m^2) coefficient products, O(n^3) for the whole series
+    instead of the O(n^4) of solving f(g) = z order by order, and it needs
+    only h_1..h_{m-1}, hence only f_2..f_m: asking for a higher order
+    extends the kept prefix and recomputes none of it.  Brent and Kung
+    ("Fast algorithms for manipulating formal power series", J. ACM 1978)
+    survey this and the asymptotically faster Newton reversion.
+    """
+
+    def __init__(self):
+        self._h = [ONE]
+        self._g = [ZERO, ONE]
+        self._lock = threading.Lock()
+
+    def coefficients(self, f: TruncSeries) -> list[GradedPoly]:
+        """g_0..g_N for N = f.order.
+
+        f must be normalised (f_0 = 0, f_1 = 1) and agree, on the common
+        prefix, with every series this object was given before.
+        """
+        with self._lock:
+            h, g = self._h, self._g
+            for m in range(len(g), f.order + 1):
+                # h_{m-1}, from (f/z) * h = 1
+                acc = ZERO
+                for i in range(1, m):
+                    fi = f.coeffs[i + 1]
+                    if not fi.is_zero():
+                        acc = acc + fi * h[m - 1 - i]
+                h.append(-acc)
+                a = [ONE]
+                for k in range(1, m):
+                    acc = ZERO
+                    for j in range(1, k + 1):
+                        c = (m + 1) * j - k
+                        if c and not h[j].is_zero() and not a[k - j].is_zero():
+                            acc = acc + (h[j] * a[k - j]) * c
+                    a.append(acc * Fraction(1, k))
+                g.append(a[m - 1] * Fraction(1, m))
+            return g[: f.order + 1]
 
 
 def residue_extract(beta_series: TruncSeries, n: int, k: int) -> GradedPoly:
@@ -452,16 +503,39 @@ def fgl(beta_series: TruncSeries, order: int) -> BiTruncSeries:
     """The formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)).
 
     F is the universal group law of geometric cobordisms over the theta
-    basis; its exponential is beta.
+    basis; its exponential is beta.  Expanding beta(L(u) + L(v)) with
+    L = beta^{-1} by the binomial theorem leaves univariate powers only:
+
+        F_{m,l} = sum_{j<=m, i<=l} C(i+j, j) b_{i+j} [u^m] L^j [v^l] L^i,
+
+    computed as sum_j [u^m] L^j * Q_{j,l} with
+    Q_{j,l} = sum_i C(i+j, j) b_{i+j} [v^l] L^i.
     """
     if order > beta_series.order:
         raise TruncationError("formal group order exceeds series truncation")
     b = beta_series.truncated(order)
     lg = b.revert()
-    u = BiTruncSeries.var(0, order)
-    v = BiTruncSeries.var(1, order)
-    s = eval_series_at(lg, u) + eval_series_at(lg, v)
-    return eval_series_at(b, s)
+    powers = [TruncSeries.const(1, order)]
+    for _ in range(order):
+        powers.append(powers[-1] * lg)
+    P = [p.coeffs for p in powers]  # P[j][m] = [u^m] L^j, zero for m < j
+    Q = [[ZERO] * (order + 1 - j) for j in range(order + 1)]
+    for j in range(order + 1):
+        for n in range(max(j, 1), order + 1):
+            cb = comb(n, j) * b[n]
+            i = n - j
+            for l in range(i, order + 1 - j):
+                if not P[i][l].is_zero():
+                    Q[j][l] = Q[j][l] + cb * P[i][l]
+    terms = {}
+    for m in range(order + 1):
+        for l in range(order + 1 - m):
+            acc = ZERO
+            for j in range(m + 1):
+                if not P[j][m].is_zero() and not Q[j][l].is_zero():
+                    acc = acc + P[j][m] * Q[j][l]
+            terms[(m, l)] = acc
+    return BiTruncSeries(terms, order=order)
 
 
 # -- n-variate helpers for the group-law axioms ------------------------------------

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
-from thetacob.cli import main
+import thetacob
+from thetacob.cli import MAX_FGL_ORDER, main
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +86,22 @@ def test_fgl_check(capsys):
     assert out.count("residual 0") == 4
 
 
+def test_logarithm_after_higher_weight_matches_fresh_process():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
+    after_13 = (
+        "import contextlib, io, sys\n"
+        "from thetacob.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['logarithm', '--max-weight', '13']) == 0\n"
+        "sys.exit(main(['logarithm', '--max-weight', '12']))\n"
+    )
+    warm = subprocess.run([sys.executable, "-c", after_13], env=env, capture_output=True,
+                          check=True, timeout=120)
+    fresh = subprocess.run([sys.executable, "-m", "thetacob.cli", "logarithm", "--max-weight", "12"],
+                           env=env, capture_output=True, check=True, timeout=120)
+    assert warm.stdout == fresh.stdout and fresh.stdout.startswith(b"beta^-1(u) up to weight 12")
+
+
 def test_invariants(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "invariants", "--n", "2")
     env = json.loads(out)
@@ -119,6 +139,11 @@ def test_validation_errors_exit_two(capsys):
     for order in ("0", "-1"):
         code, out, err = run_cli(capsys, "fgl", "check", "--order", order)
         assert code == 2 and out == "" and "--order" in err
+    for flags, named in ((("--n", "0"), "--n"), (("--n", "-1"), "--n"),
+                         (("--n", "2", "--k", "0"), "--k")):
+        code, out, err = run_cli(capsys, "invariants", *flags)
+        assert code == 2 and out == "" and named in err
+        assert "need n >= 1" not in err
     for target in ("theta:x", "theta:", "theta:-1"):
         code, out, err = run_cli(capsys, "genus", "--name", "todd", "--of", target)
         assert code == 2 and out == "" and "--of" in err
@@ -132,6 +157,15 @@ def test_congruences_weight_bounded(capsys):
         assert "n must be >= 0" not in err
     code, out, _ = run_cli(capsys, "congruences", "--n", "0")
     assert code == 0 and "elementary divisors: [1]" in out
+
+
+def test_fgl_order_bounded(capsys):
+    for order in (str(MAX_FGL_ORDER + 1), "100"):
+        code, out, err = run_cli(capsys, "fgl", "check", "--order", order)
+        assert code == 2 and out == "" and "--order" in err
+    assert MAX_FGL_ORDER >= 10
+    code, out, _ = run_cli(capsys, "fgl", "check", "--order", "10")
+    assert code == 0 and out.count("residual 0") == 4
 
 
 def test_weierstrass_verify_exit_codes(capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from thetacob.core import Partition, bernoulli, partitions_of
 from thetacob.gradedring import ONE, parse_poly, t
-from thetacob.series import TruncSeries
+from thetacob import cobordism
+from thetacob.series import Reversion, TruncSeries
 from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
 from thetacob.cobordism import (
     adams_novikov,
@@ -57,6 +58,33 @@ def test_mischenko_and_cp_classes():
     todd = lambda n: Fraction((-1) ** n)
     for n in range(7):
         assert cps[n].substitute(todd) == 1
+
+
+@pytest.fixture
+def empty_log_cache(monkeypatch):
+    """Start from no logarithm coefficients and no cached cp classes."""
+    monkeypatch.setattr(cobordism, "_LOG", Reversion())
+    mischenko_log.cache_clear()
+    cp_classes.cache_clear()
+    yield
+    mischenko_log.cache_clear()
+    cp_classes.cache_clear()
+
+
+@pytest.mark.parametrize("calls", [
+    [("log", n) for n in range(2, 13)],
+    [("log", n) for n in range(12, 1, -1)],
+    [("cp", 9), ("log", 4), ("cp", 3), ("log", 12), ("cp", 11), ("log", 7), ("cp", 5),
+     ("log", 2), ("cp", 2), ("log", 10)],
+], ids=["ascending", "descending", "interleaved"])
+def test_log_and_cp_classes_do_not_depend_on_call_order(empty_log_cache, calls):
+    for kind, n in calls:
+        if kind == "log":
+            got = mischenko_log(n)
+            assert got == beta(n).revert() and got.grade_shift == 1
+        else:
+            lg = beta(n + 1).revert()
+            assert cp_classes(n) == (ONE,) + tuple((m + 1) * lg[m + 1] for m in range(1, n))
 
 
 def test_v_classes_printed_forms():

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thetacob.core import partitions_of
 from thetacob.gradedring import GradedPoly, ONE, ZERO, t
 from thetacob.series import (
     BiTruncSeries,
@@ -18,6 +21,91 @@ from thetacob.series import (
     residue_extract,
 )
 from thetacob.cobordism import beta, beta_over_z
+
+
+# -- reference routes: reversion by composition, the group law by Horner ----------------
+#
+# The package reverts by Lagrange-Buermann inversion and builds the group law
+# from univariate powers of the logarithm; these routes solve f(g) = z order by
+# order and evaluate beta(L(u) + L(v)) by bivariate Horner steps instead.
+
+def _revert_by_composition(f):
+    """Compositional inverse g with f(g(z)) = g(f(z)) = z.
+
+    Solved order by order: the coefficient of z^m in f(g) is g_m plus
+    terms involving only g_1..g_{m-1}, so each step is a triangular
+    read-off.  Needs f_0 = 0 and f_1 = 1.
+    """
+    if not f.coeffs[0].is_zero() or f.coeffs[1] != ONE:
+        raise NotNormalizedError("reversion needs f_0 = 0 and f_1 = 1")
+    n = f.order
+    g = [ZERO, ONE]
+    for m in range(2, n + 1):
+        partial = TruncSeries(g + [ZERO], order=m)
+        h = f.truncated(m, grade_shift=None).compose(partial)
+        g.append(-h.coeffs[m])
+    shift = 1 if f.grade_shift == 1 else None
+    return TruncSeries(g, order=n, grade_shift=shift)
+
+
+def _fgl_by_horner(beta_series, order):
+    """The formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)).
+
+    F is the universal group law of geometric cobordisms over the theta
+    basis; its exponential is beta.
+    """
+    if order > beta_series.order:
+        raise TruncationError("formal group order exceeds series truncation")
+    b = beta_series.truncated(order)
+    lg = _revert_by_composition(b)
+    u = BiTruncSeries.var(0, order)
+    v = BiTruncSeries.var(1, order)
+    s = eval_series_at(lg, u) + eval_series_at(lg, v)
+    return eval_series_at(b, s)
+
+
+def _random_normalised(rng, order):
+    """z + sum_{m>=2} r_m z^m with small seeded rationals, some of them zero."""
+    coeffs = [0, 1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(order - 1)]
+    return TruncSeries.from_rationals(coeffs, order)
+
+
+def test_revert_matches_composition_oracle():
+    for n in range(2, 11):
+        b = beta(n)
+        new, old = b.revert(), _revert_by_composition(b)
+        assert new == old and new.grade_shift == old.grade_shift == 1
+    rng = random.Random(31)
+    for n in (2, 3, 5, 8, 12):
+        for _ in range(3):
+            f = _random_normalised(rng, n)
+            assert f.revert() == _revert_by_composition(f)
+
+
+def test_fgl_matches_horner_oracle():
+    for n in range(1, 11):
+        assert fgl(beta(max(n, 2)), n) == _fgl_by_horner(beta(max(n, 2)), n)
+    rng = random.Random(32)
+    for n in (1, 2, 4, 7, 9):
+        f = _random_normalised(rng, n)
+        assert fgl(f, n) == _fgl_by_horner(f, n)
+
+
+def _normalised_series(max_order):
+    monomial = st.integers(0, 4).flatmap(lambda w: st.sampled_from(partitions_of(w)))
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    poly = st.dictionaries(monomial, coeff, max_size=3).map(GradedPoly)
+    return st.integers(1, max_order).flatmap(
+        lambda n: st.lists(poly, min_size=n - 1, max_size=n - 1).map(
+            lambda tail: TruncSeries([ZERO, ONE] + tail, order=n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_normalised_series(6))
+def test_revert_property(f):
+    g = f.revert()
+    assert f.compose(g) == TruncSeries.identity(f.order)
+    assert g.revert() == f
 
 
 def test_inv_geometric_series():
