@@ -11,74 +11,45 @@ floating-point Weierstrass module verifying the real-analytic elliptic
 constructions.
 """
 
-from .core import Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
-from .gradedring import GradedPoly, format_poly, parse_poly, t
-from .series import BiTruncSeries, TruncSeries, fgl, fgl_axiom_residuals, residue_extract
-from .symfun import (
-    ChernVector,
-    SymFunExpr,
-    chern_product_to_monomial,
-    convert_basis,
-    monomial_to_chern_product,
-    normal_to_tangent,
-    sign_involution,
-    tangent_to_normal,
-    to_normal_monomial,
-)
-from .cobordism import (
-    adams_novikov,
-    beta,
-    beta_over_z,
-    cp_classes,
-    decompose,
-    decompose_tangent,
-    mischenko_log,
-    psi_on_class,
-    q_multiplier,
-    theta_power_class,
-    v_classes,
-    w_classes,
-)
-from .landweber import (
-    Diff1Field,
-    TensorElement,
-    dequantize,
-    diff1_commutator,
-    dual_pairing,
-    intersection_class,
-    ln_apply,
-    ln_apply_series,
-    quantize,
-)
-from .genera import (
-    CongruenceSystem,
-    GenusSpec,
-    check_chern_vector,
-    congruence_system,
-    custom_genus,
-    euler_genus,
-    genus_of_poly,
-    genus_of_theta,
-    l_genus,
-    theta_invariants,
-    todd_genus,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Partition", "Rat", "bernoulli", "catalan", "partition_factorial", "partitions_of",
-    "GradedPoly", "format_poly", "parse_poly", "t",
-    "BiTruncSeries", "TruncSeries", "fgl", "fgl_axiom_residuals", "residue_extract",
-    "ChernVector", "SymFunExpr", "chern_product_to_monomial", "convert_basis",
-    "monomial_to_chern_product", "normal_to_tangent", "sign_involution",
-    "tangent_to_normal", "to_normal_monomial",
-    "adams_novikov", "beta", "beta_over_z", "cp_classes", "decompose",
-    "decompose_tangent", "mischenko_log", "psi_on_class", "q_multiplier",
-    "theta_power_class", "v_classes", "w_classes",
-    "Diff1Field", "TensorElement", "dequantize", "diff1_commutator", "dual_pairing",
-    "intersection_class", "ln_apply", "ln_apply_series", "quantize",
-    "CongruenceSystem", "GenusSpec", "check_chern_vector", "congruence_system",
-    "custom_genus", "euler_genus", "genus_of_poly", "genus_of_theta", "l_genus",
-    "theta_invariants", "todd_genus",
-]
+# Public name -> the submodule that defines it.  Importing the package loads
+# no submodule; a name's home is imported the first time the name is read.
+_HOMES = {
+    "core": ("Partition", "Rat", "bernoulli", "catalan", "partition_factorial",
+             "partitions_of"),
+    "gradedring": ("GradedPoly", "format_poly", "parse_poly", "t"),
+    "series": ("BiTruncSeries", "TruncSeries", "fgl", "fgl_axiom_residuals",
+               "residue_extract"),
+    "symfun": ("ChernVector", "SymFunExpr", "chern_product_to_monomial", "convert_basis",
+               "monomial_to_chern_product", "normal_to_tangent", "sign_involution",
+               "tangent_to_normal", "to_normal_monomial"),
+    "cobordism": ("adams_novikov", "beta", "beta_over_z", "cp_classes", "decompose",
+                  "decompose_tangent", "mischenko_log", "psi_on_class", "q_multiplier",
+                  "theta_power_class", "v_classes", "w_classes"),
+    "landweber": ("Diff1Field", "TensorElement", "dequantize", "diff1_commutator",
+                  "dual_pairing", "intersection_class", "ln_apply", "ln_apply_series",
+                  "quantize"),
+    "genera": ("CongruenceSystem", "GenusSpec", "congruence_system", "custom_genus",
+               "euler_genus", "genus_of_poly", "genus_of_theta", "l_genus",
+               "theta_invariants", "todd_genus"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

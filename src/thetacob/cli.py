@@ -15,16 +15,17 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import parse_partition, partitions_of
-from .gradedring import ExprSyntaxError, MissingGeneratorError, format_poly, parse_poly
-from .series import fgl_axiom_residuals
-from . import cobordism as cob
-from . import landweber as ln
-from . import genera
-from . import weierstrass as ws
-from .symfun import ChernVector
-from .acceptance import run_all
+from .gradedring import format_poly, parse_poly
+
+if TYPE_CHECKING:
+    from . import genera
+    from .symfun import ChernVector
+
+# Each handler imports the modules it uses, so that a process loads only
+# what its subcommand needs.
 
 FORMAT_VERSION = "1.0.0"
 
@@ -35,6 +36,28 @@ MAX_CONGRUENCE_WEIGHT = 12
 # Largest `fgl check --order`: the check takes 3 to 4.5 s at 16 and about
 # 8 s at 18, most of it in the associativity and exponential-identity checks.
 MAX_FGL_ORDER = 16
+
+# Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes vn` takes
+# about 3 s and `classes wn` 4 to 5 s; at 18, `classes vn` takes 14 s.
+MAX_WEIGHT = 16
+
+# Largest `invariants --n`: the Chern tables run over the partitions of n,
+# about 2.3 s at 45 and 6 s at 50.
+MAX_INVARIANTS_N = 45
+
+# Largest `theta intersect --n`: at most 2 s at 30 for any --k, 3.7 s at 35.
+MAX_THETA_N = 30
+
+# Largest weight of `quantize --expr`, `ln apply --expr` and `ln apply
+# --partition`: quantising the sum of all monomials of weight <= 14 takes
+# about 4 s, and of weight 16 alone 7.6 s.
+MAX_EXPR_WEIGHT = 14
+
+# Largest N in `genus --of theta:N` and weight of `genus --of poly:EXPR`.
+# The genus series is cheap here (the L-genus takes 0.9 s to order 200);
+# the bound is set by the terms the parser may expand below it:
+# `(1+t1+...+t6)^10` has 8008 and takes under 2 s.
+MAX_GENUS_WEIGHT = 60
 
 
 class CliError(ValueError):
@@ -49,8 +72,8 @@ def _default_weight() -> int:
         value = int(env)
     except ValueError:
         raise CliError(f"THETA_MAX_WEIGHT must be an integer, got {env!r}") from None
-    if value < 2:
-        raise CliError("THETA_MAX_WEIGHT must be >= 2")
+    if not 2 <= value <= MAX_WEIGHT:
+        raise CliError(f"THETA_MAX_WEIGHT must be between 2 and {MAX_WEIGHT}, got {value}")
     return value
 
 
@@ -72,10 +95,19 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
+def _parse_expr(flag: str, text: str, max_weight: int):
+    try:
+        return parse_poly(text, max_weight=max_weight)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
+
+
 # -- subcommand handlers -------------------------------------------------------------
 
 
 def cmd_beta(args):
+    from . import cobordism as cob
+
     n = args.max_weight
     b = cob.beta(n + 1)
     coeffs = [format_poly(b[m]) for m in range(n + 2)]
@@ -86,6 +118,8 @@ def cmd_beta(args):
 
 
 def cmd_logarithm(args):
+    from . import cobordism as cob
+
     n = args.max_weight
     lg = cob.mischenko_log(n + 1)
     cps = cob.cp_classes(n + 1)
@@ -102,6 +136,8 @@ def cmd_logarithm(args):
 
 
 def cmd_classes(args):
+    from . import cobordism as cob
+
     n = args.max_weight
     family = args.family
     rows = []
@@ -112,6 +148,8 @@ def cmd_classes(args):
         header = "v_n classes with minimal integral multipliers q_n"
         lines = [header] + [f"  v{r['n']} = {r['poly']}   (q_{r['n']} = {r['q']})" for r in rows]
     elif family == "wn":
+        from . import genera
+
         wcl = cob.w_classes(n)
         for m in range(1, n + 1):
             rows.append({
@@ -132,8 +170,16 @@ def cmd_classes(args):
 
 
 def cmd_ln_apply(args):
-    lam = parse_partition(args.partition)
-    poly = parse_poly(args.expr)
+    from . import landweber as ln
+
+    try:
+        lam = parse_partition(args.partition)
+    except ValueError:
+        raise CliError("--partition must be a comma-separated list of positive integers, "
+                       f"got {args.partition!r}") from None
+    if lam.weight > MAX_EXPR_WEIGHT:
+        raise CliError(f"--partition must have weight at most {MAX_EXPR_WEIGHT}, got {lam.weight}")
+    poly = _parse_expr("--expr", args.expr, MAX_EXPR_WEIGHT)
     result = ln.ln_apply(lam, poly)
     payload = {"partition": str(lam), "expr": format_poly(poly), "result": format_poly(result)}
     lines = [f"S_({lam}) applied to {payload['expr']}", f"  = {payload['result']}"]
@@ -141,9 +187,13 @@ def cmd_ln_apply(args):
 
 
 def cmd_theta_intersect(args):
+    from . import landweber as ln
+
     n, k = args.n, args.k
+    if not 0 <= n <= MAX_THETA_N:
+        raise CliError(f"--n must be between 0 and {MAX_THETA_N}, got {n}")
     if not 0 <= k <= n:
-        raise CliError("need 0 <= k <= n")
+        raise CliError(f"--k must be between 0 and --n ({n}), got {k}")
     cls = ln.intersection_class(n, k)
     payload = {"n": n, "k": k, "poly": format_poly(cls)}
     lines = [f"theta intersection class (n={n}, k={k}): {payload['poly']}"]
@@ -151,6 +201,8 @@ def cmd_theta_intersect(args):
 
 
 def _load_genus(name: str, order: int) -> genera.GenusSpec:
+    from . import genera
+
     if name.startswith("file:"):
         path = name[5:]
         try:
@@ -172,19 +224,22 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
 
 
 def cmd_genus(args):
+    from . import genera
+
     target = args.of
     if target.startswith("theta:"):
         try:
             n = int(target[6:])
         except ValueError:
             n = -1
-        if n < 0:
-            raise CliError(f"--of theta:N needs an integer N >= 0, got {target!r}")
+        if not 0 <= n <= MAX_GENUS_WEIGHT:
+            raise CliError(f"--of theta:N needs an integer N between 0 and {MAX_GENUS_WEIGHT}, "
+                           f"got {target!r}")
         spec = _load_genus(args.name, max(n, 2))
         value = genera.genus_of_theta(spec, n)
         shown = f"theta:{n}"
     elif target.startswith("poly:"):
-        poly = parse_poly(target[5:])
+        poly = _parse_expr("--of", target[5:], MAX_GENUS_WEIGHT)
         order = max(poly.top_weight(), 2)
         spec = _load_genus(args.name, order)
         value = genera.genus_of_poly(spec, poly)
@@ -201,8 +256,10 @@ def _chern_values_payload(vec: ChernVector) -> dict:
 
 
 def cmd_invariants(args):
-    if args.n < 1:
-        raise CliError(f"--n must be >= 1, got {args.n}")
+    from . import genera
+
+    if not 1 <= args.n <= MAX_INVARIANTS_N:
+        raise CliError(f"--n must be between 1 and {MAX_INVARIANTS_N}, got {args.n}")
     if args.k < 1:
         raise CliError(f"--k must be >= 1, got {args.k}")
     inv = genera.theta_invariants(args.n, args.k)
@@ -230,6 +287,8 @@ def cmd_invariants(args):
 
 
 def _load_chern_vector(path: str) -> ChernVector:
+    from .symfun import ChernVector
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -243,12 +302,14 @@ def _load_chern_vector(path: str) -> ChernVector:
 
 
 def cmd_congruences(args):
+    from . import genera
+
     if not 0 <= args.n <= MAX_CONGRUENCE_WEIGHT:
         raise CliError(f"--n must be between 0 and {MAX_CONGRUENCE_WEIGHT}, got {args.n}")
     sys_n = genera.congruence_system(args.n)
     if args.check:
         vec = _load_chern_vector(args.check)
-        ok, failing = genera.check_chern_vector(vec, sys_n)
+        ok, failing = sys_n.check(vec)
         payload = {
             "weight": args.n,
             "pass": ok,
@@ -276,7 +337,9 @@ def cmd_congruences(args):
 
 
 def cmd_quantize(args):
-    poly = parse_poly(args.expr)
+    from . import landweber as ln
+
+    poly = _parse_expr("--expr", args.expr, MAX_EXPR_WEIGHT)
     q = ln.quantize(poly)
     terms = [
         {"t": str(mu), "tp": str(nu), "coeff": _frac(c)}
@@ -297,6 +360,9 @@ def cmd_quantize(args):
 
 
 def cmd_fgl_check(args):
+    from . import cobordism as cob
+    from .series import fgl_axiom_residuals
+
     order = args.order
     if not 1 <= order <= MAX_FGL_ORDER:
         raise CliError(f"--order must be between 1 and {MAX_FGL_ORDER}, got {order}")
@@ -321,6 +387,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def cmd_weierstrass_verify(args):
+    from . import weierstrass as ws
+
     if args.lemniscatic or (args.omega1 is None and args.omega2 is None):
         omega1, omega2 = complex(1.0), complex(0.0, 1.0)
     else:
@@ -362,6 +430,8 @@ def cmd_weierstrass_verify(args):
 
 
 def cmd_selftest(args):
+    from .acceptance import run_all
+
     results = run_all()
     payload = {"results": [{"criterion": name, "pass": ok, "detail": detail}
                            for name, ok, detail in results]}
@@ -467,13 +537,11 @@ def main(argv=None) -> int:
         if hasattr(args, "max_weight"):
             if args.max_weight is None:
                 args.max_weight = _default_weight()
-            elif args.max_weight < 1:
-                raise CliError(f"--max-weight must be >= 1, got {args.max_weight}")
+            elif not 1 <= args.max_weight <= MAX_WEIGHT:
+                raise CliError(f"--max-weight must be between 1 and {MAX_WEIGHT}, "
+                               f"got {args.max_weight}")
         args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ExprSyntaxError, MissingGeneratorError, ValueError) as exc:
+    except ValueError as exc:  # CliError and the parser's errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

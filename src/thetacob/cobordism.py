@@ -17,11 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial, partitions_of, bernoulli
 from .gradedring import GradedPoly, ONE, ZERO, t
 from .series import Reversion, TruncSeries
-from .symfun import ChernVector, FrameBasisError
+
+if TYPE_CHECKING:
+    from .symfun import ChernVector
 
 
 @lru_cache(maxsize=None)
@@ -154,6 +157,8 @@ def decompose(c: ChernVector) -> GradedPoly:
     """Rebuild a weight-n class from its normal monomial Chern numbers:
     sum over partitions of c_lam * t^lam / (lam+1)!.
     """
+    from .symfun import FrameBasisError
+
     if c.frame != "normal" or c.basis != "monomial":
         raise FrameBasisError("decompose needs a normal-frame, monomial-basis vector")
     acc = ZERO
@@ -170,6 +175,8 @@ def decompose_tangent(c: ChernVector) -> GradedPoly:
 
     Agrees with decompose() on the normal data of the same class.
     """
+    from .symfun import FrameBasisError
+
     if c.frame != "tangent" or c.basis != "monomial":
         raise FrameBasisError("decompose_tangent needs a tangent-frame, monomial-basis vector")
     n = c.weight
@@ -218,6 +225,8 @@ def cp_tangent_chern_vector(n: int) -> ChernVector:
     roots equal the hyperplane class, so the monomial number for lam is
     the count of distinct arrangements of lam in n+1 slots.
     """
+    from .symfun import ChernVector
+
     values = {}
     for lam in partitions_of(n):
         mult = 1
@@ -237,10 +246,11 @@ def product_chern_vector(a: ChernVector, b: ChernVector) -> ChernVector:
     splitting rule): the value on lam is the sum over weight-respecting
     splittings lam = mu + nu of the factor values.
     """
+    from .core import splittings
+    from .symfun import ChernVector, FrameBasisError
+
     if a.basis != "monomial" or b.basis != "monomial" or a.frame != b.frame:
         raise FrameBasisError("product rule needs monomial vectors in a common frame")
-    from .core import splittings
-
     n = a.weight + b.weight
     values = {lam: Fraction(0) for lam in partitions_of(n)}
     for lam in partitions_of(n):

@@ -269,11 +269,6 @@ def congruence_system(n: int) -> CongruenceSystem:
     )
 
 
-def check_chern_vector(c: ChernVector, sys: CongruenceSystem):
-    """Evaluate every functional on the vector; integral means pass."""
-    return sys.check(c)
-
-
 # -- classical low-dimension congruence lists ----------------------------------------------
 
 

@@ -331,9 +331,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, max_weight=None):
         self.tokens = tokens
         self.pos = 0
+        self.max_weight = max_weight
+
+    def check_weight(self, weight: int) -> None:
+        """Refuse a generator, product or power above max_weight before it is built."""
+        if self.max_weight is not None and weight > self.max_weight:
+            raise ValueError(f"weight {weight} is above the limit {self.max_weight}")
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -360,7 +366,9 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            acc = acc * self.factor()
+            rhs = self.factor()
+            self.check_weight(acc.top_weight() + rhs.top_weight())
+            acc = acc * rhs
         return acc
 
     def factor(self) -> GradedPoly:
@@ -368,6 +376,7 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exp = self.take("num")
+            self.check_weight(base.top_weight() * exp)
             return base ** exp
         return base
 
@@ -383,7 +392,9 @@ class _Parser:
                 return GradedPoly.const(Fraction(num, den))
             return GradedPoly.const(num)
         if kind == "gen":
-            return GradedPoly.gen(self.take())
+            n = self.take()
+            self.check_weight(n)
+            return GradedPoly.gen(n)
         if kind == "(":
             self.take()
             inner = self.expr()
@@ -394,9 +405,13 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {kind!r}")
 
 
-def parse_poly(text: str) -> GradedPoly:
-    """Parse the canonical text form back into a GradedPoly."""
-    parser = _Parser(_tokenize(text))
+def parse_poly(text: str, max_weight: int | None = None) -> GradedPoly:
+    """Parse the canonical text form back into a GradedPoly.
+
+    With `max_weight`, a generator, product or power of higher weight is a
+    ValueError, raised before that part is expanded.
+    """
+    parser = _Parser(_tokenize(text), max_weight)
     result = parser.expr()
     if parser.peek() != "end":
         raise ExprSyntaxError("trailing input after expression")

@@ -4,7 +4,15 @@ import subprocess
 import sys
 
 import thetacob
-from thetacob.cli import MAX_FGL_ORDER, main
+from thetacob.cli import (
+    MAX_EXPR_WEIGHT,
+    MAX_FGL_ORDER,
+    MAX_GENUS_WEIGHT,
+    MAX_INVARIANTS_N,
+    MAX_THETA_N,
+    MAX_WEIGHT,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +156,15 @@ def test_validation_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, "genus", "--name", "todd", "--of", target)
         assert code == 2 and out == "" and "--of" in err
         assert "int()" not in err
+    for partition in (",", "2,,1", "x"):
+        code, out, err = run_cli(capsys, "ln", "apply", "--partition", partition, "--expr", "t2")
+        assert code == 2 and out == "" and "--partition" in err
+        assert "int()" not in err
+    for flags, named in ((("--n", "-1", "--k", "0"), "--n"), (("--n", "2", "--k", "-1"), "--k"),
+                         (("--n", "2", "--k", "5"), "--k")):
+        code, out, err = run_cli(capsys, "theta", "intersect", *flags)
+        assert code == 2 and out == "" and named in err
+        assert "need 0 <= k <= n" not in err
 
 
 def test_congruences_weight_bounded(capsys):
@@ -157,6 +174,37 @@ def test_congruences_weight_bounded(capsys):
         assert "n must be >= 0" not in err
     code, out, _ = run_cli(capsys, "congruences", "--n", "0")
     assert code == 0 and "elementary divisors: [1]" in out
+
+
+def test_input_budgets(capsys, monkeypatch):
+    # Each request over its cap exits 2 at once, naming the flag.
+    over = [
+        (("beta", "--max-weight", str(MAX_WEIGHT + 1)), "--max-weight"),
+        (("beta", "--max-weight", "5000"), "--max-weight"),
+        (("classes", "vn", "--max-weight", str(MAX_WEIGHT + 1)), "--max-weight"),
+        (("invariants", "--n", str(MAX_INVARIANTS_N + 1)), "--n"),
+        (("invariants", "--n", "500"), "--n"),
+        (("theta", "intersect", "--n", str(MAX_THETA_N + 1), "--k", "1"), "--n"),
+        (("quantize", "--expr", f"t{MAX_EXPR_WEIGHT + 1}"), "--expr"),
+        (("quantize", "--expr", "(t1 + t2 + t3 + t4 + t5)^30"), "--expr"),
+        (("ln", "apply", "--partition", "1", "--expr", "t7*t8"), "--expr"),
+        (("ln", "apply", "--partition", str(MAX_EXPR_WEIGHT + 1), "--expr", "t1"), "--partition"),
+        (("genus", "--name", "todd", "--of", f"poly:t{MAX_GENUS_WEIGHT + 1}"), "--of"),
+        (("genus", "--name", "l", "--of", f"theta:{MAX_GENUS_WEIGHT + 1}"), "--of"),
+    ]
+    for argv, named in over:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and named in err, argv
+        assert "digits" not in err
+    monkeypatch.setenv("THETA_MAX_WEIGHT", str(MAX_WEIGHT + 1))
+    code, out, err = run_cli(capsys, "beta")
+    assert code == 2 and out == "" and "THETA_MAX_WEIGHT" in err
+    # The caps sit above the benchmark's largest requests.
+    assert MAX_WEIGHT >= 13 and MAX_THETA_N >= 8 and MAX_INVARIANTS_N >= 6
+    assert MAX_EXPR_WEIGHT >= 11 and MAX_GENUS_WEIGHT >= 9
+    monkeypatch.delenv("THETA_MAX_WEIGHT")
+    code, out, _ = run_cli(capsys, "quantize", "--expr", "t1*t2^2*t3^2", "--roundtrip")
+    assert code == 0 and "dequantise-roundtrip: ok" in out
 
 
 def test_fgl_order_bounded(capsys):

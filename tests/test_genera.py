@@ -17,7 +17,6 @@ from thetacob.cobordism import (
     w_classes,
 )
 from thetacob.genera import (
-    check_chern_vector,
     classical_congruences,
     classical_system,
     congruence_system,
@@ -184,9 +183,9 @@ def test_congruence_equivalence_with_classical_lists():
 def test_theta_vectors_pass_congruences():
     for n in range(1, 5):
         sysn = congruence_system(n)
-        ok, failing = check_chern_vector(theta_tangent_product_vector(n), sysn)
+        ok, failing = sysn.check(theta_tangent_product_vector(n))
         assert ok, failing
-        ok, failing = check_chern_vector(theta_normal_vector(n), sysn)
+        ok, failing = sysn.check(theta_normal_vector(n))
         assert ok, failing
 
 
@@ -194,16 +193,16 @@ def test_product_vectors_pass_congruences():
     t1 = theta_normal_vector(1)
     t2 = theta_normal_vector(2)
     prod12 = product_chern_vector(t1, t2)
-    ok, failing = check_chern_vector(prod12, congruence_system(3))
+    ok, failing = congruence_system(3).check(prod12)
     assert ok, failing
     prod111 = product_chern_vector(product_chern_vector(t1, t1), t1)
-    ok, failing = check_chern_vector(prod111, congruence_system(3))
+    ok, failing = congruence_system(3).check(prod111)
     assert ok, failing
 
 
 def test_failing_vector_reported():
     bad = ChernVector.build(2, "tangent", "chern_product", {(1, 1): 1, (2,): 0})
-    ok, failing = check_chern_vector(bad, congruence_system(2))
+    ok, failing = congruence_system(2).check(bad)
     assert not ok
     assert failing and failing[0][1] == Fraction(1, 12)
 

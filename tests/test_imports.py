@@ -1,0 +1,51 @@
+"""A process imports only the modules its subcommand needs."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import thetacob
+
+ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
+
+
+def _run(code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_ln_apply_loads_only_its_modules():
+    code = (
+        "import contextlib, io, sys\n"
+        "from thetacob.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert main(['ln', 'apply', '--partition', '2,1', '--expr', 't3 - 4*t1*t2']) == 0\n"
+        "assert out.getvalue().endswith('= -48\\n'), out.getvalue()\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    loaded = set(_run(code).split())
+    assert "thetacob.landweber" in loaded
+    unneeded = {f"thetacob.{m}" for m in ("weierstrass", "acceptance", "genera", "lattices",
+                                          "symfun")} | {"dataclasses"}
+    assert not loaded & unneeded
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _run("import sys, thetacob; print(' '.join(sorted(sys.modules)))").split()
+    assert "thetacob" in loaded
+    assert not [m for m in loaded if m.startswith("thetacob.")]
+
+
+def test_public_names_resolve_to_their_home_modules():
+    listed = dir(thetacob)
+    for name in thetacob.__all__:
+        home = importlib.import_module(f"thetacob.{thetacob._HOME_OF[name]}")
+        assert getattr(thetacob, name) is getattr(home, name), name
+        assert name in listed, name
+    from thetacob import beta, quantize  # noqa: F401  (from-imports keep working)
+    assert "check_chern_vector" not in thetacob.__all__
+    with pytest.raises(AttributeError):
+        thetacob.no_such_name

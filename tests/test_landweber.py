@@ -5,8 +5,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetacob.core import EMPTY, Partition, partition_factorial, partitions_of, splittings
-from thetacob.gradedring import GradedPoly, ONE, ZERO, t
+from thetacob.acceptance import _cartan_ln_apply
+from thetacob.core import EMPTY, Partition, partition_factorial, partitions_of
+from thetacob.gradedring import GradedPoly, ONE, t
 from thetacob.cobordism import beta, beta_over_z, v_classes, w_classes
 from thetacob.landweber import (
     Diff1Field,
@@ -25,47 +26,8 @@ P = Partition
 
 # -- reference route: the recursive Cartan expansion ---------------------------------
 #
-# S_lam on a generator is read off the one-part rule, and on a monomial it is
-# expanded factor by factor over the splittings of lam.  The package computes
-# the operations from the total operation S_t instead; the two routes must agree.
-
-
-def _cartan_on_generator(lam: Partition, n: int) -> GradedPoly:
-    """S_lam(t_n): zero unless lam is empty or a one-part partition (k), k <= n."""
-    lam = Partition(lam)
-    if lam == EMPTY:
-        return GradedPoly.gen(n)
-    if lam.length != 1:
-        return ZERO
-    k = lam[0]
-    if k > n:
-        return ZERO
-    return intersection_class(n, k)
-
-
-def _cartan_on_factors(lam: Partition, factors: tuple[int, ...]) -> GradedPoly:
-    if not factors:
-        return ONE if lam == EMPTY else ZERO
-    head, tail = factors[0], factors[1:]
-    acc = ZERO
-    for mu, nu in splittings(lam):
-        left = _cartan_on_generator(mu, head)
-        if left.is_zero():
-            continue
-        right = _cartan_on_factors(nu, tail)
-        if right.is_zero():
-            continue
-        acc = acc + left * right
-    return acc
-
-
-def _cartan_ln_apply(lam, p: GradedPoly) -> GradedPoly:
-    """Apply the operation S_lam to a polynomial in the theta classes."""
-    lam = Partition(lam)
-    acc = ZERO
-    for mono, coeff in p.items():
-        acc = acc + coeff * _cartan_on_factors(lam, tuple(mono))
-    return acc
+# `_cartan_ln_apply` lives in thetacob.acceptance, whose criterion 5 checks
+# the operations against it as well.
 
 
 def _cartan_quantize(p: GradedPoly) -> TensorElement:
