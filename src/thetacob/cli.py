@@ -33,17 +33,22 @@ FORMAT_VERSION = "1.0.0"
 # and over half a minute at 13.
 MAX_CONGRUENCE_WEIGHT = 12
 
-# Largest `fgl check --order`: the check takes 3 to 4.5 s at 16 and about
-# 8 s at 18, most of it in the associativity and exponential-identity checks.
+# Largest `fgl check --order`: the check takes about 1 s at 16 and 2 s at
+# 18, most of it in the associativity and exponential-identity checks.
 MAX_FGL_ORDER = 16
 
-# Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes vn` takes
-# about 3 s and `classes wn` 4 to 5 s; at 18, `classes vn` takes 14 s.
+# Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
+# about 2 s, most of it in the integrality multipliers.
 MAX_WEIGHT = 16
 
 # Largest `invariants --n`: the Chern tables run over the partitions of n,
 # about 2.3 s at 45 and 6 s at 50.
 MAX_INVARIANTS_N = 45
+
+# Largest `invariants --k`: the Euler characteristic and the middle Betti
+# number grow as k^(n+1), so at n = 45 they keep under 350 digits, far below
+# Python's 4300-digit limit on int-to-str conversion.
+MAX_INVARIANTS_K = 10 ** 6
 
 # Largest `theta intersect --n`: at most 2 s at 30 for any --k, 3.7 s at 35.
 MAX_THETA_N = 30
@@ -260,8 +265,8 @@ def cmd_invariants(args):
 
     if not 1 <= args.n <= MAX_INVARIANTS_N:
         raise CliError(f"--n must be between 1 and {MAX_INVARIANTS_N}, got {args.n}")
-    if args.k < 1:
-        raise CliError(f"--k must be >= 1, got {args.k}")
+    if not 1 <= args.k <= MAX_INVARIANTS_K:
+        raise CliError(f"--k must be between 1 and {MAX_INVARIANTS_K}, got {args.k}")
     inv = genera.theta_invariants(args.n, args.k)
     payload = {
         "n": inv.n,

@@ -73,59 +73,17 @@ def cp_classes(order: int) -> tuple[GradedPoly, ...]:
     return tuple(out)
 
 
-def _jacobi_trudi_det(matrix: list[list[GradedPoly]]) -> GradedPoly:
-    """Determinant by minor expansion, memoised over column subsets."""
-    n = len(matrix)
-    memo: dict[frozenset, GradedPoly] = {}
-
-    def minor(r: int, cols: frozenset) -> GradedPoly:
-        if r == n:
-            return ONE
-        if cols in memo:
-            return memo[cols]
-        acc = ZERO
-        for idx, c in enumerate(sorted(cols)):
-            entry = matrix[r][c]
-            if entry.is_zero():
-                continue
-            sub = minor(r + 1, cols - {c})
-            term = entry * sub
-            acc = acc + (term if idx % 2 == 0 else -term)
-        memo[cols] = acc
-        return acc
-
-    return minor(0, frozenset(range(n)))
-
-
 @lru_cache(maxsize=None)
 def v_classes(order: int) -> tuple[GradedPoly, ...]:
     """Dual classes v_n for n <= order, v[0] = 1.
 
-    Computed twice -- from the coefficientwise inverse of beta(z)/z and
-    from the h-in-terms-of-e determinant with e_n = t_n/(n+1)! -- and the
-    two routes are asserted equal before returning.  A mismatch would mean
-    a broken series or determinant kernel, so it stops the computation.
+    v_n is (-1)^n (n+1)! times the coefficient of z^n in the multiplicative
+    inverse of beta(z)/z.  Acceptance criterion 1 checks it for n <= 12
+    against an independent route, the h-in-terms-of-e Jacobi-Trudi
+    determinant with e_n = t_n/(n+1)!.
     """
     qv = beta_over_z(order).inv()
-    from_series = [ONE]
-    for n in range(1, order + 1):
-        from_series.append(((-1) ** n * factorial(n + 1)) * qv[n])
-
-    e = [ONE] + [t(n) * Fraction(1, factorial(n + 1)) for n in range(1, order + 1)]
-
-    def e_at(idx: int) -> GradedPoly:
-        return e[idx] if 0 <= idx <= order else ZERO
-
-    for n in range(1, order + 1):
-        matrix = [[e_at(1 - i + j) for j in range(n)] for i in range(n)]
-        h_n = _jacobi_trudi_det(matrix)
-        det_value = factorial(n + 1) * h_n
-        if det_value != from_series[n]:
-            raise AssertionError(
-                f"v_{n}: series inversion and determinant disagree; "
-                f"{from_series[n]} vs {det_value}"
-            )
-    return tuple(from_series)
+    return (ONE,) + tuple(((-1) ** n * factorial(n + 1)) * qv[n] for n in range(1, order + 1))
 
 
 @lru_cache(maxsize=None)

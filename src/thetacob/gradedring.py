@@ -14,9 +14,10 @@ monomial printed in ascending index order, e.g. ``-t2 + 3/2*t1^2``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from math import lcm, log10
+from typing import Callable, Iterable, Mapping
 
-from .core import EMPTY, Partition, partition_union
+from .core import EMPTY, Partition
 
 
 class MissingGeneratorError(ValueError):
@@ -36,9 +37,12 @@ class GradedPoly:
 
     Zero coefficients are never stored.  Instances are value objects: all
     arithmetic returns new polynomials, so sharing across threads is safe.
+    A polynomial keeps the integer form that dot() derives from its terms
+    the first time it is a factor, since long-lived series coefficients are
+    factors again and again.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_ints")
 
     def __init__(self, terms: Mapping | None = None):
         clean: dict[Partition, Fraction] = {}
@@ -53,6 +57,7 @@ class GradedPoly:
                 if clean[mono] == 0:
                     del clean[mono]
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_ints", None)
 
     # -- constructors -----------------------------------------------------
 
@@ -144,16 +149,7 @@ class GradedPoly:
         if len(other._terms) == 1 and EMPTY in other._terms:
             c = other._terms[EMPTY]
             return _raw({m: c1 * c for m, c1 in self._terms.items()})
-        out: dict[Partition, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = partition_union(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return _raw(out)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -231,6 +227,45 @@ def _raw(terms: dict) -> GradedPoly:
     p = GradedPoly()
     object.__setattr__(p, "_terms", terms)
     return p
+
+
+def _numerators(p: GradedPoly) -> tuple[list, int]:
+    """p's terms as integer numerators over the lcm of its denominators."""
+    ints = p._ints
+    if ints is None:
+        d = lcm(*(c.denominator for c in p._terms.values()))
+        ints = ([(m, c.numerator * (d // c.denominator)) for m, c in p._terms.items()], d)
+        object.__setattr__(p, "_ints", ints)
+    return ints
+
+
+def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]]) -> GradedPoly:
+    """The sum of a*b over the (a, b) pairs, exactly.
+
+    Every product is accumulated in plain integers over one common
+    denominator, and each coefficient of the result is normalised once at
+    the end, so no intermediate polynomial or Fraction is built.  Product
+    monomials are concatenated and sorted without re-validating their parts,
+    which both factors already guarantee.
+    """
+    factors = []
+    denominator = 1
+    for a, b in pairs:
+        if a._terms and b._terms:
+            na, da = _numerators(a)
+            nb, db = _numerators(b)
+            factors.append((na, nb, da * db))
+            denominator = lcm(denominator, da * db)
+    acc: dict[Partition, int] = {}
+    get = acc.get
+    for na, nb, d in factors:
+        scale = denominator // d
+        for m1, c1 in na:
+            c1 *= scale
+            for m2, c2 in nb:
+                m = tuple.__new__(Partition, sorted(m1 + m2, reverse=True))
+                acc[m] = get(m, 0) + c1 * c2
+    return _raw({m: Fraction(n, denominator) for m, n in acc.items() if n})
 
 
 def _as_poly(x):
@@ -322,12 +357,25 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("num", int(text[i:j])))
+            tokens.append(("num", text[i:j]))
             i = j
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r} at position {i}")
     tokens.append(("end", None))
     return tokens
+
+
+# With max_weight, the parser also refuses a coefficient of more than
+# MAX_COEFF_DIGITS decimal digits, before a product or power would build it.
+# Every number it returns then stays far below Python's 4300-digit limit on
+# int-to-str conversion, also after the CLI's operations scale it.
+MAX_COEFF_DIGITS = 1000
+
+
+def _digits(p: GradedPoly) -> float:
+    """log10 of the largest numerator or denominator of p; 0 for ZERO."""
+    return max((log10(max(abs(c.numerator), c.denominator)) for c in p._terms.values()),
+               default=0.0)
 
 
 class _Parser:
@@ -340,6 +388,17 @@ class _Parser:
         """Refuse a generator, product or power above max_weight before it is built."""
         if self.max_weight is not None and weight > self.max_weight:
             raise ValueError(f"weight {weight} is above the limit {self.max_weight}")
+
+    def check_digits(self, digits: float) -> None:
+        """Refuse a coefficient of more than MAX_COEFF_DIGITS digits (with max_weight)."""
+        if self.max_weight is not None and digits > MAX_COEFF_DIGITS:
+            raise ValueError(f"a coefficient of about {digits:.0f} digits is above the limit "
+                             f"of {MAX_COEFF_DIGITS} digits")
+
+    def number(self) -> int:
+        text = self.take("num")
+        self.check_digits(len(text))
+        return int(text)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -360,6 +419,7 @@ class _Parser:
             op = self.take()
             rhs = self.term()
             acc = acc + rhs if op == "+" else acc - rhs
+            self.check_digits(_digits(acc))
         return acc
 
     def term(self) -> GradedPoly:
@@ -368,6 +428,7 @@ class _Parser:
             self.take()
             rhs = self.factor()
             self.check_weight(acc.top_weight() + rhs.top_weight())
+            self.check_digits(_digits(acc) + _digits(rhs))
             acc = acc * rhs
         return acc
 
@@ -375,18 +436,19 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            exp = self.take("num")
+            exp = self.number()
             self.check_weight(base.top_weight() * exp)
+            self.check_digits(_digits(base) * exp)
             return base ** exp
         return base
 
     def atom(self) -> GradedPoly:
         kind = self.peek()
         if kind == "num":
-            num = self.take()
+            num = self.number()
             if self.peek() == "/":
                 self.take()
-                den = self.take("num")
+                den = self.number()
                 if den == 0:
                     raise ExprSyntaxError("zero denominator")
                 return GradedPoly.const(Fraction(num, den))
@@ -408,8 +470,9 @@ class _Parser:
 def parse_poly(text: str, max_weight: int | None = None) -> GradedPoly:
     """Parse the canonical text form back into a GradedPoly.
 
-    With `max_weight`, a generator, product or power of higher weight is a
-    ValueError, raised before that part is expanded.
+    With `max_weight`, a generator, product or power of higher weight, or a
+    coefficient of more than MAX_COEFF_DIGITS digits, is a ValueError,
+    raised before that part is expanded.
     """
     parser = _Parser(_tokenize(text), max_weight)
     result = parser.expr()

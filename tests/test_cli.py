@@ -165,6 +165,14 @@ def test_validation_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, "theta", "intersect", *flags)
         assert code == 2 and out == "" and named in err
         assert "need 0 <= k <= n" not in err
+    for argv, named in ((("quantize", "--expr", "2^20000*t1"), "--expr"),
+                        (("quantize", "--expr", "((9^16)^16)^16*t1"), "--expr"),
+                        (("quantize", "--expr", "1" * 5000 + "*t1"), "--expr"),
+                        (("genus", "--name", "todd", "--of", "poly:2^20000"), "--of"),
+                        (("invariants", "--n", "26", "--k", "7" * 200), "--k")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and named in err
+        assert "Exceeds the limit" not in err
 
 
 def test_congruences_weight_bounded(capsys):

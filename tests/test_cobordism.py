@@ -6,6 +6,7 @@ import pytest
 from thetacob.core import Partition, bernoulli, partitions_of
 from thetacob.gradedring import ONE, parse_poly, t
 from thetacob import cobordism
+from thetacob.acceptance import _v_by_jacobi_trudi
 from thetacob.series import Reversion, TruncSeries
 from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
 from thetacob.cobordism import (
@@ -96,6 +97,12 @@ def test_v_classes_printed_forms():
     assert vs[4] == parse_poly("-t4 + 5*t1*t3 - 15*t1^2*t2 + 10/3*t2^2 + 15/2*t1^4")
     assert vs[5] == parse_poly(
         "t5 - 6*t1*t4 + 30*t1*t2^2 - 60*t1^3*t2 - 10*t2*t3 + 45/2*t1^2*t3 + 45/2*t1^5")
+
+
+def test_v_classes_match_jacobi_trudi():
+    vs = v_classes(12)
+    for n in range(1, 13):
+        assert _v_by_jacobi_trudi(n) == vs[n], n
 
 
 def test_v_classes_inverse_relation():

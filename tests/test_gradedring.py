@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thetacob.core import Partition, partitions_of
+from thetacob.core import Partition, partition_union, partitions_of
 from thetacob.gradedring import (
     ExprSyntaxError,
     GradedPoly,
     MissingGeneratorError,
     ONE,
     ZERO,
+    _raw,
+    dot,
     format_poly,
     parse_poly,
     t,
@@ -45,6 +48,45 @@ def test_mul_commutative_associative_randomised():
         a, b, c = (random_poly(rng, w) for _ in range(3))
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
+
+
+def _mul_by_fractions(self, other):
+    """The product term by term in Fractions: the oracle for the integer kernel."""
+    out: dict[Partition, Fraction] = {}
+    for m1, c1 in self._terms.items():
+        for m2, c2 in other._terms.items():
+            m = partition_union(m1, m2)
+            s = out.get(m, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return _raw(out)
+
+
+_monomial = st.integers(0, 5).flatmap(lambda w: st.sampled_from(partitions_of(w)))
+# Zero, constant and empty polynomials all occur, and most coefficients have
+# a denominator above 1.
+_poly = st.dictionaries(
+    _monomial, st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=4
+).map(GradedPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(_poly, _poly), max_size=4), cancel=st.booleans())
+def test_dot_and_mul_match_fraction_oracle(pairs, cancel):
+    if cancel and pairs:
+        # a*b - a*b: products that cancel to zero inside one sum
+        a, b = pairs[0]
+        pairs = pairs + [(a, -b)]
+    expected = ZERO
+    for a, b in pairs:
+        product = _mul_by_fractions(a, b)
+        assert a * b == product
+        expected = expected + product
+    assert dot(pairs) == expected
+    if cancel and len(pairs) == 2:
+        assert dot(pairs).is_zero()
 
 
 def test_aug_is_ring_homomorphism():
