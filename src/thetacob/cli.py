@@ -29,9 +29,9 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = "1.0.0"
 
-# Largest `congruences --n`: the Hermite/Smith step takes about 5 s at 12
-# and over half a minute at 13.
-MAX_CONGRUENCE_WEIGHT = 12
+# Largest `congruences --n`: one run takes about 3.5 s at 14, 2.5 s of it
+# in the lattice step, and 6 to 7 s at 15.
+MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order`: the check takes about 1 s at 16 and 2 s at
 # 18, most of it in the associativity and exponential-identity checks.
@@ -291,19 +291,27 @@ def cmd_invariants(args):
     _emit(args, "invariants", {"n": args.n, "k": args.k}, payload, lines)
 
 
-def _load_chern_vector(path: str) -> ChernVector:
+def _load_chern_vector(path: str, weight: int) -> ChernVector:
+    """The vector in a `--check` file, refused unless its weight is `weight`.
+
+    The weight is compared before the vector is built, because building
+    it enumerates the partitions of the file's weight.
+    """
     from .symfun import ChernVector
 
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read vector file {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an oversized integer
+        raise CliError(f"--check: cannot read vector file {path}: {exc}") from None
     try:
-        values = {parse_partition(k): Fraction(str(v)) for k, v in data["values"].items()}
-        return ChernVector(int(data["weight"]), data["frame"], data["basis"], values)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"malformed Chern vector file: {exc}") from None
+        file_weight = int(data["weight"])
+        if file_weight == weight:
+            values = {parse_partition(k): Fraction(str(v)) for k, v in data["values"].items()}
+            return ChernVector(weight, data["frame"], data["basis"], values)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise CliError(f"--check: malformed Chern vector file: {exc}") from None
+    raise CliError(f"--check: vector weight {file_weight} != --n {weight}")
 
 
 def cmd_congruences(args):
@@ -311,9 +319,9 @@ def cmd_congruences(args):
 
     if not 0 <= args.n <= MAX_CONGRUENCE_WEIGHT:
         raise CliError(f"--n must be between 0 and {MAX_CONGRUENCE_WEIGHT}, got {args.n}")
+    vec = _load_chern_vector(args.check, args.n) if args.check else None
     sys_n = genera.congruence_system(args.n)
-    if args.check:
-        vec = _load_chern_vector(args.check)
+    if vec is not None:
         ok, failing = sys_n.check(vec)
         payload = {
             "weight": args.n,

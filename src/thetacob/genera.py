@@ -259,8 +259,7 @@ def congruence_system(n: int) -> CongruenceSystem:
                     row[lam] = val
             functionals.append((mu, row))
     rows = [[row.get(lam, Fraction(0)) for lam in parts] for _, row in functionals]
-    basis = lattices.integrality_lattice(rows, len(parts))
-    divisors = lattices.smith_diagonal([list(r) for r in basis])
+    basis, divisors = lattices.integrality_lattice(rows, len(parts))
     return CongruenceSystem(
         weight=n,
         functionals=tuple((mu, dict(row)) for mu, row in functionals),
@@ -329,8 +328,7 @@ def classical_system(n: int) -> CongruenceSystem:
         scaled = {lam: c / modulus for lam, c in converted.items()}
         functionals.append((EMPTY, scaled))
     rows = [[row.get(lam, Fraction(0)) for lam in parts] for _, row in functionals]
-    basis = lattices.integrality_lattice(rows, len(parts))
-    divisors = lattices.smith_diagonal([list(r) for r in basis])
+    basis, divisors = lattices.integrality_lattice(rows, len(parts))
     return CongruenceSystem(
         weight=n,
         functionals=tuple((mu, dict(row)) for mu, row in functionals),

@@ -202,9 +202,6 @@ class GradedPoly:
             total = total + val
         return total
 
-    def map_coeff(self, fn) -> "GradedPoly":
-        return GradedPoly({m: fn(c) for m, c in self._terms.items()})
-
     def scale_generators(self, factor_of: Callable[[int], Fraction]) -> "GradedPoly":
         """Ring endomorphism t_n -> factor_of(n) * t_n."""
         out = {}

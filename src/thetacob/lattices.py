@@ -1,192 +1,107 @@
 """Integer-matrix normal forms for congruence lattices.
 
-Vectors are rows; a lattice is the row span of an integer matrix.  The
-row-style Hermite normal form canonicalises a basis, the Smith normal
-form diagonal gives the elementary divisors of the quotient of the
-ambient lattice by a full-rank sublattice, and kernel_rows() solves
-x @ M = 0 over the integers.
+Vectors are rows; a lattice is the row span of an integer matrix.  Every
+lattice here contains D*Z^d for the common denominator D of the
+congruences, so one elimination modulo D (hnf_mod) computes all of it:
+the canonical row Hermite normal form of the congruence module, that of
+the integrality lattice (its dual, scaled by D), and the Smith normal
+form diagonal of the integrality lattice (alternating row passes on the
+basis and on its transpose).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a >= 0 and b > 0."""
+    g = gcd(a, b)
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
 
 
-def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical row HNF: row-echelon, positive pivots, entries above a
-    pivot reduced into [0, pivot).  Zero rows are dropped.
+def hnf_mod(rows: list[list[int]], dim: int, modulus: int) -> list[list[int]]:
+    """Canonical row HNF of rowspan(rows) + modulus*Z^dim.
+
+    Upper triangular with positive pivots dividing the modulus, entries
+    above a pivot reduced into [0, pivot) and every other entry kept in
+    [0, modulus) while eliminating (Domich, Kannan and Trotter, 1987).
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        # euclidean elimination in column c below row r
+    D = modulus
+    # h[c]: entries from column c on of the echelon row with pivot in column c
+    h: list[list[int] | None] = [None] * dim
+
+    def insert(v: list[int], c: int) -> None:
+        """Fold in a lattice vector that vanishes before column c (v = its tail)."""
         while True:
-            nonzero = [i for i in range(r, nrows) if m[i][c] != 0]
-            if not nonzero:
-                break
-            pivot = min(nonzero, key=lambda i: abs(m[i][c]))
-            _swap_rows(m, r, pivot)
-            done = True
-            for i in range(r + 1, nrows):
-                if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c]:
-                        done = False
-            if done:
-                break
-        if r < nrows and m[r][c]:
-            if m[r][c] < 0:
-                m[r] = [-a for a in m[r]]
-            for i in range(r):
-                q = m[i][c] // m[r][c]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-            r += 1
-            if r == nrows:
-                break
-    return [row for row in m[:r] if any(row)]
+            k = next((i for i, x in enumerate(v) if x), None)
+            if k is None:
+                return
+            v, c = v[k:], c + k
+            p = h[c]
+            if p is None:
+                h[c] = v
+                return
+            a, b = p[0], v[0]
+            g, s, t = _bezout(a, b)
+            if g != a:  # else p stays the pivot row
+                h[c] = [(s * x + t * y) % D for x, y in zip(p, v)]
+            v = [((b // g) * x - (a // g) * y) % D for x, y in zip(p[1:], v[1:])]
+            c += 1
 
-
-def kernel_rows(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of {x integer row : x @ mat = 0}.
-
-    Runs the HNF elimination on mat while tracking the transformation U
-    with U @ mat = H; the rows of U facing zero rows of H span the kernel.
-    """
-    m = [list(r) for r in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    r = 0
-    for c in range(ncols):
-        while True:
-            nonzero = [i for i in range(r, nrows) if m[i][c] != 0]
-            if not nonzero:
-                break
-            pivot = min(nonzero, key=lambda i: abs(m[i][c]))
-            _swap_rows(m, r, pivot)
-            _swap_rows(u, r, pivot)
-            done = True
-            for i in range(r + 1, nrows):
-                if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                    if m[i][c]:
-                        done = False
-            if done:
-                break
-        if r < nrows and m[r][c]:
-            r += 1
-            if r == nrows:
-                break
-    return [u[i] for i in range(nrows) if not any(m[i])]
-
-
-def smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form (d1 | d2 | ...)."""
-    m = [list(r) for r in mat]
-    if not m or not m[0]:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    diag = []
-    top = 0
-    while top < min(nrows, ncols):
-        # locate smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        _swap_rows(m, top, i)
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-        # clear row and column at top
-        dirty = False
-        for i in range(top + 1, nrows):
-            if m[i][top]:
-                q = m[i][top] // m[top][top]
-                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                if m[i][top]:
-                    dirty = True
-        for j in range(top + 1, ncols):
-            if m[top][j]:
-                q = m[top][j] // m[top][top]
-                for row in m:
-                    row[j] -= q * row[top]
-                if m[top][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility sweep: pivot must divide the rest of the block
-        offender = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j] % m[top][top]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[offender])]
-            continue
-        diag.append(abs(m[top][top]))
-        top += 1
-    return diag
+    for row in rows:
+        insert([x % D for x in row], 0)
+    basis: list[list[int]] = []
+    for c in range(dim):
+        # Join the echelon row with D*e_c: the pivot becomes gcd(a, D), and
+        # the leftover (D/g)*p, zero in column c, goes on to later columns.
+        p = h[c] or [0] * (dim - c)
+        g, s, _ = _bezout(p[0], D)
+        insert([(D // g) * x % D for x in p[1:]], c + 1)
+        row = [0] * c + [g] + [s * x % D for x in p[1:]]
+        for r in basis:
+            q = r[c] // g
+            if q:
+                r[c:] = [(x - q * y) % D for x, y in zip(r[c:], row[c:])]
+        basis.append(row)
+    return basis
 
 
 def common_denominator(rows) -> int:
     """lcm of the denominators of a rational matrix."""
-    d = 1
-    for row in rows:
-        for x in row:
-            den = Fraction(x).denominator
-            d = d * den // gcd(d, den)
-    return d
+    return lcm(1, *(x.denominator for row in rows for x in row))
 
 
-def integrality_lattice(rational_rows: list[list[Fraction]], dim: int) -> list[list[int]]:
-    """HNF basis of {x in Z^dim : R x is integral for every row R}.
+def integrality_lattice(rational_rows: list[list[Fraction]], dim: int):
+    """(basis, divisors) of L = {x in Z^dim : R x is integral for every row R}.
 
-    Clearing denominators turns the condition into A x = 0 (mod D); the
-    solutions are the projection of the integer kernel of [A^T ; -D I].
+    basis is the HNF of L, divisors the Smith normal form diagonal of
+    Z^dim / L (d1 | d2 | ...).  With D the common denominator and A = D*R,
+    L = {x : A x = 0 mod D} = D * M^dual for M = rowspan(A) + D*Z^dim: if
+    the rows of B span M, the columns of D * B^-1 span L.
     """
-    if not rational_rows:
-        return [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     D = common_denominator(rational_rows)
-    A = [[int(Fraction(x) * D) for x in row] for row in rational_rows]
-    nrows = len(A)
-    # rows of the stacked matrix: first dim rows = A^T, then -D * identity
-    stacked = [[A[i][j] for i in range(nrows)] for j in range(dim)]
-    for i in range(nrows):
-        stacked.append([-D if k == i else 0 for k in range(nrows)])
-    kern = kernel_rows(stacked)
-    basis = [row[:dim] for row in kern]
-    basis = [row for row in basis if any(row)]
-    return hermite_normal_form(basis)
-
-
-def row_in_lattice(row: list[int], hnf_basis: list[list[int]]) -> bool:
-    """Membership test against an HNF basis by forward substitution."""
-    rem = list(row)
-    for b in hnf_basis:
-        lead = next((j for j, x in enumerate(b) if x), None)
-        if lead is None:
-            continue
-        if rem[lead] % b[lead] == 0:
-            q = rem[lead] // b[lead]
-            if q:
-                rem = [a - q * x for a, x in zip(rem, b)]
-    return not any(rem)
+    B = hnf_mod([[x.numerator * (D // x.denominator) for x in row] for row in rational_rows],
+                dim, D)
+    columns = []
+    for k in range(dim):
+        # solve B x = D e_k from the bottom up; B is upper triangular
+        x = [0] * dim
+        for i in range(k, -1, -1):
+            rest = sum(B[i][j] * x[j] for j in range(i + 1, k + 1))
+            x[i] = ((D if i == k else 0) - rest) // B[i][i]
+        columns.append(x)
+    basis = hnf_mod(columns, dim, D)
+    # Row HNF passes on the transpose until the form is diagonal; the
+    # transpose of a basis of L also spans a lattice containing D*Z^dim.
+    m = basis
+    while any(m[i][j] for i in range(dim) for j in range(i + 1, dim)):
+        m = hnf_mod(list(zip(*m)), dim, D)
+    divisors = [m[i][i] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            a, b = divisors[i], divisors[j]
+            divisors[i], divisors[j] = gcd(a, b), lcm(a, b)
+    return basis, divisors

@@ -5,6 +5,7 @@ import sys
 
 import thetacob
 from thetacob.cli import (
+    MAX_CONGRUENCE_WEIGHT,
     MAX_EXPR_WEIGHT,
     MAX_FGL_ORDER,
     MAX_GENUS_WEIGHT,
@@ -131,7 +132,7 @@ def test_genus_of_poly(capsys):
     assert code == 0 and out.strip().endswith("= 1")
 
 
-def test_validation_errors_exit_two(capsys):
+def test_validation_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "genus", "--name", "nope", "--of", "theta:3")
     assert code == 2 and "unknown genus" in err
     code, _, err = run_cli(capsys, "ln", "apply", "--partition", "1", "--expr", "t1 +")
@@ -173,10 +174,21 @@ def test_validation_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and named in err
         assert "Exceeds the limit" not in err
+    # --check: the file's weight is compared with --n before its partitions
+    # are enumerated, and a zero denominator is a malformed file
+    for weight, values, said in ((45, {"1": 1}, "vector weight 45 != --n 2"),
+                                 (3, {"3": 0, "2,1": 0, "1,1,1": 0}, "vector weight 3 != --n 2"),
+                                 (2, {"1,1": "1/0", "2": 0}, "malformed")):
+        path = tmp_path / f"vec{weight}.json"
+        path.write_text(json.dumps({"weight": weight, "frame": "tangent",
+                                    "basis": "chern_product", "values": values}))
+        code, out, err = run_cli(capsys, "congruences", "--n", "2", "--check", str(path))
+        assert code == 2 and out == "" and "--check" in err and said in err
+        assert "missing" not in err
 
 
 def test_congruences_weight_bounded(capsys):
-    for n in ("-1", "13", "25"):
+    for n in ("-1", str(MAX_CONGRUENCE_WEIGHT + 1), "25"):
         code, out, err = run_cli(capsys, "congruences", "--n", n)
         assert code == 2 and out == "" and "--n" in err
         assert "n must be >= 0" not in err
