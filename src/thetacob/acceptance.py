@@ -237,7 +237,7 @@ def duality_quantisation():
 
 @check("6-formal-group-law")
 def formal_group_law():
-    res = fgl_axiom_residuals(cob.beta(8), order=8, assoc_order=6)
+    res = fgl_axiom_residuals(cob.beta(8), order=8)
     for name, ok in res.items():
         assert ok, f"nonzero {name} residual"
     return "unit, symmetry, associativity and the exponential identity hold exactly"

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .core import parse_partition, partitions_of
-from .gradedring import format_poly, parse_poly
+from .gradedring import MAX_COEFF_DIGITS, format_poly, parse_poly
 
 if TYPE_CHECKING:
     from . import genera
@@ -33,8 +33,8 @@ FORMAT_VERSION = "1.0.0"
 # in the lattice step, and 6 to 7 s at 15.
 MAX_CONGRUENCE_WEIGHT = 14
 
-# Largest `fgl check --order`: the check takes about 1 s at 16 and 2 s at
-# 18, most of it in the associativity and exponential-identity checks.
+# Largest `fgl check --order`: one-shot, the check takes about 0.45 s at 16,
+# 1 s at 18 and 1.9 s at 20, about half of it in building F itself.
 MAX_FGL_ORDER = 16
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
@@ -205,6 +205,28 @@ def cmd_theta_intersect(args):
     _emit(args, "theta intersect", {"n": n, "k": k}, payload, lines)
 
 
+def _genus_coeff(index: int, value) -> Fraction:
+    """Coefficient `index` of a genus file; a string is bounded before it is built.
+
+    A decimal exponent counts as digits: "1e5000" and "1e-5000" both have
+    more than MAX_COEFF_DIGITS.
+    """
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if not exponent.isdecimal():
+            exponent = "0"  # no exponent, or one that Fraction refuses
+        if (len(exponent) > len(str(MAX_COEFF_DIGITS))
+                or len(mantissa) + int(exponent) > MAX_COEFF_DIGITS):
+            raise CliError(f"--name: genus file coefficient {index} has more than "
+                           f"{MAX_COEFF_DIGITS} digits")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise CliError(f"--name: genus file coefficient {index} is not a rational number: "
+                       f"{value!r}") from None
+
+
 def _load_genus(name: str, order: int) -> genera.GenusSpec:
     from . import genera
 
@@ -212,14 +234,15 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
         path = name[5:]
         try:
             with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read genus file {path}: {exc}") from None
-        if not isinstance(data, dict) or "coeffs" not in data:
-            raise CliError('genus file must be {"coeffs": ["1", "-1/2", ...]}')
-        coeffs = [Fraction(c) for c in data["coeffs"]]
+                # A JSON integer stays text until _genus_coeff has bounded it.
+                data = json.load(fh, parse_int=str)
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors included
+            raise CliError(f"--name: cannot read genus file {path}: {exc}") from None
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+            raise CliError('--name: a genus file must be {"coeffs": ["1", "-1/2", ...]}')
+        coeffs = [_genus_coeff(i, c) for i, c in enumerate(data["coeffs"])]
         if not coeffs or coeffs[0] != 1:
-            raise CliError("genus coefficient list must start with 1")
+            raise CliError("--name: the genus file's coefficient list must start with 1")
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return genera.custom_genus(coeffs, order, name=os.path.basename(path))
     try:
@@ -379,8 +402,7 @@ def cmd_fgl_check(args):
     order = args.order
     if not 1 <= order <= MAX_FGL_ORDER:
         raise CliError(f"--order must be between 1 and {MAX_FGL_ORDER}, got {order}")
-    res = fgl_axiom_residuals(cob.beta(max(order, 2)), order=order,
-                              assoc_order=min(order, 6))
+    res = fgl_axiom_residuals(cob.beta(max(order, 2)), order=order)
     payload = {name: ("0" if ok else "nonzero") for name, ok in res.items()}
     payload["order"] = order
     payload["pass"] = all(res.values())

@@ -9,14 +9,17 @@ coexist in this package and are never converted silently:
   of weight m-1);
 * Q-form: characteristic series 1 + sum a_n z^n, grade_shift = 0.
 
-BiTruncSeries is the bivariate analogue truncated by total degree; it
-carries the formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)).
+BiTruncSeries holds a bivariate series truncated by total degree: the
+formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)) and its
+powers.  It multiplies and compares; it does not compose.
 
 Reversion is Lagrange-Buermann inversion with J.C.P. Miller's power
 recurrence (see Reversion; Brent and Kung, J. ACM 1978): O(n^3)
 coefficient products, one coefficient at a time, so a kept inverse grows
 by its missing coefficients only.  fgl builds F from the univariate powers
-of the logarithm instead of composing bivariate series.
+of the logarithm instead of composing bivariate series, and
+fgl_axiom_residuals reads each group-law axiom off coefficients of powers
+of beta and of F.
 """
 
 from __future__ import annotations
@@ -377,31 +380,8 @@ class BiTruncSeries:
                     clean[(m, l)] = c
         self.terms = clean
 
-    @classmethod
-    def var(cls, which: int, order: int):
-        key = (1, 0) if which == 0 else (0, 1)
-        return cls({key: ONE}, order=order)
-
     def coefficient(self, m: int, l: int) -> GradedPoly:
         return self.terms.get((m, l), ZERO)
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        out = {}
-        for key in set(self.terms) | set(other.terms):
-            if key[0] + key[1] > n:
-                continue
-            s = self.terms.get(key, ZERO) + other.terms.get(key, ZERO)
-            if not s.is_zero():
-                out[key] = s
-        return BiTruncSeries(out, order=n)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        p = _to_poly(c)
-        return BiTruncSeries({k: p * v for k, v in self.terms.items()}, order=self.order)
 
     def __mul__(self, other):
         n = min(self.order, other.order)
@@ -412,22 +392,8 @@ class BiTruncSeries:
                     pairs.setdefault((m1 + m2, l1 + l2), []).append((a, b))
         return BiTruncSeries({key: dot(ps) for key, ps in pairs.items()}, order=n)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_symmetric(self) -> bool:
         return all(self.coefficient(l, m) == c for (m, l), c in self.terms.items())
-
-    def transpose(self):
-        return BiTruncSeries({(l, m): c for (m, l), c in self.terms.items()}, order=self.order)
-
-    def restrict_second_to_zero(self) -> TruncSeries:
-        """The univariate series F(u, 0)."""
-        coeffs = [ZERO] * (self.order + 1)
-        for (m, l), c in self.terms.items():
-            if l == 0:
-                coeffs[m] = c
-        return TruncSeries(coeffs, order=self.order)
 
     def __eq__(self, other):
         if not isinstance(other, BiTruncSeries):
@@ -460,17 +426,6 @@ class BiTruncSeries:
         return " + ".join(chunks)
 
 
-def eval_series_at(f: TruncSeries, x: BiTruncSeries) -> BiTruncSeries:
-    """f(x) for a univariate f and a bivariate x with zero constant term."""
-    if (0, 0) in x.terms:
-        raise CompositionDomainError("inner series must have zero constant term")
-    n = x.order
-    acc = BiTruncSeries({(0, 0): f.coeffs[min(f.order, n)]}, order=n)
-    for m in range(min(f.order, n) - 1, -1, -1):
-        acc = acc * x + BiTruncSeries({(0, 0): f.coeffs[m]}, order=n)
-    return acc
-
-
 def fgl(beta_series: TruncSeries, order: int) -> BiTruncSeries:
     """The formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)).
 
@@ -499,69 +454,64 @@ def fgl(beta_series: TruncSeries, order: int) -> BiTruncSeries:
     return BiTruncSeries(terms, order=order)
 
 
-# -- n-variate helpers for the group-law axioms ------------------------------------
+# Total order of the associativity check, the one check in three variables.
+# Its cost grows fastest with the order: at order 16 the whole check takes
+# 0.3 s in-process (2-vCPU host) with 6 here and 0.8 s with 12.
+ASSOC_ORDER = 6
 
 
-def _mv_mul(a, b, order):
-    pairs: dict[tuple, list] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if sum(e) <= order:
-                pairs.setdefault(e, []).append((c1, c2))
-    return {e: c for e, ps in pairs.items() if (c := dot(ps))}
-
-
-def eval_fgl_at(F: BiTruncSeries, x: dict, y: dict, nvars: int, order: int) -> dict:
-    """F(x, y) where x, y are n-variate truncated series as exponent dicts."""
-    zero_exp = (0,) * nvars
-    if zero_exp in x or zero_exp in y:
-        raise CompositionDomainError("arguments must have zero constant term")
-    xpowers = [{zero_exp: ONE}]
-    for _ in range(order):
-        xpowers.append(_mv_mul(xpowers[-1], x, order))
-    pairs: dict[tuple, list] = {}
-    ypow = {zero_exp: ONE}
-    for l in range(order + 1):
-        for m in range(order + 1 - l):
-            c = F.coefficient(m, l)
-            if not c.is_zero():
-                for e, v in _mv_mul(xpowers[m], ypow, order).items():
-                    pairs.setdefault(e, []).append((c, v))
-        ypow = _mv_mul(ypow, y, order)
-    return {e: c for e, ps in pairs.items() if (c := dot(ps))}
-
-
-def fgl_axiom_residuals(beta_series: TruncSeries, order: int, assoc_order: int):
+def fgl_axiom_residuals(beta_series: TruncSeries, order: int) -> dict[str, bool]:
     """Residuals of the group-law axioms; all must be exactly zero.
 
     Returns a dict with keys 'unit', 'commutativity', 'associativity' and
     'exp_identity' (the defining identity F(beta(z), beta(w)) = beta(z+w)),
-    each mapping to a boolean "residual is the zero series".
+    each mapping to a boolean "residual is the zero series".  Associativity
+    is checked to total order min(order, ASSOC_ORDER), the others to order.
     """
-    F = fgl(beta_series, order)
+    return _axiom_residuals(fgl(beta_series, order), beta_series.truncated(order), order)
 
-    unit = F.restrict_second_to_zero() - TruncSeries.identity(order)
-    comm = F - F.transpose()
 
-    u = {(1, 0, 0): ONE}
-    v = {(0, 1, 0): ONE}
-    w = {(0, 0, 1): ONE}
-    Fa = eval_fgl_at(F, u, v, 3, assoc_order)
-    left = eval_fgl_at(F, Fa, w, 3, assoc_order)
-    Fb = eval_fgl_at(F, v, w, 3, assoc_order)
-    right = eval_fgl_at(F, u, Fb, 3, assoc_order)
+def _axiom_residuals(F: BiTruncSeries, beta: TruncSeries, order: int) -> dict[str, bool]:
+    """The axioms of a given F with exponential beta, as coefficient identities.
 
-    b = beta_series.truncated(order)
-    bz = eval_series_at(b, BiTruncSeries.var(0, order))
-    bw = eval_series_at(b, BiTruncSeries.var(1, order))
-    Fsub = eval_fgl_at(F, dict(bz.terms), dict(bw.terms), 2, order)
-    zw = BiTruncSeries({(1, 0): ONE, (0, 1): ONE}, order=order)
-    bzw = eval_series_at(b, zw)
+    Each side is expanded directly, nothing is assumed of F:
+
+    * unit: F_{m,0} = delta_{m,1};
+    * exponential identity: with P_m = beta^m,
+      [z^a w^b] F(beta(z), beta(w)) = sum_{m,l} F_{m,l} [z^a]P_m [w^b]P_l
+      must equal [z^a w^b] beta(z + w) = C(a+b, a) beta_{a+b};
+    * associativity: with Phi_m = F^m, the [u^a v^b w^c] coefficients
+      sum_m F_{m,c} Phi_m[a,b] of F(F(u,v), w) and
+      sum_l F_{a,l} Phi_l[b,c] of F(u, F(v,w)) must agree.
+
+    As beta_0 = 0, [z^a]P_m vanishes for m > a, so the first sum needs
+    R_{l,a} = sum_m F_{m,l} [z^a]P_m for a + l <= order only.  The second
+    runs over every term of F to total order min(order, ASSOC_ORDER).
+    """
+    unit = all(F.coefficient(m, 0) == (ONE if m == 1 else ZERO) for m in range(order + 1))
+
+    powers = [TruncSeries.const(1, order)]
+    for _ in range(order):
+        powers.append(powers[-1] * beta)
+    P = [p.coeffs for p in powers]  # P[m][a] = [z^a] beta^m
+    R = [[dot((F.coefficient(m, l), P[m][a]) for m in range(a + 1))
+          for a in range(order + 1 - l)] for l in range(order + 1)]
+    exp_identity = all(
+        dot((R[l][a], P[l][b]) for l in range(b + 1)) == comb(a + b, a) * beta[a + b]
+        for a in range(order + 1) for b in range(order + 1 - a))
+
+    k = min(order, ASSOC_ORDER)
+    Phi = [BiTruncSeries({(0, 0): ONE}, order=k)]
+    for _ in range(k):
+        Phi.append(Phi[-1] * F)
+    associativity = all(
+        dot((F.coefficient(m, c), Phi[m].coefficient(a, b)) for m in range(k + 1 - c))
+        == dot((F.coefficient(a, l), Phi[l].coefficient(b, c)) for l in range(k + 1 - a))
+        for a in range(k + 1) for b in range(k + 1 - a) for c in range(k + 1 - a - b))
 
     return {
-        "unit": unit.is_zero(),
-        "commutativity": comm.is_zero(),
-        "associativity": left == right,
-        "exp_identity": Fsub == bzw.terms,
+        "unit": unit,
+        "commutativity": F.is_symmetric(),
+        "associativity": associativity,
+        "exp_identity": exp_identity,
     }

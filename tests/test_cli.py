@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import thetacob
 from thetacob.cli import (
     MAX_CONGRUENCE_WEIGHT,
@@ -124,6 +126,15 @@ def test_custom_genus_file(tmp_path, capsys):
     qfile.write_text(json.dumps({"coeffs": ["1", "1"]}))
     code, out, _ = run_cli(capsys, "genus", "--name", f"file:{qfile}", "--of", "theta:3")
     assert code == 0 and out.strip().endswith("= -24")
+
+
+@pytest.mark.parametrize("coeff", ['"1' + "0" * 5000 + '"', "1" + "0" * 5000, '"1e5000"'])
+def test_genus_file_coefficient_bounded(tmp_path, capsys, coeff):
+    qfile = tmp_path / "Q.json"
+    qfile.write_text('{"coeffs": ["1", ' + coeff + "]}")
+    code, out, err = run_cli(capsys, "genus", "--name", f"file:{qfile}", "--of", "theta:3")
+    assert code == 2 and out == "" and "--name" in err and "1000 digits" in err
+    assert "4300" not in err
 
 
 def test_genus_of_poly(capsys):

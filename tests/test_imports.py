@@ -49,3 +49,12 @@ def test_public_names_resolve_to_their_home_modules():
     assert "check_chern_vector" not in thetacob.__all__
     with pytest.raises(AttributeError):
         thetacob.no_such_name
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    """Every function and method the benchmark's tracer wraps still exists."""
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    tracer = importlib.import_module("perfbench.tracer")
+    found = tracer.targets()  # a KeyError names a METHODS entry that is gone
+    for name in tracer.METHODS:
+        assert found[name] and all(callable(fn) for fn in found[name]), name
