@@ -194,7 +194,7 @@ def integrality_positivity():
             assert all(c > 0 for _, c in cls.items()), f"({n},{k}) has nonpositive coefficient"
     vs = cob.v_classes(10)
     for n in range(1, 11):
-        y = vs[n].scale_generators(lambda j: Fraction(j + 1)) * Fraction(1, n + 1)
+        y = vs[n].substitute(lambda j: (j + 1) * t(j)) * Fraction(1, n + 1)
         assert y.is_integral(), f"y_{n} not integral in the scaled coordinates"
     for n in range(2, 21, 2):
         sig = genera.theta_signature(n)

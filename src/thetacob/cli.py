@@ -38,7 +38,7 @@ MAX_CONGRUENCE_WEIGHT = 14
 MAX_FGL_ORDER = 16
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# about 2 s, most of it in the integrality multipliers.
+# about 1.4 s one-shot, most of it in the integrality multipliers.
 MAX_WEIGHT = 16
 
 # Largest `invariants --n`: the Chern tables run over the partitions of n,
@@ -54,8 +54,8 @@ MAX_INVARIANTS_K = 10 ** 6
 MAX_THETA_N = 30
 
 # Largest weight of `quantize --expr`, `ln apply --expr` and `ln apply
-# --partition`: quantising the sum of all monomials of weight <= 14 takes
-# about 4 s, and of weight 16 alone 7.6 s.
+# --partition`: one-shot, quantising the sum of all monomials of weight
+# <= 14 takes about 2.2 s, and of weight 16 alone (cap lifted) 3.4 s.
 MAX_EXPR_WEIGHT = 14
 
 # Largest N in `genus --of theta:N` and weight of `genus --of poly:EXPR`.
@@ -63,6 +63,18 @@ MAX_EXPR_WEIGHT = 14
 # the bound is set by the terms the parser may expand below it:
 # `(1+t1+...+t6)^10` has 8008 and takes under 2 s.
 MAX_GENUS_WEIGHT = 60
+
+# Largest sum, over the coefficients of a genus file up to the order that a
+# request uses, of the decimal digits of each (of its numerator or its
+# denominator, whichever is longer).  Inverting the series costs most when
+# long denominators sit at z^1 and z^2: `genus --of theta:60` then takes
+# up to about 1 s at 1250 digits and 1.4 s at 1560 (in-process, 2-vCPU
+# host).  The Todd series to z^60 has 1201.
+MAX_GENUS_FILE_DIGITS = 1250
+
+# Longest numerator or denominator of a printed genus value, checked before
+# it is converted to text; Python refuses to convert one of 4300 digits.
+MAX_VALUE_DIGITS = 4000
 
 
 class CliError(ValueError):
@@ -244,11 +256,15 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
         if not coeffs or coeffs[0] != 1:
             raise CliError("--name: the genus file's coefficient list must start with 1")
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        digits = sum(len(str(max(abs(c.numerator), c.denominator))) for c in coeffs[:order + 1])
+        if digits > MAX_GENUS_FILE_DIGITS:
+            raise CliError(f"--name: the genus file's coefficients up to z^{order} have "
+                           f"{digits} digits in all, above the limit of {MAX_GENUS_FILE_DIGITS}")
         return genera.custom_genus(coeffs, order, name=os.path.basename(path))
     try:
         return genera.genus_preset(name, order)
     except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"--name: {exc}, or file:PATH") from None
 
 
 def cmd_genus(args):
@@ -274,6 +290,8 @@ def cmd_genus(args):
         shown = f"poly:{format_poly(poly)}"
     else:
         raise CliError('--of must be "theta:N" or "poly:EXPR"')
+    if max(abs(value.numerator), value.denominator) >= 10 ** MAX_VALUE_DIGITS:
+        raise CliError(f"--name: the genus value has more than {MAX_VALUE_DIGITS} digits")
     payload = {"name": spec.name, "of": shown, "value": _frac(value)}
     lines = [f"{spec.name} genus of {shown} = {value}"]
     _emit(args, "genus", {"name": args.name, "of": target}, payload, lines)

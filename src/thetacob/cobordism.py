@@ -133,22 +133,13 @@ def decompose_tangent(c: ChernVector) -> GradedPoly:
 
     Agrees with decompose() on the normal data of the same class.
     """
-    from .symfun import FrameBasisError
+    from .symfun import ChernVector, FrameBasisError
 
     if c.frame != "tangent" or c.basis != "monomial":
         raise FrameBasisError("decompose_tangent needs a tangent-frame, monomial-basis vector")
     n = c.weight
-    vs = v_classes(n)
-    acc = ZERO
-    for lam in partitions_of(n):
-        val = c.values[lam]
-        if not val:
-            continue
-        vprod = ONE
-        for part in lam:
-            vprod = vprod * vs[part]
-        acc = acc + vprod * (((-1) ** n) * val / partition_factorial(lam))
-    return acc
+    same_sum = decompose(ChernVector(n, "normal", "monomial", c.values))
+    return same_sum.substitute(v_classes(n)) * (-1) ** n  # t_n -> v_n
 
 
 def adams_novikov(k: int, order: int) -> TruncSeries:
@@ -163,7 +154,7 @@ def psi_on_class(k: int, p: GradedPoly) -> GradedPoly:
     """Grading action of the k-th Adams operation: t_n -> k^n t_n."""
     if k == 0:
         raise ValueError("k must be nonzero")
-    return p.scale_generators(lambda n: Fraction(k ** n))
+    return p.substitute(lambda n: GradedPoly.monomial((n,), k ** n))
 
 
 def theta_power_class(n: int, k: int) -> GradedPoly:

@@ -22,11 +22,12 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
-from .gradedring import GradedPoly, ZERO
+from .gradedring import GradedPoly
 from .series import TruncSeries, TruncationError
 from .symfun import (
     ChernVector,
     _to_m_matrix,
+    _vec_mat,
     involution_matrix,
     to_normal_monomial,
 )
@@ -107,7 +108,7 @@ def genus_of_theta(spec: GenusSpec, n: int) -> Rat:
 
 def genus_of_poly(spec: GenusSpec, p: GradedPoly) -> Rat:
     """Ring-homomorphic extension t_n -> genus_of_theta(spec, n)."""
-    return p.substitute(lambda n: genus_of_theta(spec, n))
+    return p.substitute(lambda n: genus_of_theta(spec, n)).aug()
 
 
 # -- topological invariants of theta divisors ---------------------------------------------
@@ -234,9 +235,9 @@ def _todd_of_operations(p: GradedPoly) -> GradedPoly:
     which leaves a polynomial in t' alone; these are substituted into p.
     """
     todd = todd_genus(p.top_weight() + 1)
-    images = {n: quantize(GradedPoly.gen(n)).contract(
-        lambda mu: genus_of_poly(todd, GradedPoly.monomial(mu))) for n in p.generators_used()}
-    return ZERO + p.substitute(images)  # a polynomial even when p is constant
+    images = {n: quantize(GradedPoly.gen(n)).contract(lambda q: genus_of_poly(todd, q))
+              for n in p.generators_used()}
+    return p.substitute(images)
 
 
 @lru_cache(maxsize=None)
@@ -312,10 +313,7 @@ def tangent_product_functional_to_normal_monomial(row: dict, n: int) -> dict:
     A = involution_matrix(n)
     coeffs = [Fraction(row.get(lam, 0)) for lam in parts]
     # pull back through E then through A (both act on value vectors)
-    through_e = [sum((coeffs[i] * E[i][j] for i in range(len(parts))), Fraction(0))
-                 for j in range(len(parts))]
-    through_a = [sum((through_e[i] * A[i][j] for i in range(len(parts))), Fraction(0))
-                 for j in range(len(parts))]
+    through_a = _vec_mat(_vec_mat(coeffs, E), A)
     return {lam: c for lam, c in zip(parts, through_a) if c}
 
 

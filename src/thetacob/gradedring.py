@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, log10
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .core import EMPTY, Partition
 
@@ -102,9 +102,6 @@ class GradedPoly:
     def top_weight(self) -> int:
         return max((m.weight for m in self._terms), default=0)
 
-    def homogeneous_component(self, w: int) -> "GradedPoly":
-        return GradedPoly({m: c for m, c in self._terms.items() if m.weight == w})
-
     def is_homogeneous(self, w: int) -> bool:
         return all(m.weight == w for m in self._terms)
 
@@ -178,13 +175,13 @@ class GradedPoly:
 
     # -- homomorphisms -------------------------------------------------------
 
-    def substitute(self, assign):
+    def substitute(self, assign) -> "GradedPoly":
         """Image under the ring homomorphism t_n -> assign(n).
 
         ``assign`` is a mapping or a callable; for mappings a missing
         generator raises MissingGeneratorError naming it.  The values are
-        rationals, giving a Fraction, or polynomials, giving a polynomial
-        unless self is constant.
+        rationals or polynomials, and the image is always a polynomial: a
+        constant one for rational values.
         """
         if callable(assign):
             get = assign
@@ -200,18 +197,7 @@ class GradedPoly:
             for part in mono:
                 val = val * get(part)
             total = total + val
-        return total
-
-    def scale_generators(self, factor_of: Callable[[int], Fraction]) -> "GradedPoly":
-        """Ring endomorphism t_n -> factor_of(n) * t_n."""
-        out = {}
-        for mono, c in self._terms.items():
-            val = c
-            for part in mono:
-                val *= Fraction(factor_of(part))
-            if val:
-                out[mono] = val
-        return _raw(out)
+        return total if isinstance(total, GradedPoly) else GradedPoly.const(total)
 
     def __str__(self):
         return format_poly(self)

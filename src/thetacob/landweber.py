@@ -12,6 +12,10 @@ quantisation of x, and the Cartan rule S_lam(x y) = sum over splittings
 lam = mu + nu of S_mu(x) S_nu(y) holds because S_t is multiplicative.
 The family {t^lam/(lam+1)!} is the dual basis of {S_lam} under
 aug(S_lam(.)), which the quantisation / dequantisation round trip checks.
+
+An element of the theta ring tensored with its t' side is stored as a map
+from each t' monomial nu to the polynomial in t that multiplies t'^nu, so
+a product sums each group of coefficient pairs with one gradedring.dot.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from .core import EMPTY, Partition, partition_factorial, partition_union
-from .gradedring import GradedPoly, ZERO, format_monomial
+from .gradedring import GradedPoly, ZERO, dot, format_monomial
 from .series import TruncSeries, residue_extract
 from .cobordism import beta
 
@@ -38,12 +42,9 @@ def intersection_class(n: int, k: int) -> GradedPoly:
 @lru_cache(maxsize=None)
 def _generator_image(n: int) -> "TensorElement":
     """S_t(t_n) = sum_{k=0..n} I(n, k) (x) t'_k / (k+1)!."""
-    terms = {}
-    for k in range(n + 1):
-        nu = Partition((k,)) if k else EMPTY
-        for mu, c in intersection_class(n, k).items():
-            terms[(mu, nu)] = c / factorial(k + 1)
-    return TensorElement._raw(terms)
+    return TensorElement._raw({Partition((k,)) if k else EMPTY:
+                               intersection_class(n, k) * Fraction(1, factorial(k + 1))
+                               for k in range(n + 1)})
 
 
 def _substitute(p: GradedPoly, keep=None) -> "TensorElement":
@@ -55,7 +56,7 @@ def _substitute(p: GradedPoly, keep=None) -> "TensorElement":
     """
     total = TensorElement()
     for mono, c in p.items():
-        term = TensorElement({(EMPTY, EMPTY): c})
+        term = TensorElement._raw({EMPTY: GradedPoly.const(c)})
         for n in mono:
             term = term.times(_generator_image(n), keep)
         total = total + term
@@ -68,9 +69,7 @@ def ln_apply(lam, p: GradedPoly) -> GradedPoly:
     keep = {EMPTY}
     for part in lam:  # grow the set of sub-multisets of lam one part at a time
         keep |= {partition_union(sub, (part,)) for sub in keep}
-    scale = partition_factorial(lam)
-    return GradedPoly({mu: c * scale for (mu, nu), c in _substitute(p, keep)._terms.items()
-                       if nu == lam})
+    return _substitute(p, keep)._terms.get(lam, ZERO) * partition_factorial(lam)
 
 
 def ln_apply_series(lam, f: TruncSeries) -> TruncSeries:
@@ -99,31 +98,28 @@ def dual_pairing(lam, mu) -> Fraction:
 class TensorElement:
     """Element of the theta ring tensored with its dual-operation side.
 
-    Terms are keyed by pairs (mu, nu): mu a monomial in the t generators,
-    nu a monomial in an independent family t'.  The dual side is stored
-    with its canonical rescaling already applied, so dequantisation is the
-    plain substitution t'_n -> t_n on the second leg composed with the
-    augmentation on the first.
+    Terms are pairs (mu, nu) with a rational coefficient: mu a monomial in
+    the t generators, nu a monomial in an independent family t'.  They are
+    stored grouped by nu, as the map from nu to the non-zero polynomial in
+    t that multiplies t'^nu.  The dual side is stored with its canonical
+    rescaling already applied, so dequantisation is the plain substitution
+    t'_n -> t_n on the second leg composed with the augmentation on the
+    first.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple[Partition, Partition], Fraction] = {}
-        if terms:
-            for (mu, nu), c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                key = (Partition(mu), Partition(nu))
-                clean[key] = clean.get(key, Fraction(0)) + c
-                if not clean[key]:
-                    del clean[key]
-        self._terms = clean
+        """From a mapping (mu, nu) -> rational coefficient."""
+        polys: dict[Partition, GradedPoly] = {}
+        for (mu, nu), c in (terms or {}).items():
+            nu = Partition(nu)
+            polys[nu] = polys.get(nu, ZERO) + GradedPoly({mu: Fraction(c)})
+        self._terms = {nu: q for nu, q in polys.items() if q}
 
     @classmethod
     def _raw(cls, terms: dict) -> "TensorElement":
-        """Wrap a dict of non-zero Fraction values keyed by Partition pairs."""
+        """Wrap a dict of non-zero GradedPoly values keyed by t' Partitions."""
         out = cls()
         out._terms = terms
         return out
@@ -132,16 +128,15 @@ class TensorElement:
         def key(kv):
             (mu, nu), _ = kv
             return (mu.weight + nu.weight, mu.weight, mu, nu)
-        return sorted(self._terms.items(), key=key)
+        return sorted((((mu, nu), c) for nu, q in self._terms.items()
+                       for mu, c in q._terms.items()), key=key)
 
     def __add__(self, other):
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, Fraction(0)) + c
+        for nu, q in other._terms.items():
+            s = out.pop(nu, ZERO) + q
             if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+                out[nu] = s
         return TensorElement._raw(out)
 
     def __mul__(self, other):
@@ -149,23 +144,19 @@ class TensorElement:
 
     def times(self, other, keep=None) -> "TensorElement":
         """The product; with ``keep``, only its terms whose t' monomial is in ``keep``."""
-        out: dict[tuple[Partition, Partition], Fraction] = {}
-        for (m1, n1), c1 in self._terms.items():
-            for (m2, n2), c2 in other._terms.items():
+        groups: dict[Partition, list] = {}
+        for n1, a in self._terms.items():
+            for n2, b in other._terms.items():
                 nu = partition_union(n1, n2)
-                if keep is not None and nu not in keep:
-                    continue
-                key = (partition_union(m1, m2), nu)
-                out[key] = out.get(key, 0) + c1 * c2
-        return TensorElement._raw({key: c for key, c in out.items() if c})
+                if keep is None or nu in keep:
+                    groups.setdefault(nu, []).append((a, b))
+        out = ((nu, dot(pairs)) for nu, pairs in groups.items())
+        return TensorElement._raw({nu: q for nu, q in out if q})
 
     def contract(self, phi) -> GradedPoly:
-        """(phi (x) id)(self) for a linear functional phi on t monomials,
+        """(phi (x) id)(self) for a linear functional phi on t-polynomials,
         with t'_n written as t_n."""
-        out: dict[Partition, Fraction] = {}
-        for (mu, nu), c in self._terms.items():
-            out[nu] = out.get(nu, 0) + c * phi(mu)
-        return GradedPoly(out)
+        return GradedPoly({nu: phi(q) for nu, q in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -173,9 +164,6 @@ class TensorElement:
         return self._terms == other._terms
 
     __hash__ = None
-
-    def is_zero(self):
-        return not self._terms
 
     def __str__(self):
         if not self._terms:
@@ -219,7 +207,7 @@ def quantize(p: GradedPoly) -> TensorElement:
 
 def dequantize(T: TensorElement) -> GradedPoly:
     """Augmentation on the t side, substitution t'_n -> t_n on the other."""
-    return T.contract(lambda mu: 1 if mu == EMPTY else 0)
+    return T.contract(GradedPoly.aug)
 
 
 # -- vector-field realisation -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -137,6 +138,28 @@ def test_genus_file_coefficient_bounded(tmp_path, capsys, coeff):
     assert "4300" not in err
 
 
+@pytest.mark.parametrize("coeffs, of", [
+    (["1", "1e999"], "theta:5"),                                  # value of about 5000 digits
+    (["1"] + ["1" + "0" * 469] * 60, "theta:60"),                 # 28201 digits in the file
+])
+def test_genus_file_value_and_cost_bounded(tmp_path, capsys, coeffs, of):
+    qfile = tmp_path / "Q.json"
+    qfile.write_text(json.dumps({"coeffs": coeffs}))
+    code, out, err = run_cli(capsys, "genus", "--name", f"file:{qfile}", "--of", of)
+    assert code == 2 and out == "" and err.startswith("error: --name:")
+    assert "4300" not in err
+
+
+def test_genus_file_todd_to_order_sixty(tmp_path, capsys):
+    from thetacob.genera import todd_genus
+
+    coeffs = [str(c) for c in todd_genus(60).coefficients()]
+    qfile = tmp_path / "Q.json"
+    qfile.write_text(json.dumps({"coeffs": coeffs}))
+    code, out, _ = run_cli(capsys, "genus", "--name", f"file:{qfile}", "--of", "theta:60")
+    assert code == 0 and out.strip().endswith("theta:60 = 1")
+
+
 def test_genus_of_poly(capsys):
     code, out, _ = run_cli(capsys, "genus", "--name", "todd", "--of",
                            "poly:3/2*t1^2 - 1/2*t2")
@@ -146,6 +169,7 @@ def test_genus_of_poly(capsys):
 def test_validation_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "genus", "--name", "nope", "--of", "theta:3")
     assert code == 2 and "unknown genus" in err
+    assert err.startswith("error: --name:") and "file:PATH" in err
     code, _, err = run_cli(capsys, "ln", "apply", "--partition", "1", "--expr", "t1 +")
     assert code == 2
     code, _, err = run_cli(capsys, "theta", "intersect", "--n", "2", "--k", "5")
@@ -285,3 +309,28 @@ def test_env_var_default_weight(monkeypatch, capsys):
     monkeypatch.setenv("THETA_MAX_WEIGHT", "zzz")
     code, _, err = run_cli(capsys, "beta")
     assert code == 2
+
+
+def _recorded_operations():
+    """Every `quantize` entry and every 10th `ln apply` entry of the benchmark's
+    recorded cold-process digests, as (argv, sha256 of stdout, exit code)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
+    with open(path) as fh:
+        entries = json.load(fh)["entries"]
+    quantize, ln_apply = [], []
+    for key, entry in entries.items():
+        argv = json.loads(key)
+        command = argv[2:] if argv[:1] == ["--format"] else argv
+        if command[:1] == ["quantize"]:
+            quantize.append((argv, entry["sha256"], entry["exit"]))
+        elif command[:2] == ["ln", "apply"]:
+            ln_apply.append((argv, entry["sha256"], entry["exit"]))
+    return quantize + ln_apply[::10]
+
+
+def test_operations_replay_recorded_digests(capsys):
+    cases = _recorded_operations()
+    assert len(cases) > 150
+    for argv, sha, exit_code in cases:
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha), argv

@@ -116,9 +116,9 @@ def test_v_classes_inverse_relation():
 def test_hurwitz_integrality_of_y():
     vs = v_classes(10)
     for n in range(1, 11):
-        y = vs[n].scale_generators(lambda j: Fraction(j + 1)) * Fraction(1, n + 1)
+        y = vs[n].substitute(lambda j: (j + 1) * t(j)) * Fraction(1, n + 1)
         assert y.is_integral(), n
-    y2 = vs[2].scale_generators(lambda j: Fraction(j + 1)) * Fraction(1, 3)
+    y2 = vs[2].substitute(lambda j: (j + 1) * t(j)) * Fraction(1, 3)
     assert y2 == -t(2) + 2 * t(1) ** 2  # -x2 + 2 x1^2 in the scaled coordinates
 
 

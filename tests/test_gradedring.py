@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetacob.cobordism import psi_on_class
 from thetacob.core import Partition, partition_union, partitions_of
 from thetacob.gradedring import (
     ExprSyntaxError,
@@ -125,10 +126,8 @@ def test_is_integral():
     assert ZERO.is_integral()
 
 
-def test_homogeneous_component_and_weights():
+def test_top_weight():
     p = 2 * t(3) + t(1) * t(2) + 5
-    assert p.homogeneous_component(3) == 2 * t(3) + t(1) * t(2)
-    assert p.homogeneous_component(0) == GradedPoly.const(5)
     assert p.top_weight() == 3
 
 
@@ -166,7 +165,20 @@ def test_render_parse_roundtrip_randomised():
         assert parse_poly(format_poly(p)) == p
 
 
-def test_scale_generators():
+def test_substitute_scales_generators():
     p = t(2) + t(1) ** 2
-    doubled = p.scale_generators(lambda n: Fraction(2 ** n))
+    doubled = p.substitute(lambda n: 2 ** n * t(n))
     assert doubled == 4 * t(2) + 4 * t(1) ** 2
+    assert doubled == psi_on_class(2, p)
+
+
+def test_substitute_returns_a_polynomial():
+    for p in (ZERO, ONE, GradedPoly.const(Fraction(-7, 3))):
+        for assign in ({}, lambda n: t(n + 1), lambda n: Fraction(n, 5)):
+            image = p.substitute(assign)
+            assert isinstance(image, GradedPoly) and image == p
+    cp2 = Fraction(3, 2) * t(1) ** 2 - Fraction(1, 2) * t(2)
+    for assign in ({1: Fraction(-1), 2: Fraction(1)}, lambda n: Fraction(1, n + 1)):
+        image = cp2.substitute(assign)
+        assert isinstance(image, GradedPoly) and image.is_constant()
+    assert cp2.substitute(lambda n: Fraction(1, n + 1)) == Fraction(5, 24)

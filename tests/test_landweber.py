@@ -3,11 +3,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetacob.acceptance import _cartan_ln_apply
-from thetacob.core import EMPTY, Partition, partition_factorial, partitions_of
-from thetacob.gradedring import GradedPoly, ONE, t
+from thetacob.core import EMPTY, Partition, partition_factorial, partition_union, partitions_of
+from thetacob.gradedring import GradedPoly, ONE, ZERO, t
 from thetacob.cobordism import beta, beta_over_z, v_classes, w_classes
 from thetacob.landweber import (
     Diff1Field,
@@ -38,6 +38,48 @@ def _cartan_quantize(p: GradedPoly) -> TensorElement:
             for mu, c in _cartan_ln_apply(lam, p).items():
                 terms[(mu, lam)] = c / partition_factorial(lam)
     return TensorElement(terms)
+
+
+# -- reference route: the tensor product term by term --------------------------------
+#
+# Tensors as dicts (mu, nu) -> Fraction, multiplied one pair of terms at a
+# time; `_times_by_terms` is the former TensorElement.times.
+
+
+def _times_by_terms(left: dict, right: dict, keep=None) -> dict:
+    out: dict[tuple[Partition, Partition], Fraction] = {}
+    for (m1, n1), c1 in left.items():
+        for (m2, n2), c2 in right.items():
+            nu = partition_union(n1, n2)
+            if keep is not None and nu not in keep:
+                continue
+            key = (partition_union(m1, m2), nu)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _generator_terms(n: int) -> dict:
+    """S_t(t_n) = sum_k I(n, k) (x) t'_k / (k+1)!, term by term."""
+    return {(mu, P((k,)) if k else EMPTY): c / factorial(k + 1)
+            for k in range(n + 1) for mu, c in intersection_class(n, k).items()}
+
+
+def _substitute_by_terms(p: GradedPoly, keep=None) -> dict:
+    total: dict = {}
+    for mono, c in p.items():
+        term = {(EMPTY, EMPTY): c}
+        for n in mono:
+            term = _times_by_terms(term, _generator_terms(n), keep)
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
+    return {key: v for key, v in total.items() if v}
+
+
+def _ln_apply_by_terms(lam: Partition, p: GradedPoly) -> GradedPoly:
+    keep = {sub for w in range(lam.weight + 1) for sub in partitions_of(w)
+            if all(sub.count(part) <= lam.count(part) for part in sub)}
+    return GradedPoly({mu: c * partition_factorial(lam)
+                       for (mu, nu), c in _substitute_by_terms(p, keep).items() if nu == lam})
 
 
 def _random_poly(rng, max_weight, max_terms=4):
@@ -95,6 +137,23 @@ def test_operations_match_cartan_expansion_property(p, w, data):
     lam = data.draw(st.sampled_from(partitions_of(w)))
     assert ln_apply(lam, p) == _cartan_ln_apply(lam, p)
     assert quantize(p) == _cartan_quantize(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_polys(6), q=_polys(4),
+       lam=st.integers(0, 5).flatmap(lambda w: st.sampled_from(partitions_of(w))))
+@example(p=ZERO, q=ZERO, lam=EMPTY)
+@example(p=ZERO, q=t(2), lam=P((1,)))
+@example(p=GradedPoly.const(Fraction(-2, 3)), q=GradedPoly.const(5), lam=EMPTY)
+@example(p=GradedPoly.const(7), q=t(1), lam=P((1,)))
+@example(p=t(1) + 1, q=t(1) - 1, lam=P((1, 1)))         # the cross terms cancel
+@example(p=v_classes(4)[3], q=v_classes(4)[4], lam=P((1,)))  # S_(1)(v_n) = 0 for n >= 2
+def test_tensor_kernel_matches_per_term_oracle(p, q, lam):
+    qp, qq = quantize(p), quantize(q)
+    assert dict(qp.items()) == _substitute_by_terms(p)
+    assert dict((qp * qq).items()) == _times_by_terms(dict(qp.items()), dict(qq.items()))
+    assert ln_apply(lam, p) == _ln_apply_by_terms(lam, p)
+    assert ln_apply(lam, q) == _ln_apply_by_terms(lam, q)
 
 
 def test_operations_on_constants():
