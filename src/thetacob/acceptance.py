@@ -4,13 +4,11 @@ Every check either returns a short summary string or raises AssertionError;
 run_all() collects (name, passed, detail) triples.  The CLI `selftest`
 subcommand and the test suite both consume this registry, so the criteria
 run identically in both places.  All rational checks are exact equalities;
-the Weierstrass checks use the float tolerances pinned inline.
+the Weierstrass check is weierstrass.verify_lattice at its stated tolerances.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -289,41 +287,16 @@ def topological_tables():
 
 @check("9-weierstrass-lemniscatic")
 def weierstrass_lemniscatic():
-    L = ws.lemniscatic_lattice(1.0)
-    assert abs(L.eta1 - math.pi / 4) < 1e-9, "eta1"
-    assert abs(L.a) < 1e-9 and abs(L.b + math.pi / 4) < 1e-9, "xi coefficients"
-    assert L.legendre_residual < 1e-10, "Legendre residual"
-    for w in ws.half_periods(L):
-        assert abs(ws.xi(w, L)) < 1e-8, f"xi({w}) != 0"
-    e_val = math.gamma(0.25) ** 4 / (32 * math.pi)
-    assert abs(ws.wp(1.0, L) - e_val) < 1e-7, "wp at the half-period"
-    assert ws.xi_jacobian_signs(L) == (1, 1, -1), "Jacobian signs"
-    roots = ws.xi_newton_roots(L)
-    assert len(roots) == 3, f"expected 3 roots, found {len(roots)}"
-    hp = ws.half_periods(L)
-    for r in roots:
-        dist = min(abs(r - h - 2 * m * L.omega1 - 2 * n * L.omega2)
-                   for h in hp for m in (-1, 0, 1) for n in (-1, 0, 1))
-        assert dist < 1e-6, f"root {r} not at a half-period"
-    rng = random.Random(1873)
-    worst = 0.0
-    for _ in range(50):
-        z = rng.uniform(0.08, 0.92) * 2 + rng.uniform(0.08, 0.92) * 2j
-        for eps, omega in ((0, L.omega1), (1, L.omega1)):
-            for wk, ek in ((L.omega1, L.eta1), (L.omega2, L.eta2)):
-                lhs = ws.phi_eps(z + 2 * wk, eps, omega, L)
-                rhs = ws.phi_eps(z, eps, omega, L) * cmath.exp(4 * ek * (z + wk))
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    assert worst < 1e-8, f"phi quasi-periodicity residual {worst}"
+    report = ws.verify_lattice(ws.lemniscatic_lattice())
+    failing = [name for name, entry in report.items() if not entry["pass"]]
+    assert not failing, f"Weierstrass checks out of tolerance: {', '.join(failing)}"
     return "all lemniscatic closed-form checks within tolerance"
 
 
-def run_all(names=None):
+def run_all():
     """Run the registered criteria; returns (name, passed, detail) triples."""
     results = []
     for name, fn in CHECKS:
-        if names and name not in names:
-            continue
         try:
             detail = fn() or ""
             results.append((name, True, detail))

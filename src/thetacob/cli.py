@@ -11,6 +11,7 @@ parameter/validation error, 3 tolerance failure in `weierstrass verify`;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,9 +60,11 @@ MAX_THETA_N = 30
 MAX_EXPR_WEIGHT = 14
 
 # Largest N in `genus --of theta:N` and weight of `genus --of poly:EXPR`.
-# The genus series is cheap here (the L-genus takes 0.9 s to order 200);
+# The genus series is cheap here (the L-genus takes 0.5 s to order 200);
 # the bound is set by the terms the parser may expand below it:
-# `(1+t1+...+t6)^10` has 8008 and takes under 2 s.
+# `(1+t1+...+t6)^10` has 8008 and takes 0.8 to 1.1 s one-shot with a preset
+# genus, and 2.5 to 3.1 s with a genus file {"coeffs": ["1", "1/<50 sevens>"]},
+# whose widest term has about 3000 digits (2-vCPU host).
 MAX_GENUS_WEIGHT = 60
 
 # Largest sum, over the coefficients of a genus file up to the order that a
@@ -74,6 +77,9 @@ MAX_GENUS_FILE_DIGITS = 1250
 
 # Longest numerator or denominator of a printed genus value, checked before
 # it is converted to text; Python refuses to convert one of 4300 digits.
+# `genus --of poly:EXPR` also refuses, before it sums, an expression whose
+# widest term may pass it: the coefficient's digits plus, for each factor
+# t_n, the digits of the genus of theta_n.
 MAX_VALUE_DIGITS = 4000
 
 
@@ -110,6 +116,12 @@ def _emit(args, command: str, params: dict, payload, text_lines) -> None:
 
 def _frac(x: Fraction) -> str:
     return str(x)
+
+
+def _digits(x: Fraction) -> int:
+    """Bound on the decimal digits of x's numerator or denominator, read
+    from its bit length: converting a long integer to text is quadratic."""
+    return max(abs(x.numerator), x.denominator).bit_length() * 30103 // 100000 + 1
 
 
 def _parse_expr(flag: str, text: str, max_weight: int):
@@ -286,6 +298,12 @@ def cmd_genus(args):
         poly = _parse_expr("--of", target[5:], MAX_GENUS_WEIGHT)
         order = max(poly.top_weight(), 2)
         spec = _load_genus(args.name, order)
+        gen_digits = {n: _digits(genera.genus_of_theta(spec, n)) for n in range(order + 1)}
+        widest = max((_digits(c) + sum(gen_digits[n] for n in mu) for mu, c in poly.items()),
+                     default=0)
+        if widest > MAX_VALUE_DIGITS:
+            raise CliError(f"--name: a term of the genus value may have {widest} digits, "
+                           f"above the limit of {MAX_VALUE_DIGITS}")
         value = genera.genus_of_poly(spec, poly)
         shown = f"poly:{format_poly(poly)}"
     else:
@@ -449,7 +467,7 @@ def cmd_weierstrass_verify(args):
             raise CliError("provide both --omega1 and --omega2, or use --lemniscatic")
         omega1 = _parse_complex(args.omega1)
         omega2 = _parse_complex(args.omega2)
-    # --tol overrides the per-check thresholds; the lattice construction
+    # --tol replaces every check's tolerance; the lattice construction
     # gate stays at its default (or looser) so absurdly tight tolerances
     # surface as check failures (exit 3), not parameter errors.
     build_tol = max(args.tol, 1e-10) if args.tol is not None else 1e-10
@@ -457,21 +475,9 @@ def cmd_weierstrass_verify(args):
         lattice = ws.lattice_init(omega1, omega2, tol=build_tol)
     except (ws.LatticeError, ws.ConvergenceError) as exc:
         raise CliError(str(exc)) from None
-    report = ws.verify_lattice(lattice)
-    if args.tol is not None:
-        for entry in report.values():
-            entry["tol"] = args.tol
-            entry["pass"] = entry["residual"] <= args.tol
-    payload = {
-        "omega1": repr(omega1),
-        "omega2": repr(omega2),
-        "checks": {
-            name: {"residual": entry["residual"], "tol": entry["tol"], "pass": entry["pass"]}
-            for name, entry in report.items()
-        },
-    }
+    report = ws.verify_lattice(lattice, tol=args.tol)
     all_ok = all(entry["pass"] for entry in report.values())
-    payload["pass"] = all_ok
+    payload = {"omega1": repr(omega1), "omega2": repr(omega2), "checks": report, "pass": all_ok}
     lines = [f"weierstrass verification for omega1={omega1}, omega2={omega2}"]
     for name, entry in report.items():
         status = "ok " if entry["pass"] else "FAIL"
@@ -499,6 +505,7 @@ def cmd_selftest(args):
 # -- parser -----------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetacob",

@@ -271,17 +271,17 @@ def t(n: int) -> GradedPoly:
 # -- text form ----------------------------------------------------------------
 
 
-def format_monomial(mu: Partition, symbol: str = "t") -> str:
+def format_monomial(mu: Partition) -> str:
     if not mu:
         return "1"
     pieces = []
     for idx in sorted(set(mu)):
         e = mu.count(idx)
-        pieces.append(f"{symbol}{idx}" + (f"^{e}" if e > 1 else ""))
+        pieces.append(f"t{idx}" + (f"^{e}" if e > 1 else ""))
     return "*".join(pieces)
 
 
-def format_poly(p: GradedPoly, symbol: str = "t") -> str:
+def format_poly(p: GradedPoly) -> str:
     """Canonical text form, e.g. ``-t2 + 3/2*t1^2`` (see module docstring)."""
     items = p.items()
     if not items:
@@ -293,9 +293,9 @@ def format_poly(p: GradedPoly, symbol: str = "t") -> str:
         if not mu:
             body = str(mag)
         elif mag == 1:
-            body = format_monomial(mu, symbol)
+            body = format_monomial(mu)
         else:
-            body = f"{mag}*{format_monomial(mu, symbol)}"
+            body = f"{mag}*{format_monomial(mu)}"
         if i == 0:
             chunks.append(body if sign == "+" else "-" + body)
         else:

@@ -170,7 +170,7 @@ class TensorElement:
             return "0"
         chunks = []
         for (mu, nu), c in self.items():
-            left = format_monomial(mu, "t")
+            left = format_monomial(mu)
             right = _format_primed(nu)
             body = f"{left} (x) {right}"
             if c == 1:

@@ -336,7 +336,7 @@ def residue_extract(beta_series: TruncSeries, n: int, k: int) -> GradedPoly:
     return factorial(n + 1) * power[n + 1]
 
 
-def format_series(f: TruncSeries, var: str = "z", symbol: str = "t") -> str:
+def format_series(f: TruncSeries) -> str:
     """Canonical text form, e.g. ``z + 1/2*t1*z^2``.
 
     Multi-term coefficients are parenthesised; zero series prints "0".
@@ -345,11 +345,11 @@ def format_series(f: TruncSeries, var: str = "z", symbol: str = "t") -> str:
     for m, c in enumerate(f.coeffs):
         if c.is_zero():
             continue
-        body = format_poly(c, symbol)
+        body = format_poly(c)
         if m == 0:
             chunks.append(body)
             continue
-        zpow = var if m == 1 else f"{var}^{m}"
+        zpow = "z" if m == 1 else f"z^{m}"
         if c == ONE:
             piece = zpow
         elif len(c.items()) > 1 or body.startswith("-"):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -114,6 +115,20 @@ def test_logarithm_after_higher_weight_matches_fresh_process():
     assert warm.stdout == fresh.stdout and fresh.stdout.startswith(b"beta^-1(u) up to weight 12")
 
 
+def test_main_after_parse_errors_matches_fresh_process(capsys):
+    for bad in (["classes", "xn"], ["theta", "intersect", "--n", "x", "--k", "1"],
+                ["genus", "--of"], ["--format", "yaml", "beta"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2, bad
+    good = ["--format", "json", "classes", "vn", "--max-weight", "3"]
+    code, out, _ = run_cli(capsys, *good)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "thetacob.cli", *good], env=env,
+                           capture_output=True, check=True, timeout=120)
+    assert code == 0 and out.encode() == fresh.stdout
+
+
 def test_invariants(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "invariants", "--n", "2")
     env = json.loads(out)
@@ -148,6 +163,32 @@ def test_genus_file_value_and_cost_bounded(tmp_path, capsys, coeffs, of):
     code, out, err = run_cli(capsys, "genus", "--name", f"file:{qfile}", "--of", of)
     assert code == 2 and out == "" and err.startswith("error: --name:")
     assert "4300" not in err
+
+
+SEXTIC_TENTH = "poly:(1+t1+t2+t3+t4+t5+t6)^10"  # 8008 terms, up to t6^10
+
+
+@pytest.mark.parametrize("denominator, of, sha", [
+    ("7" * 50, SEXTIC_TENTH, "e38edc2f70dde131d6da7de661079793cdb338a06346f6f82b3fe0396a38c6a1"),
+    ("7" * 100, SEXTIC_TENTH, None),    # terms of up to about 6000 digits
+    ("9" * 990, "poly:t60", None),      # one term of about 59000 digits
+], ids=["50-sevens", "100-sevens", "990-nines"])
+def test_genus_of_poly_term_digits_bounded(tmp_path, capsys, monkeypatch, denominator, of, sha):
+    from thetacob import genera
+
+    qfile = tmp_path / "Q.json"
+    qfile.write_text(json.dumps({"coeffs": ["1", "1/" + denominator]}))
+    if sha is None:
+        def refuse_before_summing(spec, p):
+            raise AssertionError("the term bound must refuse before the sum")
+
+        monkeypatch.setattr(genera, "genus_of_poly", refuse_before_summing)
+    code, out, err = run_cli(capsys, "genus", "--name", f"file:{qfile}", "--of", of)
+    if sha is None:
+        assert code == 2 and out == "" and err.startswith("error: --name: a term")
+        assert "4300" not in err
+    else:
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_genus_file_todd_to_order_sixty(tmp_path, capsys):
@@ -311,26 +352,36 @@ def test_env_var_default_weight(monkeypatch, capsys):
     assert code == 2
 
 
-def _recorded_operations():
-    """Every `quantize` entry and every 10th `ln apply` entry of the benchmark's
-    recorded cold-process digests, as (argv, sha256 of stdout, exit code)."""
+@functools.cache
+def _recorded_digests() -> dict:
+    """The benchmark's recorded cold-process digests, grouped by the first word
+    of the subcommand: word -> [(argv, sha256 of stdout, exit code)]."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
     with open(path) as fh:
         entries = json.load(fh)["entries"]
-    quantize, ln_apply = [], []
+    groups: dict[str, list] = {}
     for key, entry in entries.items():
         argv = json.loads(key)
         command = argv[2:] if argv[:1] == ["--format"] else argv
-        if command[:1] == ["quantize"]:
-            quantize.append((argv, entry["sha256"], entry["exit"]))
-        elif command[:2] == ["ln", "apply"]:
-            ln_apply.append((argv, entry["sha256"], entry["exit"]))
-    return quantize + ln_apply[::10]
+        groups.setdefault(command[0], []).append((argv, entry["sha256"], entry["exit"]))
+    return groups
 
 
-def test_operations_replay_recorded_digests(capsys):
-    cases = _recorded_operations()
-    assert len(cases) > 150
+def _replay(capsys, cases):
     for argv, sha, exit_code in cases:
         code, out, _ = run_cli(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha), argv
+
+
+def test_operations_replay_recorded_digests(capsys):
+    """Every `quantize` entry and every 10th `ln apply` entry."""
+    cases = _recorded_digests()["quantize"] + _recorded_digests()["ln"][::10]
+    assert len(cases) > 150
+    _replay(capsys, cases)
+
+
+def test_genus_and_weierstrass_replay_recorded_digests(capsys):
+    """Every `genus` entry and every 16th `weierstrass verify` entry."""
+    cases = _recorded_digests()["genus"] + _recorded_digests()["weierstrass"][::16]
+    assert len(cases) > 120
+    _replay(capsys, cases)

@@ -7,12 +7,10 @@ import pytest
 from thetacob.weierstrass import (
     LatticeError,
     PoleError,
-    SectionTableError,
     half_periods,
     lattice_init,
     lemniscatic_lattice,
     phi_eps,
-    section_eval,
     sigma_w,
     verify_lattice,
     wp,
@@ -26,7 +24,7 @@ from thetacob.weierstrass import (
 
 @pytest.fixture(scope="module")
 def lem():
-    return lemniscatic_lattice(1.0)
+    return lemniscatic_lattice()
 
 
 @pytest.fixture(scope="module")
@@ -184,40 +182,36 @@ def test_phi_basic_values(lem):
         phi_eps(z, 2, lem.omega1, lem)
 
 
-def test_section_eval(lem):
-    # with no coefficients the section is the product of sigmas
-    u = [0.0, 0.3, 0.4]
-    assert section_eval(u, {}, lem) == 0
-    u = [0.3 + 0.1j, 0.45 - 0.2j, 0.3 + 0.77j]
-    base = 1.0
-    for x in u:
-        base *= sigma_w(x, lem)
-    assert abs(section_eval(u, {}, lem) - base) < 1e-12
-    table = {((1,), (2,)): 0.25 + 0.1j}
-    expected = base * (1 + (0.25 + 0.1j) * (xi(u[0], lem) + xi(u[1], lem)))
-    assert abs(section_eval(u, table, lem) - expected) < 1e-12
-
-
-def test_section_table_validation(lem):
-    u = [0.3, 0.4]
-    with pytest.raises(SectionTableError):
-        section_eval(u, {((1,), (1,)): 1.0}, lem)     # not disjoint
-    with pytest.raises(SectionTableError):
-        section_eval(u, {((), ()): 1.0}, lem)          # both empty
-    with pytest.raises(SectionTableError):
-        section_eval(u, {((1,), (5,)): 1.0}, lem)      # index out of range
-    with pytest.raises(SectionTableError):
-        section_eval(u, {((1,), (2,)): 1.0, ((2,), (1,)): 1.0}, lem)  # duplicate pair
+STATED_TOLS = {
+    "legendre": 1e-10, "xi_linear_system": 1e-10, "xi_half_period_zeros": 1e-8,
+    "xi_double_periodicity": 1e-8, "xi_odd": 1e-8, "zeta_quasi_periodicity": 1e-8,
+    "sigma_quasi_periodicity": 1e-8, "wp_prime_critical": 1e-8,
+    "phi0_quasi_periodicity": 1e-8, "phi1_quasi_periodicity": 1e-8,
+    "eta1_lemniscatic": 1e-9, "a_lemniscatic": 1e-9, "b_lemniscatic": 1e-9,
+    "g3_lemniscatic": 1e-9, "wp_half_period_gamma": 1e-7, "jacobian_signs": 0.5,
+    "xi_root_count": 0.5, "xi_root_distance": 1e-6, "caustic_margin": 0.5,
+}
 
 
 def test_verify_report_structure(lem):
     report = verify_lattice(lem, npoints=10)
     assert all(entry["pass"] for entry in report.values()), {
         k: v for k, v in report.items() if not v["pass"]}
-    assert "legendre" in report and "xi_root_count" in report
+    assert list(report) == list(STATED_TOLS)
+    assert {name: entry["tol"] for name, entry in report.items()} == STATED_TOLS
 
 
 def test_verify_report_generic_lattice(skew):
     report = verify_lattice(skew, npoints=10)
     assert all(entry["pass"] for entry in report.values())
     assert "xi_root_count" not in report  # lemniscatic-only checks absent
+
+
+@pytest.mark.parametrize("tol", [1e-30, 1e-12, 1e-3])
+def test_verify_report_uniform_tolerance(skew, tol):
+    stated = verify_lattice(skew, npoints=10)
+    report = verify_lattice(skew, npoints=10, tol=tol)
+    assert list(report) == list(stated)
+    for name, entry in report.items():
+        assert entry["residual"] == stated[name]["residual"]
+        assert entry["tol"] == tol and entry["pass"] == (entry["residual"] <= tol), name
