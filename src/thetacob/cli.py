@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = "1.0.0"
 
-# Largest `congruences --n`: one run takes about 3.5 s at 14, 2.5 s of it
-# in the lattice step, and 6 to 7 s at 15.
+# Largest `congruences --n`: one run takes about 3 s at 14, 2 s of it in
+# the lattice step, and 5 to 6 s at 15.
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order`: one-shot, the check takes about 0.45 s at 16,
@@ -39,7 +39,7 @@ MAX_CONGRUENCE_WEIGHT = 14
 MAX_FGL_ORDER = 16
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# about 1.4 s one-shot, most of it in the integrality multipliers.
+# 1 to 1.5 s one-shot, most of it in the integrality multipliers.
 MAX_WEIGHT = 16
 
 # Largest `invariants --n`: the Chern tables run over the partitions of n,

@@ -119,12 +119,8 @@ def decompose(c: ChernVector) -> GradedPoly:
 
     if c.frame != "normal" or c.basis != "monomial":
         raise FrameBasisError("decompose needs a normal-frame, monomial-basis vector")
-    acc = ZERO
-    for lam in partitions_of(c.weight):
-        val = c.values[lam]
-        if val:
-            acc = acc + theta_monomial(lam) * (val / partition_factorial(lam))
-    return acc
+    return GradedPoly({lam: c.values[lam] / partition_factorial(lam)
+                       for lam in partitions_of(c.weight)})
 
 
 def decompose_tangent(c: ChernVector) -> GradedPoly:

@@ -31,8 +31,7 @@ from .symfun import (
     involution_matrix,
     to_normal_monomial,
 )
-from .cobordism import theta_monomial
-from .landweber import ln_apply, quantize  # noqa: F401  (ln_apply stays importable here)
+from .cobordism import beta, theta_monomial
 from . import lattices
 
 
@@ -219,25 +218,37 @@ class CongruenceSystem:
         failing = [(mu, val) for mu, val in self.evaluate(c) if val.denominator != 1]
         return (not failing, failing)
 
-    def accepts_row(self, row: list[int]) -> bool:
-        parts = partitions_of(self.weight)
-        vec = {lam: Fraction(x) for lam, x in zip(parts, row)}
-        for _, frow in self.functionals:
-            val = sum((frow.get(lam, Fraction(0)) * vec[lam] for lam in parts), Fraction(0))
-            if val.denominator != 1:
-                return False
-        return True
+
+@lru_cache(maxsize=None)
+def _todd_images(n: int) -> tuple[GradedPoly, ...]:
+    """(Td (x) id) S_t(t_m) for m <= n, with t' written as t.
+
+    A genus sends beta(z) to z/Q(z), so this is (m+1)! [z^{m+1}] of
+    beta(z/Q(z)) = beta(1 - e^{-z}): sum_k (-1)^{m-k} S(m+1, k+1) t_k, with
+    S the Stirling numbers of the second kind.
+    """
+    composed = beta(n + 2).compose(todd_genus(n + 1)._inv.mul_by_z())
+    return tuple(factorial(m + 1) * composed[m + 1] for m in range(n + 1))
 
 
 def _todd_of_operations(p: GradedPoly) -> GradedPoly:
     """(Td (x) id) S_t(p) = sum over mu of Td(S_mu(p)) t'^mu/(mu+1)!, with t'
-    written as t.  Td is applied to each generator image S_t(t_n) first,
-    which leaves a polynomial in t' alone; these are substituted into p.
+    written as t: the substitution of the generator images into p.
     """
-    todd = todd_genus(p.top_weight() + 1)
-    images = {n: quantize(GradedPoly.gen(n)).contract(lambda q: genus_of_poly(todd, q))
-              for n in p.generators_used()}
-    return p.substitute(images)
+    return p.substitute(_todd_images(p.top_weight()))
+
+
+def _system(n: int, functionals: list) -> CongruenceSystem:
+    """The system of the (mu, {lam: coeff}) rows with its integrality lattice."""
+    parts = partitions_of(n)
+    rows = [[row.get(lam, Fraction(0)) for lam in parts] for _, row in functionals]
+    basis, divisors = lattices.integrality_lattice(rows, len(parts))
+    return CongruenceSystem(
+        weight=n,
+        functionals=tuple(functionals),
+        basis_hnf=tuple(tuple(r) for r in basis),
+        elementary_divisors=tuple(divisors),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -259,14 +270,7 @@ def congruence_system(n: int) -> CongruenceSystem:
                 if val:
                     row[lam] = val
             functionals.append((mu, row))
-    rows = [[row.get(lam, Fraction(0)) for lam in parts] for _, row in functionals]
-    basis, divisors = lattices.integrality_lattice(rows, len(parts))
-    return CongruenceSystem(
-        weight=n,
-        functionals=tuple((mu, dict(row)) for mu, row in functionals),
-        basis_hnf=tuple(tuple(r) for r in basis),
-        elementary_divisors=tuple(divisors),
-    )
+    return _system(n, functionals)
 
 
 # -- classical low-dimension congruence lists ----------------------------------------------
@@ -319,25 +323,20 @@ def tangent_product_functional_to_normal_monomial(row: dict, n: int) -> dict:
 
 def classical_system(n: int) -> CongruenceSystem:
     """The classical congruence list as a system on normal monomial vectors."""
-    parts = partitions_of(n)
     functionals = []
     for label, modulus, row in classical_congruences(n):
         converted = tangent_product_functional_to_normal_monomial(row, n)
         scaled = {lam: c / modulus for lam, c in converted.items()}
         functionals.append((EMPTY, scaled))
-    rows = [[row.get(lam, Fraction(0)) for lam in parts] for _, row in functionals]
-    basis, divisors = lattices.integrality_lattice(rows, len(parts))
-    return CongruenceSystem(
-        weight=n,
-        functionals=tuple((mu, dict(row)) for mu, row in functionals),
-        basis_hnf=tuple(tuple(r) for r in basis),
-        elementary_divisors=tuple(divisors),
-    )
+    return _system(n, functionals)
 
 
 def lattice_contained_in(inner: CongruenceSystem, outer: CongruenceSystem) -> bool:
     """True iff every vector of the inner lattice passes the outer system."""
-    return all(outer.accepts_row(list(row)) for row in inner.basis_hnf)
+    parts = partitions_of(inner.weight)
+    return all(outer.check(ChernVector(inner.weight, "normal", "monomial",
+                                       {lam: Fraction(x) for lam, x in zip(parts, row)}))[0]
+               for row in inner.basis_hnf)
 
 
 def integrality_multiplier(p: GradedPoly) -> int:

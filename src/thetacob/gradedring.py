@@ -105,9 +105,6 @@ class GradedPoly:
     def is_homogeneous(self, w: int) -> bool:
         return all(m.weight == w for m in self._terms)
 
-    def generators_used(self) -> set[int]:
-        return {part for m in self._terms for part in m}
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):

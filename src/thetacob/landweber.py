@@ -153,11 +153,6 @@ class TensorElement:
         out = ((nu, dot(pairs)) for nu, pairs in groups.items())
         return TensorElement._raw({nu: q for nu, q in out if q})
 
-    def contract(self, phi) -> GradedPoly:
-        """(phi (x) id)(self) for a linear functional phi on t-polynomials,
-        with t'_n written as t_n."""
-        return GradedPoly({nu: phi(q) for nu, q in self._terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -207,7 +202,7 @@ def quantize(p: GradedPoly) -> TensorElement:
 
 def dequantize(T: TensorElement) -> GradedPoly:
     """Augmentation on the t side, substitution t'_n -> t_n on the other."""
-    return T.contract(GradedPoly.aug)
+    return GradedPoly({nu: q.aug() for nu, q in T._terms.items()})
 
 
 # -- vector-field realisation -----------------------------------------------------------

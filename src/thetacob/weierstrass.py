@@ -50,8 +50,9 @@ def _divisor_power_sum(n: int, k: int) -> int:
     return total
 
 
-def _eisenstein(tau: complex, weight: int, tol: float) -> complex:
-    """Normalised E4 or E6 by the divisor-sum q-expansion."""
+def _eisenstein(tau: complex, weight: int) -> complex:
+    """Normalised E4 or E6 by the divisor-sum q-expansion, summed until a
+    term falls below 1e-16."""
     q = cmath.exp(2j * math.pi * tau)
     if abs(q) >= 1.0 - 1e-9:
         raise ConvergenceError("period ratio too close to the real axis")
@@ -63,7 +64,7 @@ def _eisenstein(tau: complex, weight: int, tol: float) -> complex:
         qn *= q
         term = coeff * _divisor_power_sum(n, k) * qn
         acc += term
-        if abs(term) < tol * 1e-6 and abs(qn) < 1e-3:
+        if abs(term) < 1e-16 and abs(qn) < 1e-3:
             return acc
     raise ConvergenceError("Eisenstein series did not converge")
 
@@ -87,8 +88,8 @@ class ComplexLattice:
 
         tau = omega2 / omega1
         scale = 2.0 * omega1
-        self.g2 = (4.0 * math.pi ** 4 / 3.0) * _eisenstein(tau, 4, tol) / scale ** 4
-        self.g3 = (8.0 * math.pi ** 6 / 27.0) * _eisenstein(tau, 6, tol) / scale ** 6
+        self.g2 = (4.0 * math.pi ** 4 / 3.0) * _eisenstein(tau, 4) / scale ** 4
+        self.g3 = (8.0 * math.pi ** 6 / 27.0) * _eisenstein(tau, 6) / scale ** 6
 
         self._laurent = self._laurent_coeffs(64)
         self._v1, self._v2, self._unimod = _gauss_reduce(2.0 * omega1, 2.0 * omega2)

@@ -322,6 +322,16 @@ def test_weierstrass_verify_exit_codes(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("lattice", [["--lemniscatic"], ["--omega1=1.3+0.2i", "--omega2=-0.4+1.1i"]])
+def test_weierstrass_tol_changes_only_the_gates(capsys, lattice):
+    def residuals(*tol):
+        code, out, _ = run_cli(capsys, "--format", "json", "weierstrass", "verify", *lattice, *tol)
+        assert code == 0
+        return {name: e["residual"] for name, e in json.loads(out)["payload"]["checks"].items()}
+
+    assert residuals("--tol", "1e-3") == residuals()
+
+
 def test_weierstrass_generic_lattice(capsys):
     # values starting with "-" need the = form, as usual with argparse
     code, out, _ = run_cli(capsys, "weierstrass", "verify",
@@ -384,4 +394,22 @@ def test_genus_and_weierstrass_replay_recorded_digests(capsys):
     """Every `genus` entry and every 16th `weierstrass verify` entry."""
     cases = _recorded_digests()["genus"] + _recorded_digests()["weierstrass"][::16]
     assert len(cases) > 120
+    _replay(capsys, cases)
+
+
+def test_congruence_path_replay_recorded_digests(capsys, tmp_path, monkeypatch):
+    """Every `congruences` and `classes` entry, run where the `--check` vector
+    files the benchmark writes for seeds 0..31 are."""
+    cases = _recorded_digests()["congruences"] + _recorded_digests()["classes"]
+    assert len(cases) == 87
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir))
+    from perfbench.workloads import WORKLOADS, requests_for
+    for workload in WORKLOADS:
+        for seed in range(32):
+            for req in requests_for(workload, seed):
+                for path, text in req.files:
+                    target = tmp_path / path
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    target.write_text(text)
+    monkeypatch.chdir(tmp_path)
     _replay(capsys, cases)

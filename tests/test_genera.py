@@ -3,8 +3,9 @@ from math import comb, factorial, lcm
 
 import pytest
 
-from thetacob.core import Partition, bernoulli, catalan, partition_factorial, partitions_of
-from thetacob.gradedring import t
+from thetacob.core import EMPTY, Partition, bernoulli, catalan, partition_factorial, partitions_of
+from thetacob.gradedring import GradedPoly, t
+from thetacob.landweber import quantize
 from thetacob.series import TruncationError
 from thetacob.symfun import ChernVector
 from thetacob.cobordism import (
@@ -17,6 +18,8 @@ from thetacob.cobordism import (
     w_classes,
 )
 from thetacob.genera import (
+    CongruenceSystem,
+    _todd_images,
     classical_congruences,
     classical_system,
     congruence_system,
@@ -153,6 +156,32 @@ def test_congruence_system_low_weights():
     assert sys3.elementary_divisors == (2, 2, 24)
 
 
+def _todd_image_by_quantisation(m, todd):
+    """(Td (x) id) S_t(t_m) the long way: the Todd genus of every t-side
+    coefficient of the quantisation quantize(t_m), with t' written as t."""
+    out = {}
+    for (mu, nu), c in quantize(t(m)).items():
+        out[nu] = out.get(nu, 0) + c * genus_of_poly(todd, GradedPoly.monomial(mu))
+    return GradedPoly(out)
+
+
+def test_todd_images_match_quantisation_and_stirling():
+    images = _todd_images(12)
+    assert _todd_images(5) == images[:6]
+    todd = todd_genus(13)
+    for m in range(13):
+        assert images[m] == _todd_image_by_quantisation(m, todd), m
+    # Stirling numbers of the second kind, S[n][k]
+    S = [[1]]
+    for n in range(1, 12):
+        S.append([0] + [k * (S[n - 1][k] if k < n else 0) + S[n - 1][k - 1]
+                        for k in range(1, n + 1)])
+    for m in range(11):
+        expected = GradedPoly({Partition((k,)) if k else EMPTY: (-1) ** (m - k) * S[m + 1][k + 1]
+                               for k in range(m + 1)})
+        assert images[m] == expected, m
+
+
 def test_congruence_rows_match_cartan_expansion():
     for n in range(7):
         todd = todd_genus(n + 1)
@@ -178,6 +207,14 @@ def test_congruence_equivalence_with_classical_lists():
     assert lattice_contained_in(gen4, cls4)
     # equality at n=4 is informational; print so the log records the outcome
     print("n=4 classical => generated:", lattice_contained_in(cls4, gen4))
+
+
+def test_lattice_containment_is_strict_for_the_free_lattice():
+    free = CongruenceSystem(weight=2, functionals=(), basis_hnf=((1, 0), (0, 1)),
+                            elementary_divisors=(1, 1))
+    gen2 = congruence_system(2)
+    assert lattice_contained_in(gen2, free)
+    assert not lattice_contained_in(free, gen2)
 
 
 def test_theta_vectors_pass_congruences():

@@ -33,6 +33,21 @@ def test_ln_apply_loads_only_its_modules():
     assert not loaded & unneeded
 
 
+@pytest.mark.parametrize("argv", [["congruences", "--n", "3"],
+                                  ["classes", "wn", "--max-weight", "4"]])
+def test_congruence_path_does_not_load_the_operations(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from thetacob.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    loaded = set(_run(code).split())
+    assert "thetacob.genera" in loaded
+    assert "thetacob.landweber" not in loaded
+
+
 def test_bare_import_loads_no_submodule():
     loaded = _run("import sys, thetacob; print(' '.join(sorted(sys.modules)))").split()
     assert "thetacob" in loaded
