@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .core import EMPTY, Partition, bernoulli, catalan, partitions_of, splittings
@@ -44,6 +45,7 @@ def _cartan_on_generator(lam: Partition, n: int) -> GradedPoly:
     return ln.intersection_class(n, k)
 
 
+@lru_cache(maxsize=None)
 def _cartan_on_factors(lam: Partition, factors: tuple[int, ...]) -> GradedPoly:
     if not factors:
         return ONE if lam == EMPTY else ZERO

@@ -12,21 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .core import parse_partition, partitions_of
-from .gradedring import MAX_COEFF_DIGITS, format_poly, parse_poly
-
-if TYPE_CHECKING:
-    from . import genera
-    from .symfun import ChernVector
-
-# Each handler imports the modules it uses, so that a process loads only
-# what its subcommand needs.
+# Each handler imports the modules it uses, json and fractions included, so
+# that a process compiles and loads only what its subcommand runs.  The
+# annotations that name those modules are never evaluated.
 
 FORMAT_VERSION = "1.0.0"
 
@@ -41,6 +32,20 @@ MAX_FGL_ORDER = 16
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
 # 1 to 1.5 s one-shot, most of it in the integrality multipliers.
 MAX_WEIGHT = 16
+
+# Least and largest modulus of a `weierstrass verify` half-period.  The
+# stated tolerances are absolute, set for periods of modulus near 1; the
+# float series lose all precision well outside this range (at 1e-6 and at
+# 1e8 a lemniscatic lattice's Newton iterates turn NaN, at 1e200 g3
+# overflows), and below 0.1 some checks already fail.
+MIN_HALF_PERIOD = 1e-4
+MAX_HALF_PERIOD = 1e4
+
+# Largest max(|omega1|, |omega2|)^2 / Im(conj(omega1) omega2): 1 for the
+# square lattice, larger the longer and flatter the cell the two
+# half-periods span.  The quasi-periodicity factors exp(4 eta_k (z + omega_k))
+# grow with it and overflow a float from about 17 on (random period pairs).
+MAX_PERIOD_SKEW = 10
 
 # Largest `invariants --n`: the Chern tables run over the partitions of n,
 # about 2.3 s at 45 and 6 s at 50.
@@ -102,6 +107,8 @@ def _default_weight() -> int:
 
 def _emit(args, command: str, params: dict, payload, text_lines) -> None:
     if args.format == "json":
+        import json
+
         envelope = {
             "command": command,
             "params": params,
@@ -125,6 +132,8 @@ def _digits(x: Fraction) -> int:
 
 
 def _parse_expr(flag: str, text: str, max_weight: int):
+    from .gradedring import parse_poly
+
     try:
         return parse_poly(text, max_weight=max_weight)
     except ValueError as exc:
@@ -136,6 +145,7 @@ def _parse_expr(flag: str, text: str, max_weight: int):
 
 def cmd_beta(args):
     from . import cobordism as cob
+    from .gradedring import format_poly
 
     n = args.max_weight
     b = cob.beta(n + 1)
@@ -148,6 +158,7 @@ def cmd_beta(args):
 
 def cmd_logarithm(args):
     from . import cobordism as cob
+    from .gradedring import format_poly
 
     n = args.max_weight
     lg = cob.mischenko_log(n + 1)
@@ -166,6 +177,7 @@ def cmd_logarithm(args):
 
 def cmd_classes(args):
     from . import cobordism as cob
+    from .gradedring import format_poly
 
     n = args.max_weight
     family = args.family
@@ -200,6 +212,8 @@ def cmd_classes(args):
 
 def cmd_ln_apply(args):
     from . import landweber as ln
+    from .core import parse_partition
+    from .gradedring import format_poly
 
     try:
         lam = parse_partition(args.partition)
@@ -217,6 +231,7 @@ def cmd_ln_apply(args):
 
 def cmd_theta_intersect(args):
     from . import landweber as ln
+    from .gradedring import format_poly
 
     n, k = args.n, args.k
     if not 0 <= n <= MAX_THETA_N:
@@ -235,6 +250,10 @@ def _genus_coeff(index: int, value) -> Fraction:
     A decimal exponent counts as digits: "1e5000" and "1e-5000" both have
     more than MAX_COEFF_DIGITS.
     """
+    from fractions import Fraction
+
+    from .gradedring import MAX_COEFF_DIGITS
+
     if isinstance(value, str):
         mantissa, _, exponent = value.lower().partition("e")
         exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -255,6 +274,9 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
     from . import genera
 
     if name.startswith("file:"):
+        import json
+        from fractions import Fraction
+
         path = name[5:]
         try:
             with open(path) as fh:
@@ -281,6 +303,7 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
 
 def cmd_genus(args):
     from . import genera
+    from .gradedring import format_poly
 
     target = args.of
     if target.startswith("theta:"):
@@ -316,6 +339,8 @@ def cmd_genus(args):
 
 
 def _chern_values_payload(vec: ChernVector) -> dict:
+    from .core import partitions_of
+
     return {str(lam): _frac(vec.values[lam]) for lam in partitions_of(vec.weight)}
 
 
@@ -356,6 +381,10 @@ def _load_chern_vector(path: str, weight: int) -> ChernVector:
     The weight is compared before the vector is built, because building
     it enumerates the partitions of the file's weight.
     """
+    import json
+    from fractions import Fraction
+
+    from .core import parse_partition
     from .symfun import ChernVector
 
     try:
@@ -410,6 +439,7 @@ def cmd_congruences(args):
 
 def cmd_quantize(args):
     from . import landweber as ln
+    from .gradedring import format_poly
 
     poly = _parse_expr("--expr", args.expr, MAX_EXPR_WEIGHT)
     q = ln.quantize(poly)
@@ -450,11 +480,15 @@ def cmd_fgl_check(args):
         raise CliError("formal group law residual nonzero")
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_half_period(flag: str, text: str) -> complex:
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        value = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
-        raise CliError(f"cannot parse complex number {text!r}") from None
+        raise CliError(f"{flag}: cannot parse complex number {text!r}") from None
+    if not MIN_HALF_PERIOD <= abs(value) <= MAX_HALF_PERIOD:  # NaN and inf fail too
+        raise CliError(f"{flag} must be a finite complex number of modulus between "
+                       f"{MIN_HALF_PERIOD:g} and {MAX_HALF_PERIOD:g}, got {text!r}")
+    return value
 
 
 def cmd_weierstrass_verify(args):
@@ -465,8 +499,16 @@ def cmd_weierstrass_verify(args):
     else:
         if args.omega1 is None or args.omega2 is None:
             raise CliError("provide both --omega1 and --omega2, or use --lemniscatic")
-        omega1 = _parse_complex(args.omega1)
-        omega2 = _parse_complex(args.omega2)
+        omega1 = _parse_half_period("--omega1", args.omega1)
+        omega2 = _parse_half_period("--omega2", args.omega2)
+        area = (omega1.conjugate() * omega2).imag  # <= 0 is refused by lattice_init
+        skew = max(abs(omega1), abs(omega2)) ** 2 / area if area > 0 else 1.0
+        if skew > MAX_PERIOD_SKEW:
+            raise CliError(f"--omega1/--omega2 span a cell too long and flat: "
+                           f"max(|omega1|, |omega2|)^2 / Im(conj(omega1) omega2) must be "
+                           f"at most {MAX_PERIOD_SKEW}, got {skew:.3g}")
+    if args.tol is not None and not 0 < args.tol < float("inf"):
+        raise CliError(f"--tol must be a finite number > 0, got {args.tol}")
     # --tol replaces every check's tolerance; the lattice construction
     # gate stays at its default (or looser) so absurdly tight tolerances
     # surface as check failures (exit 3), not parameter errors.
@@ -474,7 +516,7 @@ def cmd_weierstrass_verify(args):
     try:
         lattice = ws.lattice_init(omega1, omega2, tol=build_tol)
     except (ws.LatticeError, ws.ConvergenceError) as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"--omega1/--omega2: {exc}") from None
     report = ws.verify_lattice(lattice, tol=args.tol)
     all_ok = all(entry["pass"] for entry in report.values())
     payload = {"omega1": repr(omega1), "omega2": repr(omega2), "checks": report, "pass": all_ok}

@@ -16,23 +16,20 @@ sublattice of Z^{p(n)}, canonicalised by its Hermite normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
 from .gradedring import GradedPoly
 from .series import TruncSeries, TruncationError
-from .symfun import (
-    ChernVector,
-    _to_m_matrix,
-    _vec_mat,
-    involution_matrix,
-    to_normal_monomial,
-)
-from .cobordism import beta, theta_monomial
-from . import lattices
+
+if TYPE_CHECKING:
+    from .symfun import ChernVector
+
+# The genus path needs only core, gradedring and series; the functions that
+# use symfun, cobordism or lattices import them, so `genus` never loads them.
 
 
 class GenusSpec:
@@ -113,8 +110,7 @@ def genus_of_poly(spec: GenusSpec, p: GradedPoly) -> Rat:
 # -- topological invariants of theta divisors ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaInvariants:
+class ThetaInvariants(NamedTuple):
     n: int
     k: int
     betti: tuple
@@ -130,6 +126,8 @@ def theta_normal_vector(n: int) -> ChernVector:
     The normal bundle is a line bundle whose top power evaluates to
     (n+1)!, so only the one-part partition survives.
     """
+    from .symfun import ChernVector
+
     values = {lam: Fraction(0) for lam in partitions_of(n)}
     values[Partition((n,))] = Fraction(factorial(n + 1))
     return ChernVector(n, "normal", "monomial", values)
@@ -141,6 +139,8 @@ def theta_tangent_product_vector(n: int) -> ChernVector:
     The total tangent Chern class is 1/(1 + D) with D^n evaluating to
     (n+1)!, so every product c_{i_1}...c_{i_k} equals (-1)^n (n+1)!.
     """
+    from .symfun import ChernVector
+
     val = Fraction((-1) ** n * factorial(n + 1))
     values = {lam: val for lam in partitions_of(n)}
     return ChernVector(n, "tangent", "chern_product", values)
@@ -188,8 +188,7 @@ def theta_invariants(n: int, k: int = 1) -> ThetaInvariants:
 # -- congruence generator -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(NamedTuple):
     """Integrality conditions on weight-n normal monomial Chern vectors.
 
     functionals: rows (mu, {lam: coeff}); a vector passes when every row
@@ -204,6 +203,8 @@ class CongruenceSystem:
 
     def evaluate(self, c: ChernVector):
         """All (mu, value) evaluations of a vector (converted if needed)."""
+        from .symfun import to_normal_monomial
+
         c = to_normal_monomial(c)
         if c.weight != self.weight:
             raise ValueError(f"vector weight {c.weight} != system weight {self.weight}")
@@ -220,29 +221,38 @@ class CongruenceSystem:
 
 
 @lru_cache(maxsize=None)
-def _todd_images(n: int) -> tuple[GradedPoly, ...]:
-    """(Td (x) id) S_t(t_m) for m <= n, with t' written as t.
+def _todd_image(m: int) -> GradedPoly:
+    """(Td (x) id) S_t(t_m), with t' written as t.
 
     A genus sends beta(z) to z/Q(z), so this is (m+1)! [z^{m+1}] of
-    beta(z/Q(z)) = beta(1 - e^{-z}): sum_k (-1)^{m-k} S(m+1, k+1) t_k, with
-    S the Stirling numbers of the second kind.
+    beta(z/Q(z)) = beta(1 - e^{-z}) = sum_k t_k (1 - e^{-z})^{k+1}/(k+1)!.
+    Expanding the power by the binomial theorem, the coefficient of t_k is
+    sum_l (-1)^l C(k+1, l) (-l)^{m+1} / (k+1)! = (-1)^{m-k} S(m+1, k+1),
+    with S the Stirling numbers of the second kind: an integer, so the
+    division is exact.
     """
-    composed = beta(n + 2).compose(todd_genus(n + 1)._inv.mul_by_z())
-    return tuple(factorial(m + 1) * composed[m + 1] for m in range(n + 1))
+    return GradedPoly({
+        Partition((k,)) if k else EMPTY:
+            sum((-1) ** l * comb(k + 1, l) * (-l) ** (m + 1) for l in range(k + 2))
+            // factorial(k + 1)
+        for k in range(m + 1)
+    })
 
 
 def _todd_of_operations(p: GradedPoly) -> GradedPoly:
     """(Td (x) id) S_t(p) = sum over mu of Td(S_mu(p)) t'^mu/(mu+1)!, with t'
     written as t: the substitution of the generator images into p.
     """
-    return p.substitute(_todd_images(p.top_weight()))
+    return p.substitute(_todd_image)
 
 
 def _system(n: int, functionals: list) -> CongruenceSystem:
     """The system of the (mu, {lam: coeff}) rows with its integrality lattice."""
+    from .lattices import integrality_lattice
+
     parts = partitions_of(n)
     rows = [[row.get(lam, Fraction(0)) for lam in parts] for _, row in functionals]
-    basis, divisors = lattices.integrality_lattice(rows, len(parts))
+    basis, divisors = integrality_lattice(rows, len(parts))
     return CongruenceSystem(
         weight=n,
         functionals=tuple(functionals),
@@ -259,6 +269,8 @@ def congruence_system(n: int) -> CongruenceSystem:
     every operation image of a manifold class is again a manifold class
     and the Todd genus is integral, each row must evaluate to an integer.
     """
+    from .cobordism import theta_monomial
+
     parts = partitions_of(n)
     columns = {lam: _todd_of_operations(theta_monomial(lam)) for lam in parts}
     functionals = []
@@ -312,6 +324,8 @@ def tangent_product_functional_to_normal_monomial(row: dict, n: int) -> dict:
     monomial values (product values = e-to-m matrix applied to tangent
     monomial values, which are the involution applied to normal ones).
     """
+    from .symfun import _to_m_matrix, _vec_mat, involution_matrix
+
     parts = partitions_of(n)
     E = _to_m_matrix(n, "e")
     A = involution_matrix(n)
@@ -333,6 +347,8 @@ def classical_system(n: int) -> CongruenceSystem:
 
 def lattice_contained_in(inner: CongruenceSystem, outer: CongruenceSystem) -> bool:
     """True iff every vector of the inner lattice passes the outer system."""
+    from .symfun import ChernVector
+
     parts = partitions_of(inner.weight)
     return all(outer.check(ChernVector(inner.weight, "normal", "monomial",
                                        {lam: Fraction(x) for lam, x in zip(parts, row)}))[0]

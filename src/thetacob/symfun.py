@@ -18,7 +18,6 @@ the two bundles sum to a trivial one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -142,20 +141,23 @@ def _from_m_matrix(n: int, basis: str):
 # -- symmetric function expressions --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SymFunExpr:
     """Homogeneous symmetric function stored as coefficients in one basis."""
 
-    basis: str
-    weight: int
-    terms: dict
+    __slots__ = ("basis", "weight", "terms")
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
-        for lam in self.terms:
-            if not isinstance(lam, Partition) or lam.weight != self.weight:
-                raise ValueError(f"bad index {lam!r} for weight {self.weight}")
+    def __init__(self, basis: str, weight: int, terms: dict):
+        if basis not in BASES:
+            raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+        for lam in terms:
+            if not isinstance(lam, Partition) or lam.weight != weight:
+                raise ValueError(f"bad index {lam!r} for weight {weight}")
+        self.basis = basis
+        self.weight = weight
+        self.terms = terms
+
+    def __repr__(self):
+        return f"SymFunExpr(basis={self.basis!r}, weight={self.weight!r}, terms={self.terms!r})"
 
     @classmethod
     def element(cls, basis: str, lam, coeff=1) -> "SymFunExpr":
@@ -233,7 +235,6 @@ def involution_matrix(n: int):
 # -- Chern-number vectors ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChernVector:
     """The p(n) Chern numbers of a weight-n class, tagged by convention.
 
@@ -243,25 +244,30 @@ class ChernVector:
             the partition (1,1) then means c_1^2).
     """
 
-    weight: int
-    frame: str
-    basis: str
-    values: dict
+    __slots__ = ("weight", "frame", "basis", "values")
 
-    def __post_init__(self):
-        if self.frame not in ("tangent", "normal"):
-            raise ValueError(f"frame must be tangent|normal, got {self.frame!r}")
-        if self.basis not in ("monomial", "chern_product"):
-            raise ValueError(f"basis must be monomial|chern_product, got {self.basis!r}")
-        parts = set(partitions_of(self.weight))
-        keys = set(self.values)
+    def __init__(self, weight: int, frame: str, basis: str, values: dict):
+        if frame not in ("tangent", "normal"):
+            raise ValueError(f"frame must be tangent|normal, got {frame!r}")
+        if basis not in ("monomial", "chern_product"):
+            raise ValueError(f"basis must be monomial|chern_product, got {basis!r}")
+        parts = set(partitions_of(weight))
+        keys = set(values)
         if keys != parts:
             missing = sorted(parts - keys)
             extra = sorted(keys - parts)
             raise IncompleteVectorError(
-                f"vector must cover all partitions of {self.weight}; "
+                f"vector must cover all partitions of {weight}; "
                 f"missing {missing}, extraneous {extra}"
             )
+        self.weight = weight
+        self.frame = frame
+        self.basis = basis
+        self.values = values
+
+    def __repr__(self):
+        return (f"ChernVector(weight={self.weight!r}, frame={self.frame!r}, "
+                f"basis={self.basis!r}, values={self.values!r})")
 
     @classmethod
     def build(cls, weight, frame, basis, values) -> "ChernVector":

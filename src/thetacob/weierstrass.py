@@ -94,6 +94,9 @@ class ComplexLattice:
         self._laurent = self._laurent_coeffs(64)
         self._v1, self._v2, self._unimod = _gauss_reduce(2.0 * omega1, 2.0 * omega2)
         self._vmin = abs(self._v1)
+        # _eval_chain results by argument: a pure function of it, and the
+        # checks evaluate the same reduced arguments again and again.
+        self._chain: dict[complex, tuple] = {}
 
         self.eta1 = self._eval_chain(omega1)[2]
         self.eta2 = self._eval_chain(omega2)[2]
@@ -158,6 +161,9 @@ class ComplexLattice:
         No argument reduction: used for quasi-period bootstrap and for
         already reduced arguments.
         """
+        known = self._chain.get(z)
+        if known is not None:
+            return known
         h = 0
         w = z
         limit = 0.4 * self._vmin
@@ -175,6 +181,7 @@ class ComplexLattice:
             P_new = -2.0 * P + (Ppp / (2.0 * Pp)) ** 2
             Pp_new = -Pp + Ppp * (Pppp * Pp - Ppp * Ppp) / (4.0 * Pp ** 3)
             P, Pp = P_new, Pp_new
+        self._chain[z] = P, Pp, Z, S
         return P, Pp, Z, S
 
     # -- argument reduction ------------------------------------------------------

@@ -345,6 +345,22 @@ def test_weierstrass_degenerate_lattice(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags,named", [
+    (("--omega1", "1e-300", "--omega2", "1e-300i"), "--omega1"),  # the invariants divide by 0
+    (("--omega1", "1e200", "--omega2", "1e200i"), "--omega1"),  # g3 overflows
+    (("--omega1", "1e-20", "--omega2", "1e-20i"), "--omega1"),  # the Newton iterates turn NaN
+    (("--omega1", "1", "--omega2", "nan"), "--omega2"),
+    (("--omega1=-0.1573959898+0.1442840671i", "--omega2=0.0096894062-0.0261853309i"),
+     "--omega1/--omega2"),  # a long, flat cell: the quasi-periodicity factors overflow
+    (("--lemniscatic", "--tol", "nan"), "--tol"),  # every check would fail
+    (("--lemniscatic", "--tol", "-1"), "--tol"),
+], ids=["tiny", "huge", "small", "nan", "flat", "tol-nan", "tol-negative"])
+def test_weierstrass_verify_refuses_bad_periods_and_tol(capsys, flags, named):
+    code, out, err = run_cli(capsys, "weierstrass", "verify", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
+
+
 def test_classes_wn_and_cpn(capsys):
     code, out, _ = run_cli(capsys, "classes", "wn", "--max-weight", "2")
     assert code == 0 and "w1 = 1/2*t1" in out

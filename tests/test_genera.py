@@ -9,6 +9,7 @@ from thetacob.landweber import quantize
 from thetacob.series import TruncationError
 from thetacob.symfun import ChernVector
 from thetacob.cobordism import (
+    beta,
     cp_classes,
     decompose,
     product_chern_vector,
@@ -19,7 +20,7 @@ from thetacob.cobordism import (
 )
 from thetacob.genera import (
     CongruenceSystem,
-    _todd_images,
+    _todd_image,
     classical_congruences,
     classical_system,
     congruence_system,
@@ -166,8 +167,7 @@ def _todd_image_by_quantisation(m, todd):
 
 
 def test_todd_images_match_quantisation_and_stirling():
-    images = _todd_images(12)
-    assert _todd_images(5) == images[:6]
+    images = [_todd_image(m) for m in range(13)]
     todd = todd_genus(13)
     for m in range(13):
         assert images[m] == _todd_image_by_quantisation(m, todd), m
@@ -180,6 +180,18 @@ def test_todd_images_match_quantisation_and_stirling():
         expected = GradedPoly({Partition((k,)) if k else EMPTY: (-1) ** (m - k) * S[m + 1][k + 1]
                                for k in range(m + 1)})
         assert images[m] == expected, m
+
+
+def test_todd_images_match_composition_in_any_call_order():
+    """The closed form against beta(z/Q(z)) composed once to z^14, and the
+    same images whichever weight is asked for first."""
+    composed = beta(14).compose(todd_genus(13)._inv.mul_by_z())
+    by_composition = [factorial(m + 1) * composed[m + 1] for m in range(13)]
+    _todd_image.cache_clear()
+    ascending = [_todd_image(m) for m in range(13)]
+    _todd_image.cache_clear()
+    descending = [_todd_image(m) for m in reversed(range(13))][::-1]
+    assert ascending == descending == by_composition
 
 
 def test_congruence_rows_match_cartan_expansion():

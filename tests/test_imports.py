@@ -1,9 +1,11 @@
-"""A process imports only the modules its subcommand needs."""
+"""A process compiles and loads only the modules its subcommand runs."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,31 +13,51 @@ import thetacob
 
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
 
+OPERATIONS = {"core", "gradedring", "series", "cobordism", "landweber"}
+SERIES = {"core", "gradedring", "series", "cobordism"}
+GENUS = {"core", "gradedring", "series", "genera"}
+CONGRUENCES = {"core", "gradedring", "series", "cobordism", "genera", "lattices"}
 
-def _run(code: str) -> str:
+# Case -> (argv, the thetacob modules besides `cli` that its process loads,
+# exactly).  The processes run in a directory that holds genus.json and
+# vec.json.  `selftest` loads every module; test_no_module_loads_dataclasses
+# covers it.
+LOAD_SETS = {
+    "beta": (["beta", "--max-weight", "4"], SERIES),
+    "logarithm": (["logarithm", "--max-weight", "4"], SERIES),
+    "classes-vn": (["classes", "vn", "--max-weight", "4"], SERIES),
+    "classes-cpn": (["classes", "cpn", "--max-weight", "4"], SERIES),
+    "classes-wn": (["classes", "wn", "--max-weight", "4"], SERIES | {"genera"}),
+    "fgl-check": (["fgl", "check", "--order", "4"], SERIES),
+    "ln-apply": (["ln", "apply", "--partition", "2,1", "--expr", "t3 - 4*t1*t2"], OPERATIONS),
+    "quantize": (["quantize", "--expr", "t2*t1", "--roundtrip"], OPERATIONS),
+    "theta-intersect": (["theta", "intersect", "--n", "3", "--k", "1"], OPERATIONS),
+    "genus-theta": (["genus", "--name", "l", "--of", "theta:8"], GENUS),
+    "genus-poly": (["genus", "--name", "todd", "--of", "poly:t2 + t1^2"], GENUS),
+    "genus-file": (["genus", "--name", "file:genus.json", "--of", "theta:3"], GENUS),
+    "genus-json": (["--format", "json", "genus", "--name", "euler", "--of", "theta:3"], GENUS),
+    "invariants": (["invariants", "--n", "4"], GENUS | {"symfun"}),
+    "congruences": (["congruences", "--n", "3"], CONGRUENCES),
+    "congruences-check": (["congruences", "--n", "2", "--check", "vec.json"],
+                          CONGRUENCES | {"symfun"}),
+    "weierstrass-verify": (["weierstrass", "verify", "--omega1=1.3+0.2i", "--omega2=-0.4+1.1i"],
+                           {"weierstrass"}),
+    "weierstrass-json": (["--format", "json", "weierstrass", "verify", "--lemniscatic"],
+                         {"weierstrass"}),
+}
+
+
+def _uses_json(argv) -> bool:
+    return "json" in argv or "--check" in argv or any(a.startswith("file:") for a in argv)
+
+
+def _run(code: str, cwd=None) -> str:
     return subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
-                          text=True, check=True, timeout=120).stdout
+                          text=True, check=True, timeout=120, cwd=cwd).stdout
 
 
-def test_ln_apply_loads_only_its_modules():
-    code = (
-        "import contextlib, io, sys\n"
-        "from thetacob.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "    assert main(['ln', 'apply', '--partition', '2,1', '--expr', 't3 - 4*t1*t2']) == 0\n"
-        "assert out.getvalue().endswith('= -48\\n'), out.getvalue()\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
-    loaded = set(_run(code).split())
-    assert "thetacob.landweber" in loaded
-    unneeded = {f"thetacob.{m}" for m in ("weierstrass", "acceptance", "genera", "lattices",
-                                          "symfun")} | {"dataclasses"}
-    assert not loaded & unneeded
-
-
-@pytest.mark.parametrize("argv", [["congruences", "--n", "3"],
-                                  ["classes", "wn", "--max-weight", "4"]])
-def test_congruence_path_does_not_load_the_operations(argv):
+def _loaded(argv, cwd=None) -> set[str]:
+    """The modules a fresh process has loaded after main(argv) succeeds."""
     code = (
         "import contextlib, io, sys\n"
         "from thetacob.cli import main\n"
@@ -43,7 +65,45 @@ def test_congruence_path_does_not_load_the_operations(argv):
         f"    assert main({argv!r}) == 0\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
-    loaded = set(_run(code).split())
+    return set(_run(code, cwd=cwd).split())
+
+
+@pytest.fixture(scope="module")
+def loaded_by_case(tmp_path_factory) -> dict:
+    cwd = tmp_path_factory.mktemp("inputs")
+    (cwd / "genus.json").write_text(json.dumps({"coeffs": ["1", "1/2", "1/12"]}))
+    (cwd / "vec.json").write_text(json.dumps(
+        {"weight": 2, "frame": "normal", "basis": "monomial", "values": {"2": "6", "1,1": "0"}}))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        found = pool.map(lambda case: _loaded(case[0], cwd), LOAD_SETS.values())
+        return dict(zip(LOAD_SETS, found))
+
+
+@pytest.mark.parametrize("case", LOAD_SETS)
+def test_subcommand_loads_only_its_modules(loaded_by_case, case):
+    argv, modules = LOAD_SETS[case]
+    loaded = loaded_by_case[case]
+    assert {m[9:] for m in loaded if m.startswith("thetacob.")} == modules | {"cli"}
+    assert not loaded & {"dataclasses", "inspect"}
+    assert ("json" in loaded) == _uses_json(argv)
+    if modules == {"weierstrass"}:
+        assert not loaded & {"fractions", "decimal"}
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    """Every module at once: what `selftest` and any other subcommand load."""
+    names = [m[:-3] for m in sorted(os.listdir(os.path.dirname(thetacob.__file__)))
+             if m.endswith(".py") and m != "__init__.py"]
+    loaded = _run(f"import sys\nfrom thetacob import {', '.join(names)}\n"
+                  "print(' '.join(sorted(sys.modules)))").split()
+    assert {f"thetacob.{m}" for m in names} <= set(loaded)
+    assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [["congruences", "--n", "3"],
+                                  ["classes", "wn", "--max-weight", "4"]])
+def test_congruence_path_does_not_load_the_operations(argv):
+    loaded = _loaded(argv)
     assert "thetacob.genera" in loaded
     assert "thetacob.landweber" not in loaded
 
