@@ -25,12 +25,14 @@ FORMAT_VERSION = "1.0.0"
 # the lattice step, and 5 to 6 s at 15.
 MAX_CONGRUENCE_WEIGHT = 14
 
-# Largest `fgl check --order`: one-shot, the check takes about 0.45 s at 16,
-# 1 s at 18 and 1.9 s at 20, about half of it in building F itself.
+# Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, a check
+# takes about 0.3 s at 16; in-process, 0.25 s at 16, 0.6 s at 18 and 1.2 to
+# 1.4 s at 20, about half of it in building F itself.
 MAX_FGL_ORDER = 16
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# 1 to 1.5 s one-shot, most of it in the integrality multipliers.
+# about 1 s one-shot (same host), nearly all of it in the integrality
+# multipliers; `logarithm` and `classes cpn` take 0.15 to 0.25 s.
 MAX_WEIGHT = 16
 
 # Least and largest modulus of a `weierstrass verify` half-period.  The

@@ -64,9 +64,10 @@ def cp_classes(order: int) -> tuple[GradedPoly, ...]:
     """Projective-space classes in the theta basis, cp[n] for n < order.
 
     cp[n] is (n+1) times the coefficient of u^{n+1} in the logarithm, so
-    cp[1] = -t1 and cp[2] = 3/2*t1^2 - 1/2*t2; cp[0] is the unit.
+    cp[1] = -t1 and cp[2] = 3/2*t1^2 - 1/2*t2; cp[0] is the unit.  It
+    reads the logarithm up to u^order only.
     """
-    lg = mischenko_log(order + 1)
+    lg = mischenko_log(max(order, 2))
     out = [ONE]
     for n in range(1, order):
         out.append((n + 1) * lg[n + 1])

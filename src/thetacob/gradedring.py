@@ -14,6 +14,7 @@ monomial printed in ascending index order, e.g. ``-t2 + 3/2*t1^2``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, log10
 from typing import Iterable, Mapping
 
@@ -37,12 +38,14 @@ class GradedPoly:
 
     Zero coefficients are never stored.  Instances are value objects: all
     arithmetic returns new polynomials, so sharing across threads is safe.
-    A polynomial keeps the integer form that dot() derives from its terms
-    the first time it is a factor, since long-lived series coefficients are
-    factors again and again.
+    Two forms derived from the terms are kept once computed, since
+    long-lived series coefficients are reused again and again: the integer
+    form that dot() reads the first time the polynomial is a factor, and
+    the canonical text that format_poly() renders the first time it is
+    printed.  Neither can go stale, because the terms never change.
     """
 
-    __slots__ = ("_terms", "_ints")
+    __slots__ = ("_terms", "_ints", "_text")
 
     def __init__(self, terms: Mapping | None = None):
         clean: dict[Partition, Fraction] = {}
@@ -58,6 +61,7 @@ class GradedPoly:
                     del clean[mono]
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_text", None)
 
     # -- constructors -----------------------------------------------------
 
@@ -219,32 +223,38 @@ def _numerators(p: GradedPoly) -> tuple[list, int]:
     return ints
 
 
-def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]]) -> GradedPoly:
-    """The sum of a*b over the (a, b) pairs, exactly.
+def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
+        weights: Iterable[int] | None = None, divisor: int = 1) -> GradedPoly:
+    """The sum of w*a*b over the (a, b) pairs and their integer weights w,
+    divided by the integer divisor >= 1, exactly.
 
-    Every product is accumulated in plain integers over one common
-    denominator, and each coefficient of the result is normalised once at
-    the end, so no intermediate polynomial or Fraction is built.  Product
-    monomials are concatenated and sorted without re-validating their parts,
-    which both factors already guarantee.
+    Without weights every w is 1.  Weights and divisor are the scalar steps
+    of the series recurrences (Miller's power recurrence, the inverse, the
+    logarithm), so no scaled polynomial is built for them.  Every product
+    is accumulated in plain integers over one common denominator, and each
+    coefficient of the result is normalised once at the end, so no
+    intermediate polynomial or Fraction is built.  Product monomials are
+    concatenated and sorted without re-validating their parts, which both
+    factors already guarantee.
     """
     factors = []
     denominator = 1
-    for a, b in pairs:
-        if a._terms and b._terms:
+    for (a, b), w in zip(pairs, repeat(1) if weights is None else weights):
+        if w and a._terms and b._terms:
             na, da = _numerators(a)
             nb, db = _numerators(b)
-            factors.append((na, nb, da * db))
+            factors.append((na, nb, da * db, w))
             denominator = lcm(denominator, da * db)
     acc: dict[Partition, int] = {}
     get = acc.get
-    for na, nb, d in factors:
-        scale = denominator // d
+    for na, nb, d, w in factors:
+        scale = denominator // d * w
         for m1, c1 in na:
             c1 *= scale
             for m2, c2 in nb:
                 m = tuple.__new__(Partition, sorted(m1 + m2, reverse=True))
                 acc[m] = get(m, 0) + c1 * c2
+    denominator *= divisor
     return _raw({m: Fraction(n, denominator) for m, n in acc.items() if n})
 
 
@@ -279,7 +289,16 @@ def format_monomial(mu: Partition) -> str:
 
 
 def format_poly(p: GradedPoly) -> str:
-    """Canonical text form, e.g. ``-t2 + 3/2*t1^2`` (see module docstring)."""
+    """Canonical text form, e.g. ``-t2 + 3/2*t1^2`` (see module docstring).
+
+    Rendered once per polynomial and kept with it.
+    """
+    if p._text is None:
+        object.__setattr__(p, "_text", _render(p))
+    return p._text
+
+
+def _render(p: GradedPoly) -> str:
     items = p.items()
     if not items:
         return "0"

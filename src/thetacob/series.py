@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial
 
 from .gradedring import GradedPoly, ONE, ZERO, _as_poly, dot, format_poly
@@ -185,8 +186,9 @@ class TruncSeries:
         c0 = Fraction(1) / f0.aug()
         out = [GradedPoly.const(c0)]
         f = self.coeffs
+        w, d = (-c0).numerator, (-c0).denominator
         for m in range(1, self.order + 1):
-            out.append(dot((f[k], out[m - k]) for k in range(1, m + 1)) * (-c0))
+            out.append(dot(((f[k], out[m - k]) for k in range(1, m + 1)), repeat(w), d))
         shift = -self.grade_shift if self.grade_shift is not None else None
         return TruncSeries(out, order=self.order, grade_shift=shift)
 
@@ -258,17 +260,20 @@ class TruncSeries:
         return TruncSeries(acc.coeffs, order=n, grade_shift=shift)
 
     def log(self) -> "TruncSeries":
-        """Formal logarithm; needs f_0 = 1."""
-        if self.coeffs[0] != ONE:
+        """Formal logarithm; needs f_0 = 1.
+
+        From f g' = f' for g = log f: n g_n = n f_n - sum_{k<n} k g_k f_{n-k},
+        one weighted dot() per coefficient.
+        """
+        f = self.coeffs
+        if f[0] != ONE:
             raise SeriesError("log needs constant term 1")
-        n = self.order
-        u = self - 1
-        acc = TruncSeries.zero(n)
-        for k in range(n, 0, -1):
-            acc = acc * u + Fraction((-1) ** (k + 1), k)
-        acc = acc * u
+        g = [ZERO]
+        for n in range(1, self.order + 1):
+            pairs = [(f[n], ONE)] + [(g[k], f[n - k]) for k in range(1, n)]
+            g.append(dot(pairs, [n] + [-k for k in range(1, n)], n))
         shift = 0 if self.grade_shift == 0 else None
-        return TruncSeries(acc.coeffs, order=n, grade_shift=shift)
+        return TruncSeries(g, order=self.order, grade_shift=shift)
 
     def __str__(self):
         return format_series(self)
@@ -293,9 +298,11 @@ class Reversion:
     So g_m costs O(m^2) coefficient products, O(n^3) for the whole series
     instead of the O(n^4) of solving f(g) = z order by order, and it needs
     only h_1..h_{m-1}, hence only f_2..f_m: asking for a higher order
-    extends the kept prefix and recomputes none of it.  Brent and Kung
-    ("Fast algorithms for manipulating formal power series", J. ACM 1978)
-    survey this and the asymptotically faster Newton reversion.
+    extends the kept prefix and recomputes none of it.  The recurrence's
+    scalars are weights and divisors of dot(), so it builds no scaled
+    polynomial.  Brent and Kung ("Fast algorithms for manipulating formal
+    power series", J. ACM 1978) survey this and the asymptotically faster
+    Newton reversion.
     """
 
     def __init__(self):
@@ -313,12 +320,14 @@ class Reversion:
             h, g, fc = self._h, self._g, f.coeffs
             for m in range(len(g), f.order + 1):
                 # h_{m-1}, from (f/z) * h = 1
-                h.append(-dot((fc[i + 1], h[m - 1 - i]) for i in range(1, m)))
+                h.append(dot(((fc[i + 1], h[m - 1 - i]) for i in range(1, m)), repeat(-1)))
+                # a_k = [z^k] h^m; the last, k = m-1, is divided by m too: g_m
                 a = [ONE]
                 for k in range(1, m):
-                    total = dot((h[j] * ((m + 1) * j - k), a[k - j]) for j in range(1, k + 1))
-                    a.append(total * Fraction(1, k))
-                g.append(a[m - 1] * Fraction(1, m))
+                    a.append(dot(((h[j], a[k - j]) for j in range(1, k + 1)),
+                                 ((m + 1) * j - k for j in range(1, k + 1)),
+                                 k if k < m - 1 else k * m))
+                g.append(a[m - 1])
             return g[: f.order + 1]
 
 
@@ -446,9 +455,12 @@ def fgl(beta_series: TruncSeries, order: int) -> BiTruncSeries:
     for _ in range(order):
         powers.append(powers[-1] * lg)
     P = [p.coeffs for p in powers]  # P[j][m] = [u^m] L^j, zero for m < j
-    cb = [[comb(n, j) * b[n] for n in range(order + 1)] for j in range(order + 1)]
-    Q = [[dot((cb[j][n], P[n - j][l]) for n in range(max(j, 1), j + l + 1))
-          for l in range(order + 1 - j)] for j in range(order + 1)]
+
+    def q(j, l):
+        ns = range(max(j, 1), j + l + 1)
+        return dot(((b[n], P[n - j][l]) for n in ns), (comb(n, j) for n in ns))
+
+    Q = [[q(j, l) for l in range(order + 1 - j)] for j in range(order + 1)]
     terms = {(m, l): dot((P[j][m], Q[j][l]) for j in range(m + 1))
              for m in range(order + 1) for l in range(order + 1 - m)}
     return BiTruncSeries(terms, order=order)

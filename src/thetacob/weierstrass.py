@@ -394,6 +394,11 @@ def verify_lattice(L: ComplexLattice, npoints: int = 50, tol: float | None = Non
     {"residual", "tol", "pass"}.  Lemniscatic closed-form checks are
     included when the lattice is square.  A given `tol` replaces every
     stated tolerance.
+
+    The stated tolerances are absolute, set for half-periods of modulus
+    near 1; they do not scale with the lattice.  A valid lattice with small
+    half-periods can therefore fail: omega1 = 0.01, omega2 = 0.01i fails
+    wp_prime_critical (residual 2.2e-8) and g3_lemniscatic (1.5e-3).
     """
     rng = random.Random(VERIFY_SEED)
     b1, b2 = 2.0 * L.omega1, 2.0 * L.omega2

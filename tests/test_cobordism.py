@@ -88,6 +88,13 @@ def test_log_and_cp_classes_do_not_depend_on_call_order(empty_log_cache, calls):
             assert cp_classes(n) == (ONE,) + tuple((m + 1) * lg[m + 1] for m in range(1, n))
 
 
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_cp_classes_extends_the_log_only_to_its_order(empty_log_cache, n):
+    # cp[n-1] reads [u^n] of the logarithm, so g_0..g_n are all it needs
+    cp_classes(n)
+    assert len(cobordism._LOG._g) == n + 1
+
+
 def test_v_classes_printed_forms():
     vs = v_classes(5)
     assert vs[0] == ONE

@@ -90,6 +90,26 @@ def test_dot_and_mul_match_fraction_oracle(pairs, cancel):
         assert dot(pairs).is_zero()
 
 
+_weight = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(_poly, _poly, _weight), max_size=4),
+       divisor=st.one_of(st.integers(1, 12), st.integers(1, 10 ** 25)), cancel=st.booleans())
+def test_weighted_dot_matches_fraction_oracle(terms, divisor, cancel):
+    if cancel and terms:
+        # w*a*b + (-w)*a*b and w*a*b + w*a*(-b): weighted sums that cancel to zero
+        a, b, w = terms[0]
+        terms = [(a, b, w), (a, b, -w), (a, b, w), (a, -b, w)]
+    expected = ZERO
+    for a, b, w in terms:
+        expected = expected + _mul_by_fractions(a, b) * Fraction(w, divisor)
+    got = dot(((a, b) for a, b, _ in terms), (w for _, _, w in terms), divisor)
+    assert got == expected
+    if cancel:
+        assert got.is_zero()
+
+
 def test_aug_is_ring_homomorphism():
     rng = random.Random(13)
     for _ in range(40):
@@ -163,6 +183,19 @@ def test_render_parse_roundtrip_randomised():
     for _ in range(60):
         p = random_poly(rng, 8)
         assert parse_poly(format_poly(p)) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_poly, q=_poly)
+def test_cached_text_matches_a_fresh_rendering(p, q):
+    first = format_poly(p)
+    assert format_poly(p) == first
+    assert format_poly(parse_poly(first)) == first
+    assert str(p) == first and repr(p) == f"GradedPoly({first!r})"
+    # results built from a rendered polynomial render as fresh ones of their terms
+    for r in (dot(((p, q),)), dot(((p, q), (q, p)), (3, -1), 2), -p, p + q, p * q):
+        fresh = GradedPoly(dict(r.items()))
+        assert format_poly(r) == format_poly(fresh) == str(r)
 
 
 def test_substitute_scales_generators():

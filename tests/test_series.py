@@ -168,12 +168,14 @@ def test_fgl_matches_horner_oracle():
         assert fgl(f, n) == _fgl_by_horner(f, n)
 
 
+_small_poly = st.dictionaries(
+    st.integers(0, 4).flatmap(lambda w: st.sampled_from(partitions_of(w))),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6), max_size=3).map(GradedPoly)
+
+
 def _normalised_series(max_order):
-    monomial = st.integers(0, 4).flatmap(lambda w: st.sampled_from(partitions_of(w)))
-    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-    poly = st.dictionaries(monomial, coeff, max_size=3).map(GradedPoly)
     return st.integers(1, max_order).flatmap(
-        lambda n: st.lists(poly, min_size=n - 1, max_size=n - 1).map(
+        lambda n: st.lists(_small_poly, min_size=n - 1, max_size=n - 1).map(
             lambda tail: TruncSeries([ZERO, ONE] + tail, order=n)))
 
 
@@ -252,6 +254,50 @@ def test_revert_normalization_errors():
     with pytest.raises(NotNormalizedError):
         TruncSeries.from_rationals([0, 2], 4).revert()
     assert TruncSeries.identity(5).revert() == TruncSeries.identity(5)
+
+
+def _log_by_horner(f):
+    """log f = sum_k (-1)^(k+1) u^k / k with u = f - 1, by Horner steps."""
+    if f.coeffs[0] != ONE:
+        raise ValueError("log needs constant term 1")
+    n = f.order
+    u = f - 1
+    acc = TruncSeries.zero(n)
+    for k in range(n, 0, -1):
+        acc = acc * u + Fraction((-1) ** (k + 1), k)
+    return acc * u
+
+
+def _unit_series(max_order):
+    """1 + sum_{m>=1} f_m z^m with small polynomial coefficients."""
+    return st.integers(0, max_order).flatmap(
+        lambda n: st.lists(_small_poly, min_size=n, max_size=n).map(
+            lambda tail: TruncSeries([ONE] + tail, order=n)))
+
+
+def test_log_matches_horner_oracle():
+    for n in range(1, 13):
+        f = beta_over_z(n)
+        got = f.log()
+        assert got == _log_by_horner(f) and got.grade_shift == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_unit_series(7))
+def test_log_property(f):
+    assert f.log() == _log_by_horner(f)
+    assert f.log().exp() == f
+
+
+def test_inv_with_rational_constant_term():
+    rng = random.Random(34)
+    for c0 in (Fraction(-3, 2), Fraction(5, 7), Fraction(-1), Fraction(4)):
+        tail = [GradedPoly({rng.choice(partitions_of(rng.randint(0, 4))):
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 6))}) + rng.randint(-3, 3)
+                for _ in range(6)]
+        f = TruncSeries([GradedPoly.const(c0)] + tail, order=6)
+        prod = f * f.inv()
+        assert prod[0] == ONE and all(prod[m].is_zero() for m in range(1, 7))
 
 
 def test_exp_log_golden():
