@@ -26,13 +26,13 @@ FORMAT_VERSION = "1.0.0"
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, a check
-# takes about 0.3 s at 16; in-process, 0.25 s at 16, 0.6 s at 18 and 1.2 to
-# 1.4 s at 20, about half of it in building F itself.
+# takes about 0.2 s at 16; in a fresh process, after imports, 0.15 to 0.2 s
+# at 16, 0.35 to 0.4 s at 18 and 0.75 to 0.9 s at 20.
 MAX_FGL_ORDER = 16
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# about 1 s one-shot (same host), nearly all of it in the integrality
-# multipliers; `logarithm` and `classes cpn` take 0.15 to 0.25 s.
+# about 0.8 s one-shot (same host), nearly all of it in the integrality
+# multipliers; `logarithm` and `classes cpn` take 0.1 to 0.15 s.
 MAX_WEIGHT = 16
 
 # Least and largest modulus of a `weierstrass verify` half-period.  The
@@ -470,7 +470,10 @@ def cmd_fgl_check(args):
     order = args.order
     if not 1 <= order <= MAX_FGL_ORDER:
         raise CliError(f"--order must be between 1 and {MAX_FGL_ORDER}, got {order}")
-    res = fgl_axiom_residuals(cob.beta(max(order, 2)), order=order)
+    # F is built from the logarithm the other subcommands keep; the axioms
+    # are still checked on every request.
+    res = fgl_axiom_residuals(cob.beta(max(order, 2)), order=order,
+                              log=cob.mischenko_log(max(order, 2)))
     payload = {name: ("0" if ok else "nonzero") for name, ok in res.items()}
     payload["order"] = order
     payload["pass"] = all(res.values())

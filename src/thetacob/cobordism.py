@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial, partitions_of, bernoulli
 from .gradedring import GradedPoly, ONE, ZERO, t
-from .series import Reversion, TruncSeries
+from .series import Inversion, Reversion, TruncSeries
 
 if TYPE_CHECKING:
     from .symfun import ChernVector
@@ -74,6 +74,10 @@ def cp_classes(order: int) -> tuple[GradedPoly, ...]:
     return tuple(out)
 
 
+# The coefficients of (beta(z)/z)^{-1} so far; a higher order extends them.
+_INV = Inversion()
+
+
 @lru_cache(maxsize=None)
 def v_classes(order: int) -> tuple[GradedPoly, ...]:
     """Dual classes v_n for n <= order, v[0] = 1.
@@ -81,9 +85,10 @@ def v_classes(order: int) -> tuple[GradedPoly, ...]:
     v_n is (-1)^n (n+1)! times the coefficient of z^n in the multiplicative
     inverse of beta(z)/z.  Acceptance criterion 1 checks it for n <= 12
     against an independent route, the h-in-terms-of-e Jacobi-Trudi
-    determinant with e_n = t_n/(n+1)!.
+    determinant with e_n = t_n/(n+1)!.  One list of inverse coefficients
+    serves every order, as the logarithm's does.
     """
-    qv = beta_over_z(order).inv()
+    qv = _INV.coefficients(beta_over_z(order))
     return (ONE,) + tuple(((-1) ** n * factorial(n + 1)) * qv[n] for n in range(1, order + 1))
 
 

@@ -3,7 +3,13 @@
 This ring models the subring of the rationalised complex-cobordism
 coefficient ring spanned by products of theta-divisor classes, with t_n
 the class of the n-th theta divisor and t0 identified with the unit.
-Monomials are Partition keys: (2,1,1) stands for t2*t1^2.
+A monomial t^lam is stored as the integer sum of 256^(part-1) over the
+parts of lam, so base-256 digit i counts the parts equal to i+1: t2*t1^2,
+the partition (2,1,1), is 256 + 2.  The key of a product is then the sum
+of the keys.  A digit holds a multiplicity of at most 255, so a monomial
+of weight above 255 is refused with ValueError wherever a key is built.
+Partitions appear only at the interface: constructors, coeff() and aug()
+encode, items() and substitute() decode.
 
 The canonical text form (used by the CLI and golden files) lists terms in
 descending graded-lex order -- higher weight first, then descending
@@ -33,29 +39,82 @@ def _coerce_coeff(c) -> Fraction:
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
 
 
+# The most weight a packed monomial key holds: one base-256 digit per part size.
+_MAX_KEY_WEIGHT = 255
+
+
+def _key(mu) -> int:
+    """The packed key of the monomial t^mu, mu a Partition or any iterable of parts."""
+    if not isinstance(mu, Partition):
+        mu = Partition(mu)
+    _check_weight(sum(mu))
+    return sum(1 << 8 * (part - 1) for part in mu)
+
+
+def _decode(key: int) -> Partition:
+    """The Partition of a packed key: one divmod per digit, smallest part first."""
+    parts, part, rest = [], 1, key
+    while rest:
+        rest, count = divmod(rest, 256)
+        parts += [part] * count
+        part += 1
+    parts.reverse()
+    return tuple.__new__(Partition, parts)
+
+
+class _Memo(dict):
+    """A dict that computes a missing value from its key with `fill` and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+# Packed key -> its Partition, and -> its weight, for every key decoded so far.
+_PARTITION = _Memo(_decode)
+_WEIGHT = _Memo(lambda key: sum(_PARTITION[key]))
+
+
+def _top_weight(keys) -> int:
+    return max(map(_WEIGHT.__getitem__, keys), default=0)
+
+
+def _check_weight(weight: int) -> None:
+    if weight > _MAX_KEY_WEIGHT:
+        raise ValueError(f"a monomial of weight {weight} is above {_MAX_KEY_WEIGHT}, "
+                         "the most a packed monomial key holds")
+
+
 class GradedPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Zero coefficients are never stored.  Instances are value objects: all
-    arithmetic returns new polynomials, so sharing across threads is safe.
-    Two forms derived from the terms are kept once computed, since
-    long-lived series coefficients are reused again and again: the integer
-    form that dot() reads the first time the polynomial is a factor, and
-    the canonical text that format_poly() renders the first time it is
-    printed.  Neither can go stale, because the terms never change.
+    Terms map packed monomial keys (see the module docstring) to non-zero
+    Fractions; zero coefficients are never stored.  Instances are value
+    objects: all arithmetic returns new polynomials, so sharing across
+    threads is safe.  Two forms derived from the terms are kept once
+    computed, since long-lived series coefficients are reused again and
+    again: the integer form and top weight that dot() reads the first time
+    the polynomial is a factor, and the canonical text that format_poly()
+    renders the first time it is printed.  Neither can go stale, because
+    the terms never change.
     """
 
     __slots__ = ("_terms", "_ints", "_text")
 
     def __init__(self, terms: Mapping | None = None):
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for mono, c in terms.items():
                 c = _coerce_coeff(c)
                 if c == 0:
                     continue
-                if not isinstance(mono, Partition):
-                    mono = Partition(mono)
+                mono = _key(mono)
                 clean[mono] = clean.get(mono, Fraction(0)) + c
                 if clean[mono] == 0:
                     del clean[mono]
@@ -83,17 +142,18 @@ class GradedPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self):
-        """Terms in descending graded-lex order."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].weight, kv[0]), reverse=True)
+        """(Partition, coefficient) terms in descending graded-lex order."""
+        return sorted(((_PARTITION[m], c) for m, c in self._terms.items()),
+                      key=lambda kv: (kv[0].weight, kv[0]), reverse=True)
 
     def coeff(self, mu) -> Fraction:
-        return self._terms.get(Partition(mu), Fraction(0))
+        return self._terms.get(_key(mu), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(m == EMPTY for m in self._terms)
+        return all(m == 0 for m in self._terms)
 
     def is_integral(self) -> bool:
         """True iff every coefficient has denominator 1."""
@@ -101,13 +161,13 @@ class GradedPoly:
 
     def aug(self) -> Fraction:
         """Augmentation: the coefficient of the unit monomial."""
-        return self._terms.get(EMPTY, Fraction(0))
+        return self._terms.get(0, Fraction(0))
 
     def top_weight(self) -> int:
-        return max((m.weight for m in self._terms), default=0)
+        return _top_weight(self._terms)
 
     def is_homogeneous(self, w: int) -> bool:
-        return all(m.weight == w for m in self._terms)
+        return all(_WEIGHT[m] == w for m in self._terms)
 
     # -- ring operations ----------------------------------------------------
 
@@ -144,8 +204,8 @@ class GradedPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return ZERO
-        if len(other._terms) == 1 and EMPTY in other._terms:
-            c = other._terms[EMPTY]
+        if len(other._terms) == 1 and 0 in other._terms:
+            c = other._terms[0]
             return _raw({m: c1 * c for m, c1 in self._terms.items()})
         return dot(((self, other),))
 
@@ -195,7 +255,7 @@ class GradedPoly:
         total = Fraction(0)
         for mono, c in self._terms.items():
             val = c
-            for part in mono:
+            for part in _PARTITION[mono]:
                 val = val * get(part)
             total = total + val
         return total if isinstance(total, GradedPoly) else GradedPoly.const(total)
@@ -213,12 +273,14 @@ def _raw(terms: dict) -> GradedPoly:
     return p
 
 
-def _numerators(p: GradedPoly) -> tuple[list, int]:
-    """p's terms as integer numerators over the lcm of its denominators."""
+def _numerators(p: GradedPoly) -> tuple[list, int, int]:
+    """p's terms as integer numerators over the lcm of its denominators,
+    with p's top weight."""
     ints = p._ints
     if ints is None:
         d = lcm(*(c.denominator for c in p._terms.values()))
-        ints = ([(m, c.numerator * (d // c.denominator)) for m, c in p._terms.items()], d)
+        ints = ([(m, c.numerator * (d // c.denominator)) for m, c in p._terms.items()], d,
+                _top_weight(p._terms))
         object.__setattr__(p, "_ints", ints)
     return ints
 
@@ -233,26 +295,28 @@ def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
     logarithm), so no scaled polynomial is built for them.  Every product
     is accumulated in plain integers over one common denominator, and each
     coefficient of the result is normalised once at the end, so no
-    intermediate polynomial or Fraction is built.  Product monomials are
-    concatenated and sorted without re-validating their parts, which both
-    factors already guarantee.
+    intermediate polynomial or Fraction is built.  A product monomial's
+    key is the sum of its factors' keys; a pair whose top weights add up
+    to more than 255 is refused with ValueError before any of its products
+    is formed, so no digit of a key carries into the next.
     """
     factors = []
     denominator = 1
     for (a, b), w in zip(pairs, repeat(1) if weights is None else weights):
         if w and a._terms and b._terms:
-            na, da = _numerators(a)
-            nb, db = _numerators(b)
+            na, da, wa = _numerators(a)
+            nb, db, wb = _numerators(b)
+            _check_weight(wa + wb)
             factors.append((na, nb, da * db, w))
             denominator = lcm(denominator, da * db)
-    acc: dict[Partition, int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for na, nb, d, w in factors:
         scale = denominator // d * w
         for m1, c1 in na:
             c1 *= scale
             for m2, c2 in nb:
-                m = tuple.__new__(Partition, sorted(m1 + m2, reverse=True))
+                m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
     denominator *= divisor
     return _raw({m: Fraction(n, denominator) for m, n in acc.items() if n})

@@ -14,8 +14,9 @@ The family {t^lam/(lam+1)!} is the dual basis of {S_lam} under
 aug(S_lam(.)), which the quantisation / dequantisation round trip checks.
 
 An element of the theta ring tensored with its t' side is stored as a map
-from each t' monomial nu to the polynomial in t that multiplies t'^nu, so
-a product sums each group of coefficient pairs with one gradedring.dot.
+from each t' monomial nu, a packed key as in gradedring, to the polynomial
+in t that multiplies t'^nu, so a product adds the keys of each pair of t'
+monomials and sums each group of coefficient pairs with one gradedring.dot.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .core import EMPTY, Partition, partition_factorial, partition_union
-from .gradedring import GradedPoly, ZERO, dot, format_monomial
+from .core import Partition, partition_factorial
+from .gradedring import (GradedPoly, ZERO, _PARTITION, _check_weight, _key, _raw, _top_weight,
+                         dot, format_monomial)
 from .series import TruncSeries, residue_extract
 from .cobordism import beta
 
@@ -42,7 +44,7 @@ def intersection_class(n: int, k: int) -> GradedPoly:
 @lru_cache(maxsize=None)
 def _generator_image(n: int) -> "TensorElement":
     """S_t(t_n) = sum_{k=0..n} I(n, k) (x) t'_k / (k+1)!."""
-    return TensorElement._raw({Partition((k,)) if k else EMPTY:
+    return TensorElement._raw({_key((k,)) if k else 0:
                                intersection_class(n, k) * Fraction(1, factorial(k + 1))
                                for k in range(n + 1)})
 
@@ -56,7 +58,7 @@ def _substitute(p: GradedPoly, keep=None) -> "TensorElement":
     """
     total = TensorElement()
     for mono, c in p.items():
-        term = TensorElement._raw({EMPTY: GradedPoly.const(c)})
+        term = TensorElement._raw({0: GradedPoly.const(c)})
         for n in mono:
             term = term.times(_generator_image(n), keep)
         total = total + term
@@ -66,10 +68,10 @@ def _substitute(p: GradedPoly, keep=None) -> "TensorElement":
 def ln_apply(lam, p: GradedPoly) -> GradedPoly:
     """Apply the operation S_lam to a polynomial: (lam+1)! [t'^lam] S_t(p)."""
     lam = Partition(lam)
-    keep = {EMPTY}
+    keep = {0}
     for part in lam:  # grow the set of sub-multisets of lam one part at a time
-        keep |= {partition_union(sub, (part,)) for sub in keep}
-    return _substitute(p, keep)._terms.get(lam, ZERO) * partition_factorial(lam)
+        keep |= {sub + _key((part,)) for sub in keep}
+    return _substitute(p, keep)._terms.get(_key(lam), ZERO) * partition_factorial(lam)
 
 
 def ln_apply_series(lam, f: TruncSeries) -> TruncSeries:
@@ -111,15 +113,15 @@ class TensorElement:
 
     def __init__(self, terms=None):
         """From a mapping (mu, nu) -> rational coefficient."""
-        polys: dict[Partition, GradedPoly] = {}
+        polys: dict[int, GradedPoly] = {}
         for (mu, nu), c in (terms or {}).items():
-            nu = Partition(nu)
+            nu = _key(nu)
             polys[nu] = polys.get(nu, ZERO) + GradedPoly({mu: Fraction(c)})
         self._terms = {nu: q for nu, q in polys.items() if q}
 
     @classmethod
     def _raw(cls, terms: dict) -> "TensorElement":
-        """Wrap a dict of non-zero GradedPoly values keyed by t' Partitions."""
+        """Wrap a dict of non-zero GradedPoly values keyed by packed t' monomial keys."""
         out = cls()
         out._terms = terms
         return out
@@ -128,8 +130,8 @@ class TensorElement:
         def key(kv):
             (mu, nu), _ = kv
             return (mu.weight + nu.weight, mu.weight, mu, nu)
-        return sorted((((mu, nu), c) for nu, q in self._terms.items()
-                       for mu, c in q._terms.items()), key=key)
+        return sorted((((mu, _PARTITION[nu]), c) for nu, q in self._terms.items()
+                       for mu, c in q.items()), key=key)
 
     def __add__(self, other):
         out = dict(self._terms)
@@ -144,10 +146,11 @@ class TensorElement:
 
     def times(self, other, keep=None) -> "TensorElement":
         """The product; with ``keep``, only its terms whose t' monomial is in ``keep``."""
-        groups: dict[Partition, list] = {}
+        _check_weight(_top_weight(self._terms) + _top_weight(other._terms))
+        groups: dict[int, list] = {}
         for n1, a in self._terms.items():
             for n2, b in other._terms.items():
-                nu = partition_union(n1, n2)
+                nu = n1 + n2
                 if keep is None or nu in keep:
                     groups.setdefault(nu, []).append((a, b))
         out = ((nu, dot(pairs)) for nu, pairs in groups.items())
@@ -202,7 +205,7 @@ def quantize(p: GradedPoly) -> TensorElement:
 
 def dequantize(T: TensorElement) -> GradedPoly:
     """Augmentation on the t side, substitution t'_n -> t_n on the other."""
-    return GradedPoly({nu: q.aug() for nu, q in T._terms.items()})
+    return _raw({nu: c for nu, q in T._terms.items() if (c := q.aug())})
 
 
 # -- vector-field realisation -----------------------------------------------------------

@@ -178,19 +178,8 @@ class TruncSeries:
 
     def inv(self) -> "TruncSeries":
         """Multiplicative inverse: needs a nonzero rational constant term."""
-        f0 = self.coeffs[0]
-        if not f0.is_constant() or f0.is_zero():
-            raise NonInvertibleSeriesError(
-                "series inverse needs a nonzero constant rational leading coefficient"
-            )
-        c0 = Fraction(1) / f0.aug()
-        out = [GradedPoly.const(c0)]
-        f = self.coeffs
-        w, d = (-c0).numerator, (-c0).denominator
-        for m in range(1, self.order + 1):
-            out.append(dot(((f[k], out[m - k]) for k in range(1, m + 1)), repeat(w), d))
         shift = -self.grade_shift if self.grade_shift is not None else None
-        return TruncSeries(out, order=self.order, grade_shift=shift)
+        return TruncSeries(Inversion().coefficients(self), order=self.order, grade_shift=shift)
 
     def __pow__(self, k: int) -> "TruncSeries":
         if not isinstance(k, int):
@@ -282,6 +271,40 @@ class TruncSeries:
         return f"TruncSeries({format_series(self)!r})"
 
 
+class Inversion:
+    """Multiplicative inverse of a series, kept as a growing prefix.
+
+    From f * h = 1: h_0 = 1/f_0 and h_m = -(1/f_0) sum_{k=1..m} f_k h_{m-k},
+    one weighted dot() per coefficient.  h_m needs only f_0..f_m, so asking
+    for a higher order extends the kept prefix and recomputes none of it.
+    """
+
+    def __init__(self):
+        self._h: list[GradedPoly] = []
+        self._lock = threading.Lock()
+
+    def coefficients(self, f: TruncSeries) -> list[GradedPoly]:
+        """h_0..h_N for N = f.order.
+
+        f_0 must be a nonzero rational, and f must agree, on the common
+        prefix, with every series this object was given before.
+        """
+        f0 = f.coeffs[0]
+        if not f0.is_constant() or f0.is_zero():
+            raise NonInvertibleSeriesError(
+                "series inverse needs a nonzero constant rational leading coefficient"
+            )
+        with self._lock:
+            h, fc = self._h, f.coeffs
+            if not h:
+                h.append(GradedPoly.const(1 / f0.aug()))
+            c = -h[0].aug()
+            for m in range(len(h), f.order + 1):
+                h.append(dot(((fc[k], h[m - k]) for k in range(1, m + 1)),
+                             repeat(c.numerator), c.denominator))
+            return h[: f.order + 1]
+
+
 class Reversion:
     """Compositional inverse of a normalised series, kept as a growing prefix.
 
@@ -298,15 +321,15 @@ class Reversion:
     So g_m costs O(m^2) coefficient products, O(n^3) for the whole series
     instead of the O(n^4) of solving f(g) = z order by order, and it needs
     only h_1..h_{m-1}, hence only f_2..f_m: asking for a higher order
-    extends the kept prefix and recomputes none of it.  The recurrence's
-    scalars are weights and divisors of dot(), so it builds no scaled
-    polynomial.  Brent and Kung ("Fast algorithms for manipulating formal
+    extends the kept prefixes of g and of h (an Inversion of f/z) and
+    recomputes none of them.  The recurrence's scalars are weights and
+    divisors of dot(), so it builds no scaled polynomial.  Brent and Kung ("Fast algorithms for manipulating formal
     power series", J. ACM 1978) survey this and the asymptotically faster
     Newton reversion.
     """
 
     def __init__(self):
-        self._h = [ONE]
+        self._h = Inversion()
         self._g = [ZERO, ONE]
         self._lock = threading.Lock()
 
@@ -317,10 +340,9 @@ class Reversion:
         prefix, with every series this object was given before.
         """
         with self._lock:
-            h, g, fc = self._h, self._g, f.coeffs
+            g = self._g
+            h = self._h.coefficients(TruncSeries(f.coeffs[1:], order=f.order - 1))
             for m in range(len(g), f.order + 1):
-                # h_{m-1}, from (f/z) * h = 1
-                h.append(dot(((fc[i + 1], h[m - 1 - i]) for i in range(1, m)), repeat(-1)))
                 # a_k = [z^k] h^m; the last, k = m-1, is divided by m too: g_m
                 a = [ONE]
                 for k in range(1, m):
@@ -435,7 +457,7 @@ class BiTruncSeries:
         return " + ".join(chunks)
 
 
-def fgl(beta_series: TruncSeries, order: int) -> BiTruncSeries:
+def fgl(beta_series: TruncSeries, order: int, log: TruncSeries | None = None) -> BiTruncSeries:
     """The formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)).
 
     F is the universal group law of geometric cobordisms over the theta
@@ -446,11 +468,14 @@ def fgl(beta_series: TruncSeries, order: int) -> BiTruncSeries:
 
     computed as sum_j [u^m] L^j * Q_{j,l} with
     Q_{j,l} = sum_i C(i+j, j) b_{i+j} [v^l] L^i.
+
+    ``log``, when given, must be L to at least ``order``, as kept by a
+    caller that reuses one logarithm; without it beta_series is reverted.
     """
     if order > beta_series.order:
         raise TruncationError("formal group order exceeds series truncation")
     b = beta_series.truncated(order)
-    lg = b.revert()
+    lg = b.revert() if log is None else log.truncated(order)
     powers = [TruncSeries.const(1, order)]
     for _ in range(order):
         powers.append(powers[-1] * lg)
@@ -472,15 +497,17 @@ def fgl(beta_series: TruncSeries, order: int) -> BiTruncSeries:
 ASSOC_ORDER = 6
 
 
-def fgl_axiom_residuals(beta_series: TruncSeries, order: int) -> dict[str, bool]:
+def fgl_axiom_residuals(beta_series: TruncSeries, order: int,
+                        log: TruncSeries | None = None) -> dict[str, bool]:
     """Residuals of the group-law axioms; all must be exactly zero.
 
     Returns a dict with keys 'unit', 'commutativity', 'associativity' and
     'exp_identity' (the defining identity F(beta(z), beta(w)) = beta(z+w)),
     each mapping to a boolean "residual is the zero series".  Associativity
     is checked to total order min(order, ASSOC_ORDER), the others to order.
+    ``log`` is passed on to fgl().
     """
-    return _axiom_residuals(fgl(beta_series, order), beta_series.truncated(order), order)
+    return _axiom_residuals(fgl(beta_series, order, log), beta_series.truncated(order), order)
 
 
 def _axiom_residuals(F: BiTruncSeries, beta: TruncSeries, order: int) -> dict[str, bool]:

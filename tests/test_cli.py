@@ -413,6 +413,28 @@ def test_genus_and_weierstrass_replay_recorded_digests(capsys):
     _replay(capsys, cases)
 
 
+def _series_weight(argv) -> int:
+    """The weight a `logarithm` or `fgl check` entry runs at: its
+    --max-weight or --order, else the default (12 and 8)."""
+    for flag in ("--max-weight", "--order"):
+        if flag in argv:
+            return int(argv[argv.index(flag) + 1])
+    return 12 if "logarithm" in argv else 8
+
+
+def test_series_path_replay_recorded_digests(capsys, monkeypatch, empty_prefix_caches):
+    """Every `beta`, `logarithm`, `fgl`, `theta` and `invariants` entry in
+    one process, from no kept logarithm: the `logarithm` and `fgl` entries in
+    ascending weight, so each extends the prefix the one before it kept,
+    then in descending weight, so each reads a truncation of it."""
+    monkeypatch.delenv("THETA_MAX_WEIGHT", raising=False)
+    groups = _recorded_digests()
+    ladder = sorted(groups["logarithm"] + groups["fgl"], key=lambda case: _series_weight(case[0]))
+    cases = groups["beta"] + ladder + ladder[::-1] + groups["theta"] + groups["invariants"]
+    assert len(cases) == 1 + 2 * (9 + 6) + 36 + 17
+    _replay(capsys, cases)
+
+
 def test_congruence_path_replay_recorded_digests(capsys, tmp_path, monkeypatch):
     """Every `congruences` and `classes` entry, run where the `--check` vector
     files the benchmark writes for seeds 0..31 are."""

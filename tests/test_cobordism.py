@@ -7,7 +7,7 @@ from thetacob.core import Partition, bernoulli, partitions_of
 from thetacob.gradedring import ONE, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
-from thetacob.series import Reversion, TruncSeries
+from thetacob.series import TruncSeries, fgl
 from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
 from thetacob.cobordism import (
     adams_novikov,
@@ -61,24 +61,13 @@ def test_mischenko_and_cp_classes():
         assert cps[n].substitute(todd) == 1
 
 
-@pytest.fixture
-def empty_log_cache(monkeypatch):
-    """Start from no logarithm coefficients and no cached cp classes."""
-    monkeypatch.setattr(cobordism, "_LOG", Reversion())
-    mischenko_log.cache_clear()
-    cp_classes.cache_clear()
-    yield
-    mischenko_log.cache_clear()
-    cp_classes.cache_clear()
-
-
 @pytest.mark.parametrize("calls", [
     [("log", n) for n in range(2, 13)],
     [("log", n) for n in range(12, 1, -1)],
     [("cp", 9), ("log", 4), ("cp", 3), ("log", 12), ("cp", 11), ("log", 7), ("cp", 5),
      ("log", 2), ("cp", 2), ("log", 10)],
 ], ids=["ascending", "descending", "interleaved"])
-def test_log_and_cp_classes_do_not_depend_on_call_order(empty_log_cache, calls):
+def test_log_and_cp_classes_do_not_depend_on_call_order(empty_prefix_caches, calls):
     for kind, n in calls:
         if kind == "log":
             got = mischenko_log(n)
@@ -88,8 +77,31 @@ def test_log_and_cp_classes_do_not_depend_on_call_order(empty_log_cache, calls):
             assert cp_classes(n) == (ONE,) + tuple((m + 1) * lg[m + 1] for m in range(1, n))
 
 
+@pytest.mark.parametrize("orders", [range(1, 13), range(12, 0, -1)], ids=["ascending", "descending"])
+def test_fgl_from_the_kept_log_matches_a_fresh_reversion(empty_prefix_caches, orders):
+    for n in orders:
+        b = beta(max(n, 2))
+        assert fgl(b, n, log=mischenko_log(max(n, 2))) == fgl(b, n), n
+
+
+@pytest.mark.parametrize("orders", [
+    range(1, 13),
+    range(12, 0, -1),
+    [9, 4, 12, 1, 7, 2, 10, 5],
+], ids=["ascending", "descending", "interleaved"])
+def test_v_classes_do_not_depend_on_call_order(empty_prefix_caches, orders):
+    longest = 0
+    for n in orders:
+        qv = beta_over_z(n).inv()
+        assert v_classes(n) == (ONE,) + tuple(
+            ((-1) ** m * factorial(m + 1)) * qv[m] for m in range(1, n + 1)), n
+        # one kept list of inverse coefficients, extended to the longest order asked
+        longest = max(longest, n)
+        assert len(cobordism._INV._h) == longest + 1
+
+
 @pytest.mark.parametrize("n", [2, 5, 12])
-def test_cp_classes_extends_the_log_only_to_its_order(empty_log_cache, n):
+def test_cp_classes_extends_the_log_only_to_its_order(empty_prefix_caches, n):
     # cp[n-1] reads [u^n] of the logarithm, so g_0..g_n are all it needs
     cp_classes(n)
     assert len(cobordism._LOG._g) == n + 1

@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetacob.cobordism import psi_on_class
-from thetacob.core import Partition, partition_union, partitions_of
+from thetacob.core import EMPTY, Partition, partition_union, partitions_of
 from thetacob.gradedring import (
     ExprSyntaxError,
     GradedPoly,
     MissingGeneratorError,
     ONE,
     ZERO,
-    _raw,
+    _PARTITION,
+    _WEIGHT,
+    _decode,
+    _key,
     dot,
     format_poly,
     parse_poly,
@@ -52,17 +55,14 @@ def test_mul_commutative_associative_randomised():
 
 
 def _mul_by_fractions(self, other):
-    """The product term by term in Fractions: the oracle for the integer kernel."""
+    """The product term by term in Fractions, over Partitions: the oracle for
+    the integer kernel, independent of how monomials are stored."""
     out: dict[Partition, Fraction] = {}
-    for m1, c1 in self._terms.items():
-        for m2, c2 in other._terms.items():
+    for m1, c1 in self.items():
+        for m2, c2 in other.items():
             m = partition_union(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return _raw(out)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return GradedPoly(out)
 
 
 _monomial = st.integers(0, 5).flatmap(lambda w: st.sampled_from(partitions_of(w)))
@@ -108,6 +108,61 @@ def test_weighted_dot_matches_fraction_oracle(terms, divisor, cancel):
     assert got == expected
     if cancel:
         assert got.is_zero()
+
+
+def _within_key_weight(parts) -> Partition:
+    """The parts, in order, that keep the weight at most 255."""
+    kept, total = [], 0
+    for part in parts:
+        if total + part <= 255:
+            kept.append(part)
+            total += part
+    return Partition(kept)
+
+
+# Many small parts (digits near 255) and a few large ones (high digits).
+_key_partition = st.one_of(st.lists(st.integers(1, 6), max_size=300),
+                           st.lists(st.integers(1, 255), max_size=8)).map(_within_key_weight)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mus=st.lists(_key_partition, min_size=1, max_size=6))
+@example(mus=[Partition((1,) * 255), Partition((255,)), Partition((128, 127)), EMPTY])
+def test_packed_keys_round_trip(mus):
+    for mu in mus:
+        key = _key(mu)
+        assert _decode(key) == _PARTITION[key] == mu and type(_PARTITION[key]) is Partition
+        assert _WEIGHT[key] == mu.weight
+        assert _key(list(reversed(mu))) == key
+    for a in mus:
+        for b in mus:
+            if a.weight + b.weight <= 255:
+                assert _key(a) + _key(b) == _key(partition_union(a, b))
+    # items() yields Partition keys in descending graded-lex order
+    p = GradedPoly({mu: i + 1 for i, mu in enumerate(mus)})
+    assert [mu for mu, _ in p.items()] == sorted(set(mus), key=lambda m: (m.weight, m),
+                                                 reverse=True)
+    assert all(type(mu) is Partition for mu, _ in p.items())
+    assert p.top_weight() == max(mu.weight for mu in mus)
+
+
+def test_weight_above_key_capacity_is_refused():
+    t1_255 = GradedPoly.monomial((1,) * 255)
+    assert t(128) * t(127) == GradedPoly.monomial((128, 127))
+    assert (t1_255 * Fraction(1, 2)).top_weight() == 255
+    refused = [
+        lambda: t1_255 * t(1),  # 255 + 1 would carry into the t2 digit
+        lambda: t(200) * t(100),
+        lambda: t(1) ** 256,
+        lambda: dot(((t(1), ONE), (t(200), t(56) + 1))),
+        lambda: GradedPoly.monomial((1,) * 256),
+        lambda: GradedPoly({(256,): 1}),
+        lambda: t(300),
+        lambda: parse_poly("t1^200*t2^28"),
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match="above 255"):
+            build()
 
 
 def test_aug_is_ring_homomorphism():

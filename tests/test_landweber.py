@@ -254,6 +254,16 @@ def test_quantize_roundtrip_and_multiplicativity():
     assert quantize(t(1) * t(1)) == quantize(t(1)) * quantize(t(1))
 
 
+def test_tensor_product_above_key_capacity_is_refused():
+    def primed(nu):
+        return TensorElement({(EMPTY, P(nu)): Fraction(1)})
+
+    assert primed((128,)) * primed((127,)) == primed((128, 127))
+    for left, right in [((1,) * 255, (1,)), ((200,), (100,))]:
+        with pytest.raises(ValueError, match="above 255"):
+            primed(left) * primed(right)
+
+
 def test_diff1_fields_match_symbolic_oracle():
     sympy = pytest.importorskip("sympy")
     n_max = 6
