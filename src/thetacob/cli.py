@@ -26,13 +26,13 @@ FORMAT_VERSION = "1.0.0"
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, a check
-# takes about 0.2 s at 16; in a fresh process, after imports, 0.15 to 0.2 s
-# at 16, 0.35 to 0.4 s at 18 and 0.75 to 0.9 s at 20.
+# takes about 0.22 s at 16; in a fresh process, after imports, 0.1 to 0.13 s
+# at 16, 0.26 to 0.27 s at 18 and 0.6 to 0.87 s at 20.
 MAX_FGL_ORDER = 16
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# about 0.8 s one-shot (same host), nearly all of it in the integrality
-# multipliers; `logarithm` and `classes cpn` take 0.1 to 0.15 s.
+# about 0.33 s one-shot (same host), nearly all of it in the integrality
+# multipliers; `logarithm`, `classes cpn` and `classes vn` take 0.12 to 0.17 s.
 MAX_WEIGHT = 16
 
 # Least and largest modulus of a `weierstrass verify` half-period.  The

@@ -8,8 +8,12 @@ parts of lam, so base-256 digit i counts the parts equal to i+1: t2*t1^2,
 the partition (2,1,1), is 256 + 2.  The key of a product is then the sum
 of the keys.  A digit holds a multiplicity of at most 255, so a monomial
 of weight above 255 is refused with ValueError wherever a key is built.
-Partitions appear only at the interface: constructors, coeff() and aug()
-encode, items() and substitute() decode.
+
+A polynomial is stored as integer numerators over one common denominator,
+kept reduced (the storage of FLINT's fmpq_poly), so the arithmetic runs on
+integers alone.  Partitions and Fractions appear only at the interface:
+constructors, coeff() and aug() take or give them, items() and
+substitute() decode.
 
 The canonical text form (used by the CLI and golden files) lists terms in
 descending graded-lex order -- higher weight first, then descending
@@ -21,10 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm, log10
+from math import gcd, lcm, log10
+from numbers import Real
 from typing import Iterable, Mapping
 
-from .core import EMPTY, Partition
+from .core import Partition
 
 
 class MissingGeneratorError(ValueError):
@@ -76,9 +81,12 @@ class _Memo(dict):
         return value
 
 
-# Packed key -> its Partition, and -> its weight, for every key decoded so far.
+# Packed key -> its Partition, its weight, its graded-lex sort key and its
+# text, for every key decoded so far.
 _PARTITION = _Memo(_decode)
 _WEIGHT = _Memo(lambda key: sum(_PARTITION[key]))
+_ORDER = _Memo(lambda key: (_WEIGHT[key], _PARTITION[key]))
+_TEXT = _Memo(lambda key: format_monomial(_PARTITION[key]))
 
 
 def _top_weight(keys) -> int:
@@ -94,39 +102,37 @@ def _check_weight(weight: int) -> None:
 class GradedPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Terms map packed monomial keys (see the module docstring) to non-zero
-    Fractions; zero coefficients are never stored.  Instances are value
-    objects: all arithmetic returns new polynomials, so sharing across
-    threads is safe.  Two forms derived from the terms are kept once
-    computed, since long-lived series coefficients are reused again and
-    again: the integer form and top weight that dot() reads the first time
-    the polynomial is a factor, and the canonical text that format_poly()
-    renders the first time it is printed.  Neither can go stale, because
-    the terms never change.
+    The polynomial is sum _num[m]/_den t^m over packed monomial keys m (see
+    the module docstring): _num maps each key to a non-zero integer and
+    _den is an integer >= 1 with gcd(_den, *_num.values()) == 1, so every
+    polynomial has exactly one stored form and equality compares it
+    directly.  Instances are value objects: all arithmetic returns new
+    polynomials, so sharing across threads is safe.  The top weight and
+    the canonical text that format_poly() renders are kept once computed,
+    since long-lived series coefficients are reused again and again;
+    neither can go stale, because the terms never change.
     """
 
-    __slots__ = ("_terms", "_ints", "_text")
+    __slots__ = ("_num", "_den", "_top", "_text")
 
     def __init__(self, terms: Mapping | None = None):
-        clean: dict[int, Fraction] = {}
+        packed: dict[int, Fraction] = {}
         if terms:
             for mono, c in terms.items():
                 c = _coerce_coeff(c)
-                if c == 0:
-                    continue
-                mono = _key(mono)
-                clean[mono] = clean.get(mono, Fraction(0)) + c
-                if clean[mono] == 0:
-                    del clean[mono]
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_text", None)
+                if c:
+                    mono = _key(mono)
+                    packed[mono] = packed.get(mono, 0) + c
+        self._num, self._den = _integer_form(packed)
+        self._top = self._text = None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, c) -> "GradedPoly":
-        return cls({EMPTY: Fraction(c)})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _new({0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def gen(cls, n: int) -> "GradedPoly":
@@ -143,31 +149,35 @@ class GradedPoly:
 
     def items(self):
         """(Partition, coefficient) terms in descending graded-lex order."""
-        return sorted(((_PARTITION[m], c) for m, c in self._terms.items()),
-                      key=lambda kv: (kv[0].weight, kv[0]), reverse=True)
+        num, den = self._num, self._den
+        return [(_PARTITION[m], Fraction(num[m], den))
+                for m in sorted(num, key=_ORDER.__getitem__, reverse=True)]
 
     def coeff(self, mu) -> Fraction:
-        return self._terms.get(_key(mu), Fraction(0))
+        return Fraction(self._num.get(_key(mu), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(m == 0 for m in self._terms)
+        return all(m == 0 for m in self._num)
 
     def is_integral(self) -> bool:
         """True iff every coefficient has denominator 1."""
-        return all(c.denominator == 1 for c in self._terms.values())
+        return self._den == 1
 
     def aug(self) -> Fraction:
         """Augmentation: the coefficient of the unit monomial."""
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def top_weight(self) -> int:
-        return _top_weight(self._terms)
+        top = self._top
+        if top is None:
+            top = self._top = _top_weight(self._num)
+        return top
 
     def is_homogeneous(self, w: int) -> bool:
-        return all(_WEIGHT[m] == w for m in self._terms)
+        return all(_WEIGHT[m] == w for m in self._num)
 
     # -- ring operations ----------------------------------------------------
 
@@ -175,19 +185,18 @@ class GradedPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return _raw(out)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        out = {m: c * sa for m, c in self._num.items()}
+        get = out.get
+        for m, c in other._num.items():
+            out[m] = get(m, 0) + c * sb
+        return _canonical({m: c for m, c in out.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({m: -c for m, c in self._terms.items()})
+        return _new({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -202,11 +211,12 @@ class GradedPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return ZERO
-        if len(other._terms) == 1 and 0 in other._terms:
-            c = other._terms[0]
-            return _raw({m: c1 * c for m, c1 in self._terms.items()})
+        if len(other._num) == 1 and 0 in other._num:
+            c = other._num[0]
+            return _canonical({m: c1 * c for m, c1 in self._num.items()},
+                              self._den * other._den)
         return dot(((self, other),))
 
     __rmul__ = __mul__
@@ -227,10 +237,14 @@ class GradedPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
+
+    def __len__(self):
+        """The number of non-zero terms."""
+        return len(self._num)
 
     __hash__ = None
 
@@ -241,8 +255,11 @@ class GradedPoly:
 
         ``assign`` is a mapping or a callable; for mappings a missing
         generator raises MissingGeneratorError naming it.  The values are
-        rationals or polynomials, and the image is always a polynomial: a
-        constant one for rational values.
+        real numbers or polynomials, and the image is always a polynomial: a
+        constant one for scalar values, a float taken at its exact rational
+        value.  Any other value raises TypeError.  The terms are summed by one
+        weighted dot(): each term's numerator weighs the product of its
+        images but the last times the last, over the common denominator.
         """
         if callable(assign):
             get = assign
@@ -252,13 +269,24 @@ class GradedPoly:
                     return _m[n]
                 except KeyError:
                     raise MissingGeneratorError(f"no value assigned for generator t{n}") from None
-        total = Fraction(0)
-        for mono, c in self._terms.items():
-            val = c
-            for part in _PARTITION[mono]:
-                val = val * get(part)
-            total = total + val
-        return total if isinstance(total, GradedPoly) else GradedPoly.const(total)
+
+        def image(n):
+            value = get(n)
+            poly = _as_poly(value)
+            if poly is NotImplemented:
+                if not isinstance(value, Real):
+                    raise TypeError(f"the value for t{n} must be a real number or a GradedPoly")
+                poly = GradedPoly.const(value)
+            return poly
+
+        pairs = []
+        for mono in self._num:
+            factors = [image(part) for part in _PARTITION[mono]] or [ONE]
+            head = ONE
+            for f in factors[:-1]:
+                head = head * f
+            pairs.append((head, factors[-1]))
+        return dot(pairs, self._num.values(), self._den)
 
     def __str__(self):
         return format_poly(self)
@@ -267,22 +295,33 @@ class GradedPoly:
         return f"GradedPoly({format_poly(self)!r})"
 
 
-def _raw(terms: dict) -> GradedPoly:
-    p = GradedPoly()
-    object.__setattr__(p, "_terms", terms)
+def _new(num: dict, den: int) -> GradedPoly:
+    """Wrap numerators and a denominator that are already canonical."""
+    p = object.__new__(GradedPoly)
+    p._num = num
+    p._den = den
+    p._top = p._text = None
     return p
 
 
-def _numerators(p: GradedPoly) -> tuple[list, int, int]:
-    """p's terms as integer numerators over the lcm of its denominators,
-    with p's top weight."""
-    ints = p._ints
-    if ints is None:
-        d = lcm(*(c.denominator for c in p._terms.values()))
-        ints = ([(m, c.numerator * (d // c.denominator)) for m, c in p._terms.items()], d,
-                _top_weight(p._terms))
-        object.__setattr__(p, "_ints", ints)
-    return ints
+def _canonical(num: dict, den: int) -> GradedPoly:
+    """The polynomial sum num[m]/den t^m, for non-zero integer numerators
+    and an integer den >= 1, with their common factor divided out."""
+    g = gcd(den, *num.values())
+    if g > 1:
+        num = {m: c // g for m, c in num.items()}
+        den //= g
+    return _new(num, den)
+
+
+def _integer_form(terms: Mapping[int, Fraction]) -> tuple[dict, int]:
+    """Packed key -> rational coefficient as the canonical (_num, _den).
+
+    The lcm of reduced denominators leaves no factor common to it and all
+    the scaled numerators, so nothing is divided out.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}, den
 
 
 def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
@@ -292,23 +331,22 @@ def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
 
     Without weights every w is 1.  Weights and divisor are the scalar steps
     of the series recurrences (Miller's power recurrence, the inverse, the
-    logarithm), so no scaled polynomial is built for them.  Every product
-    is accumulated in plain integers over one common denominator, and each
-    coefficient of the result is normalised once at the end, so no
-    intermediate polynomial or Fraction is built.  A product monomial's
-    key is the sum of its factors' keys; a pair whose top weights add up
-    to more than 255 is refused with ValueError before any of its products
-    is formed, so no digit of a key carries into the next.
+    logarithm, substitution), so no scaled polynomial is built for them.
+    Every product of numerators is accumulated in plain integers over the
+    lcm of the pairs' denominators, and the sum is reduced by one gcd at
+    the end, so no intermediate polynomial or Fraction is built.  A product
+    monomial's key is the sum of its factors' keys; a pair whose top
+    weights add up to more than 255 is refused with ValueError before any
+    of its products is formed, so no digit of a key carries into the next.
     """
     factors = []
     denominator = 1
     for (a, b), w in zip(pairs, repeat(1) if weights is None else weights):
-        if w and a._terms and b._terms:
-            na, da, wa = _numerators(a)
-            nb, db, wb = _numerators(b)
-            _check_weight(wa + wb)
-            factors.append((na, nb, da * db, w))
-            denominator = lcm(denominator, da * db)
+        if w and a._num and b._num:
+            _check_weight(a.top_weight() + b.top_weight())
+            d = a._den * b._den
+            factors.append((a._num.items(), b._num.items(), d, w))
+            denominator = lcm(denominator, d)
     acc: dict[int, int] = {}
     get = acc.get
     for na, nb, d, w in factors:
@@ -318,8 +356,7 @@ def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
             for m2, c2 in nb:
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
-    denominator *= divisor
-    return _raw({m: Fraction(n, denominator) for m, n in acc.items() if n})
+    return _canonical({m: n for m, n in acc.items() if n}, denominator * divisor)
 
 
 def _as_poly(x):
@@ -358,28 +395,32 @@ def format_poly(p: GradedPoly) -> str:
     Rendered once per polynomial and kept with it.
     """
     if p._text is None:
-        object.__setattr__(p, "_text", _render(p))
+        p._text = _render(p)
     return p._text
 
 
 def _render(p: GradedPoly) -> str:
-    items = p.items()
-    if not items:
+    """The text form from the integer form: one gcd per term reduces its
+    coefficient, and each monomial's sort key and text are memoised."""
+    num, den = p._num, p._den
+    if not num:
         return "0"
     chunks = []
-    for i, (mu, c) in enumerate(items):
-        sign = "-" if c < 0 else "+"
+    for m in sorted(num, key=_ORDER.__getitem__, reverse=True):
+        c = num[m]
         mag = -c if c < 0 else c
-        if not mu:
-            body = str(mag)
-        elif mag == 1:
-            body = format_monomial(mu)
+        g = gcd(mag, den)
+        text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        if not m:
+            body = text
+        elif mag == den:
+            body = _TEXT[m]
         else:
-            body = f"{mag}*{format_monomial(mu)}"
-        if i == 0:
-            chunks.append(body if sign == "+" else "-" + body)
+            body = f"{text}*{_TEXT[m]}"
+        if chunks:
+            chunks.append(f" - {body}" if c < 0 else f" + {body}")
         else:
-            chunks.append(f" {sign} {body}")
+            chunks.append("-" + body if c < 0 else body)
     return "".join(chunks)
 
 
@@ -436,8 +477,9 @@ MAX_COEFF_DIGITS = 1000
 
 
 def _digits(p: GradedPoly) -> float:
-    """log10 of the largest numerator or denominator of p; 0 for ZERO."""
-    return max((log10(max(abs(c.numerator), c.denominator)) for c in p._terms.values()),
+    """log10 of the largest numerator or denominator of p's coefficients; 0 for ZERO."""
+    den = p._den
+    return max((log10(max(abs(c) // (g := gcd(c, den)), den // g)) for c in p._num.values()),
                default=0.0)
 
 

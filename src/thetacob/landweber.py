@@ -26,8 +26,8 @@ from functools import lru_cache
 from math import factorial
 
 from .core import Partition, partition_factorial
-from .gradedring import (GradedPoly, ZERO, _PARTITION, _check_weight, _key, _raw, _top_weight,
-                         dot, format_monomial)
+from .gradedring import (GradedPoly, ZERO, _PARTITION, _check_weight, _integer_form, _key, _new,
+                         _top_weight, dot, format_monomial)
 from .series import TruncSeries, residue_extract
 from .cobordism import beta
 
@@ -205,7 +205,7 @@ def quantize(p: GradedPoly) -> TensorElement:
 
 def dequantize(T: TensorElement) -> GradedPoly:
     """Augmentation on the t side, substitution t'_n -> t_n on the other."""
-    return _raw({nu: c for nu, q in T._terms.items() if (c := q.aug())})
+    return _new(*_integer_form({nu: q.aug() for nu, q in T._terms.items()}))
 
 
 # -- vector-field realisation -----------------------------------------------------------

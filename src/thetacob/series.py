@@ -383,7 +383,7 @@ def format_series(f: TruncSeries) -> str:
         zpow = "z" if m == 1 else f"z^{m}"
         if c == ONE:
             piece = zpow
-        elif len(c.items()) > 1 or body.startswith("-"):
+        elif len(c) > 1 or body.startswith("-"):
             piece = f"({body})*{zpow}"
         else:
             piece = f"{body}*{zpow}"
@@ -450,7 +450,7 @@ class BiTruncSeries:
                 chunks.append(body)
             elif c == ONE:
                 chunks.append(mono)
-            elif len(c.items()) > 1 or body.startswith("-"):
+            elif len(c) > 1 or body.startswith("-"):
                 chunks.append(f"({body})*{mono}")
             else:
                 chunks.append(f"{body}*{mono}")

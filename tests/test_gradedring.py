@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from thetacob.gradedring import (
     _decode,
     _key,
     dot,
+    format_monomial,
     format_poly,
     parse_poly,
     t,
@@ -270,3 +272,123 @@ def test_substitute_returns_a_polynomial():
         image = cp2.substitute(assign)
         assert isinstance(image, GradedPoly) and image.is_constant()
     assert cp2.substitute(lambda n: Fraction(1, n + 1)) == Fraction(5, 24)
+
+
+def test_substitute_takes_floats_at_their_exact_value():
+    assert t(1).substitute(lambda n: 0.5) == Fraction(1, 2)
+    assert (t(1) ** 2 - t(2)).substitute({1: 0.25, 2: 1}) == Fraction(-15, 16)
+    with pytest.raises(TypeError, match="t1"):
+        t(1).substitute(lambda n: "1/2")
+
+
+def test_len_counts_non_zero_terms():
+    assert len(ZERO) == 0 and len(ONE) == 1
+    assert len(t(1) ** 2 - t(2) + 3) == 3
+    assert len((t(1) + t(2)) - t(2)) == 1
+    assert len(Fraction(1, 2) * t(1) + Fraction(1, 3) * t(2)) == 2
+
+
+def _is_canonical(p: GradedPoly) -> bool:
+    """p's integer form is the one stored form of its value: a denominator
+    >= 1 sharing no factor with every numerator, and no zero numerator."""
+    num, den = p._num, p._den
+    fresh = GradedPoly(dict(p.items()))
+    return (type(den) is int and den >= 1 and gcd(den, *num.values()) == 1
+            and all(type(c) is int and c for c in num.values())
+            and (num, den) == (fresh._num, fresh._den))
+
+
+_scalar = st.one_of(st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+_small_poly = st.dictionaries(
+    st.integers(0, 2).flatmap(lambda w: st.sampled_from(partitions_of(w))),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=3,
+).map(GradedPoly)
+# A value for each generator of _poly: a rational or a small polynomial.
+_assignment = st.fixed_dictionaries({n: st.one_of(_scalar, _small_poly) for n in range(1, 6)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_poly, q=_poly, c=_scalar, k=st.integers(0, 3), w=_weight,
+       divisor=st.integers(1, 10 ** 12), assign=_assignment)
+def test_every_result_is_canonical(p, q, c, k, w, divisor, assign):
+    results = [p + q, p - q, q - p, p + c, c - p, p * q, p * c, c * p, p ** k, -p,
+               dot(((p, q), (q, p))), dot(((p, q), (q, q), (p, p)), (w, 3, -w), divisor),
+               p.substitute(assign), parse_poly(format_poly(p)), GradedPoly.const(c)]
+    for r in results:
+        assert _is_canonical(r), r
+    assert (p - p)._den == 1 and (p - p).is_zero()
+    assert (p + q == q + p) and ((p == q) == (p.items() == q.items()))
+    assert (p * Fraction(1, 2) == p) == p.is_zero()  # equal numerators, other denominators
+
+
+def _render_by_fractions(p: GradedPoly) -> str:
+    """The text form term by term from the Fraction coefficients of items():
+    the oracle for the renderer of the integer form."""
+    items = p.items()
+    if not items:
+        return "0"
+    chunks = []
+    for i, (mu, c) in enumerate(items):
+        sign = "-" if c < 0 else "+"
+        mag = -c if c < 0 else c
+        if not mu:
+            body = str(mag)
+        elif mag == 1:
+            body = format_monomial(mu)
+        else:
+            body = f"{mag}*{format_monomial(mu)}"
+        if i == 0:
+            chunks.append(body if sign == "+" else "-" + body)
+        else:
+            chunks.append(f" {sign} {body}")
+    return "".join(chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_poly, q=_poly, c=_scalar)
+@example(p=GradedPoly({EMPTY: Fraction(-7, 3), (1,): Fraction(2, 3), (2, 1): 1}), q=ZERO, c=0)
+def test_render_matches_fraction_oracle(p, q, c):
+    for r in (p, p * q, p * c + q, dot(((p, q), (q, q)), (3, 5), 7), -p):
+        assert format_poly(r) == _render_by_fractions(r)
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    a = Fraction(3, 2) * t(1) ** 2 - Fraction(1, 6) * t(2) + 5
+    b = Fraction(2, 9) * t(1) + Fraction(7, 4) * t(3) - 1
+    c = 6 * t(1) * t(2) - t(3)
+    made = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert len(made) == 1  # the count sees a Fraction when one is built
+    made.clear()
+    results = [dot(((a, b), (b, c), (c, c))), dot(((a, b), (b, a)), (3, -5), 7), a + b, b + c,
+               a - b, c - a, a + 1, a * 3, a * b, a ** 3, -b, a == b, a == a, c == 0]
+    monkeypatch.undo()
+    assert made == []
+    assert results[-3:] == [False, True, False]
+
+
+def _substitute_by_terms(p: GradedPoly, assign) -> GradedPoly:
+    """The image term by term, each from its Fraction coefficient and its
+    generator images one product at a time: the oracle for substitute()."""
+    total = ZERO
+    for mu, c in p.items():
+        term = GradedPoly.const(c)
+        for part in mu:
+            term = term * assign[part]
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_poly, assign=_assignment)
+def test_substitute_matches_term_by_term_oracle(p, assign):
+    expected = _substitute_by_terms(p, assign)
+    assert p.substitute(assign) == expected
+    assert p.substitute(lambda n: assign[n]) == expected

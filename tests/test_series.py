@@ -365,6 +365,9 @@ def test_format_series():
     assert format_series(TruncSeries.zero(4)) == "0"
     s = TruncSeries([ZERO, ONE, Fraction(3, 2) * t(1) ** 2 - t(2)], order=2)
     assert format_series(s) == "z + (-t2 + 3/2*t1^2)*z^2"
+    # a coefficient of two terms is bracketed, one of one term is not
+    s = TruncSeries([ONE, t(1) + Fraction(1, 2) * t(2), 3 * t(1)], order=2)
+    assert format_series(s) == "1 + (1/2*t2 + t1)*z + 3*t1*z^2"
 
 
 def test_bivariate_mul_and_symmetry():
