@@ -25,10 +25,11 @@ FORMAT_VERSION = "1.0.0"
 # the lattice step, and 5 to 6 s at 15.
 MAX_CONGRUENCE_WEIGHT = 14
 
-# Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, a check
-# takes about 0.22 s at 16; in a fresh process, after imports, 0.1 to 0.13 s
-# at 16, 0.26 to 0.27 s at 18 and 0.6 to 0.87 s at 20.
-MAX_FGL_ORDER = 16
+# Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
+# of 5, a check takes 0.22 s at 16, 0.37 s at 18 and 0.69 s at 20, of which
+# the logarithm takes 0.1 s and the axioms 0.4 to 0.45 s.  A process checks
+# each degree once, so a repeated or lower order checks nothing.
+MAX_FGL_ORDER = 20
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
 # about 0.33 s one-shot (same host), nearly all of it in the integrality
@@ -465,15 +466,13 @@ def cmd_quantize(args):
 
 def cmd_fgl_check(args):
     from . import cobordism as cob
-    from .series import fgl_axiom_residuals
 
     order = args.order
     if not 1 <= order <= MAX_FGL_ORDER:
         raise CliError(f"--order must be between 1 and {MAX_FGL_ORDER}, got {order}")
-    # F is built from the logarithm the other subcommands keep; the axioms
-    # are still checked on every request.
-    res = fgl_axiom_residuals(cob.beta(max(order, 2)), order=order,
-                              log=cob.mischenko_log(max(order, 2)))
+    # F is built from the logarithm the other subcommands keep, and each
+    # degree is checked once per process.
+    res = cob.group_law_axioms(order)
     payload = {name: ("0" if ok else "nonzero") for name, ok in res.items()}
     payload["order"] = order
     payload["pass"] = all(res.values())

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial, partitions_of, bernoulli
 from .gradedring import GradedPoly, ONE, ZERO, t
-from .series import Inversion, Reversion, TruncSeries
+from .series import GroupLaw, Inversion, Reversion, TruncSeries
 
 if TYPE_CHECKING:
     from .symfun import ChernVector
@@ -72,6 +72,18 @@ def cp_classes(order: int) -> tuple[GradedPoly, ...]:
     for n in range(1, order):
         out.append((n + 1) * lg[n + 1])
     return tuple(out)
+
+
+# The group law F and its axioms' verdicts so far, by total degree.
+_LAW = GroupLaw()
+
+
+def group_law_axioms(order: int) -> dict[str, bool]:
+    """The axioms of the universal group law to total order ``order``, as
+    series.fgl_axiom_residuals gives them, from the kept logarithm.  One
+    GroupLaw serves every order, so each degree is checked once."""
+    n = max(order, 2)
+    return _LAW.axioms(beta(n), mischenko_log(n), order)
 
 
 # The coefficients of (beta(z)/z)^{-1} so far; a higher order extends them.

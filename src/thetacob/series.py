@@ -9,17 +9,17 @@ coexist in this package and are never converted silently:
   of weight m-1);
 * Q-form: characteristic series 1 + sum a_n z^n, grade_shift = 0.
 
-BiTruncSeries holds a bivariate series truncated by total degree: the
-formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)) and its
-powers.  It multiplies and compares; it does not compose.
+BiTruncSeries holds a bivariate series truncated by total degree, such as
+the formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)) that fgl
+returns.  It multiplies and compares; it does not compose.
 
 Reversion is Lagrange-Buermann inversion with J.C.P. Miller's power
 recurrence (see Reversion; Brent and Kung, J. ACM 1978): O(n^3)
 coefficient products, one coefficient at a time, so a kept inverse grows
-by its missing coefficients only.  fgl builds F from the univariate powers
-of the logarithm instead of composing bivariate series, and
-fgl_axiom_residuals reads each group-law axiom off coefficients of powers
-of beta and of F.
+by its missing coefficients only.  GroupLaw builds F from the univariate
+powers of the logarithm instead of composing bivariate series, and reads
+each group-law axiom off coefficients of powers of beta and of F, degree by
+degree, so that it too grows by the missing degrees only.
 """
 
 from __future__ import annotations
@@ -457,100 +457,121 @@ class BiTruncSeries:
         return " + ".join(chunks)
 
 
+# Total order of the associativity check, the one check in three variables.
+# Its cost grows fastest with the order: in-process (2-vCPU host), a fresh
+# check at order 16 takes 0.09 s with 6 here and 0.15 s with 12.
+ASSOC_ORDER = 6
+
+
+def _extend_powers(P: list, f, d: int) -> None:
+    """Add [z^d] f^j, j = 0..d, to the table P[j][m] = [z^m] f^j of a series f with f_0 = 0."""
+    P.append([ZERO] * d)
+    P[0].append(ONE if d == 0 else ZERO)
+    for j in range(1, d + 1):
+        P[j].append(dot((f[k], P[j - 1][d - k]) for k in range(1, d - j + 2)))
+
+
+class GroupLaw:
+    """The group law F(u, v) = beta(L(u) + L(v)) of an exponential beta and
+    its logarithm L, and its axioms, kept as a growing prefix by total degree.
+
+    By the binomial theorem F_{m,l} = sum_{j<=m} [u^m]L^j Q_{j,l} with
+    Q_{j,l} = sum_i C(i+j, j) b_{i+j} [v^l]L^i.  Each axiom is a set of
+    coefficient identities, each of one total degree d, expanded directly
+    (nothing is assumed of F): the unit F_{d,0} = delta_{d,1}; commutativity;
+    F(beta(z), beta(w)) = beta(z + w) as sum_l R_{l,a} [w^b]beta^l =
+    C(a+b, a) beta_{a+b}, with R_{l,a} = sum_m F_{m,l} [z^a]beta^m; and, to
+    total degree ASSOC_ORDER, associativity as the [u^a v^b w^c] identity
+    sum_m F_{m,c} Phi_m[a,b] = sum_l F_{a,l} Phi_l[b,c], with Phi_m = F^m.
+
+    Degree d adds one coefficient to every power of L and of beta, the
+    diagonals Q_{j,d-j}, F_{m,d-m} and R_{l,d-l}, the degree-d coefficients
+    of each Phi_m and degree d's verdicts; an order's verdict is all() over
+    degrees 0..order.  As with Inversion, a higher order extends the kept
+    prefix, so beta and L must agree, on the common prefix, with every pair
+    given before.
+    """
+
+    def __init__(self):
+        self._PL, self._Q, self._F = [], [], []  # [u^m] L^j, Q_{j,l}, F_{m,l}
+        self._PB, self._R, self._Phi = [], [], []  # [z^a] beta^m, R_{l,a}, (a, b) -> Phi_m[a,b]
+        self._ok = {"unit": [], "commutativity": [], "associativity": [], "exp_identity": []}
+        self._lock = threading.Lock()
+
+    def law(self, beta: TruncSeries, log: TruncSeries, order: int) -> BiTruncSeries:
+        """F to total order ``order``."""
+        with self._lock:
+            F = self._grow(beta.coeffs, log.coeffs, order)
+            return BiTruncSeries({(m, l): F[m][l] for m in range(order + 1)
+                                  for l in range(order + 1 - m)}, order=order)
+
+    def axioms(self, beta: TruncSeries, log: TruncSeries, order: int) -> dict[str, bool]:
+        """Each axiom's verdict "residual is zero" to total order ``order``."""
+        with self._lock:
+            self._grow(beta.coeffs, log.coeffs, order)
+            for d in range(len(self._ok["unit"]), order + 1):
+                self._check(beta.coeffs, d)
+            return {name: all(ok[: order + 1]) for name, ok in self._ok.items()}
+
+    def _grow(self, b, L, order) -> list:
+        PL, Q, F = self._PL, self._Q, self._F
+        for d in range(len(F), order + 1):
+            _extend_powers(PL, L, d)
+            Q.append([])
+            F.append([])
+            for j in range(d + 1):
+                ns = range(max(j, 1), d + 1)
+                Q[j].append(dot(((b[n], PL[n - j][d - j]) for n in ns), (comb(n, j) for n in ns)))
+            for m in range(d + 1):
+                F[m].append(dot((PL[j][m], Q[j][d - m]) for j in range(m + 1)))
+        return F
+
+    def _check(self, b, d) -> None:
+        F, PB, R, Phi, ok = self._F, self._PB, self._R, self._Phi, self._ok
+        _extend_powers(PB, b, d)
+        R.append([])
+        for l in range(d + 1):
+            R[l].append(dot((F[m][l], PB[m][d - l]) for m in range(d - l + 1)))
+        ok["unit"].append(F[d][0] == (ONE if d == 1 else ZERO))
+        ok["commutativity"].append(all(F[m][d - m] == F[d - m][m] for m in range(d + 1)))
+        ok["exp_identity"].append(all(
+            dot((R[l][a], PB[l][d - a]) for l in range(d - a + 1)) == comb(d, a) * b[d]
+            for a in range(d + 1)))
+        if d > ASSOC_ORDER:
+            return
+        Phi.append({(0, 0): ONE} if d == 0 else {})
+        for m in range(d, 0, -1):  # so Phi_{m-1} holds degrees below d only
+            for a in range(d + 1):
+                Phi[m][a, d - a] = dot((c, F[a - i][d - a - j]) for (i, j), c in Phi[m - 1].items()
+                                       if i <= a and j <= d - a)
+        ok["associativity"].append(all(
+            dot((F[m][c], Phi[m].get((a, b), ZERO)) for m in range(a + b + 1))
+            == dot((F[a][l], Phi[l].get((b, c), ZERO)) for l in range(b + c + 1))
+            for a in range(d + 1) for b in range(d + 1 - a) for c in [d - a - b]))
+
+
+def _law_inputs(beta_series: TruncSeries, order: int, log: TruncSeries | None):
+    if order > beta_series.order:
+        raise TruncationError("formal group order exceeds series truncation")
+    b = beta_series.truncated(order)
+    return b, (b.revert() if log is None else log.truncated(order))
+
+
 def fgl(beta_series: TruncSeries, order: int, log: TruncSeries | None = None) -> BiTruncSeries:
     """The formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)).
 
     F is the universal group law of geometric cobordisms over the theta
-    basis; its exponential is beta.  Expanding beta(L(u) + L(v)) with
-    L = beta^{-1} by the binomial theorem leaves univariate powers only:
-
-        F_{m,l} = sum_{j<=m, i<=l} C(i+j, j) b_{i+j} [u^m] L^j [v^l] L^i,
-
-    computed as sum_j [u^m] L^j * Q_{j,l} with
-    Q_{j,l} = sum_i C(i+j, j) b_{i+j} [v^l] L^i.
-
-    ``log``, when given, must be L to at least ``order``, as kept by a
-    caller that reuses one logarithm; without it beta_series is reverted.
+    basis; its exponential is beta.  ``log``, when given, must be
+    L = beta^{-1} to at least ``order``; without it beta_series is reverted.
     """
-    if order > beta_series.order:
-        raise TruncationError("formal group order exceeds series truncation")
-    b = beta_series.truncated(order)
-    lg = b.revert() if log is None else log.truncated(order)
-    powers = [TruncSeries.const(1, order)]
-    for _ in range(order):
-        powers.append(powers[-1] * lg)
-    P = [p.coeffs for p in powers]  # P[j][m] = [u^m] L^j, zero for m < j
-
-    def q(j, l):
-        ns = range(max(j, 1), j + l + 1)
-        return dot(((b[n], P[n - j][l]) for n in ns), (comb(n, j) for n in ns))
-
-    Q = [[q(j, l) for l in range(order + 1 - j)] for j in range(order + 1)]
-    terms = {(m, l): dot((P[j][m], Q[j][l]) for j in range(m + 1))
-             for m in range(order + 1) for l in range(order + 1 - m)}
-    return BiTruncSeries(terms, order=order)
-
-
-# Total order of the associativity check, the one check in three variables.
-# Its cost grows fastest with the order: at order 16 the whole check takes
-# 0.3 s in-process (2-vCPU host) with 6 here and 0.8 s with 12.
-ASSOC_ORDER = 6
+    return GroupLaw().law(*_law_inputs(beta_series, order, log), order)
 
 
 def fgl_axiom_residuals(beta_series: TruncSeries, order: int,
                         log: TruncSeries | None = None) -> dict[str, bool]:
-    """Residuals of the group-law axioms; all must be exactly zero.
-
-    Returns a dict with keys 'unit', 'commutativity', 'associativity' and
-    'exp_identity' (the defining identity F(beta(z), beta(w)) = beta(z+w)),
-    each mapping to a boolean "residual is the zero series".  Associativity
-    is checked to total order min(order, ASSOC_ORDER), the others to order.
-    ``log`` is passed on to fgl().
+    """The group-law axioms to total order ``order``: 'unit',
+    'commutativity', 'associativity' (to min(order, ASSOC_ORDER)) and
+    'exp_identity' (F(beta(z), beta(w)) = beta(z+w)), each mapped to the
+    boolean "residual is exactly zero".  ``log`` is as for fgl().
     """
-    return _axiom_residuals(fgl(beta_series, order, log), beta_series.truncated(order), order)
-
-
-def _axiom_residuals(F: BiTruncSeries, beta: TruncSeries, order: int) -> dict[str, bool]:
-    """The axioms of a given F with exponential beta, as coefficient identities.
-
-    Each side is expanded directly, nothing is assumed of F:
-
-    * unit: F_{m,0} = delta_{m,1};
-    * exponential identity: with P_m = beta^m,
-      [z^a w^b] F(beta(z), beta(w)) = sum_{m,l} F_{m,l} [z^a]P_m [w^b]P_l
-      must equal [z^a w^b] beta(z + w) = C(a+b, a) beta_{a+b};
-    * associativity: with Phi_m = F^m, the [u^a v^b w^c] coefficients
-      sum_m F_{m,c} Phi_m[a,b] of F(F(u,v), w) and
-      sum_l F_{a,l} Phi_l[b,c] of F(u, F(v,w)) must agree.
-
-    As beta_0 = 0, [z^a]P_m vanishes for m > a, so the first sum needs
-    R_{l,a} = sum_m F_{m,l} [z^a]P_m for a + l <= order only.  The second
-    runs over every term of F to total order min(order, ASSOC_ORDER).
-    """
-    unit = all(F.coefficient(m, 0) == (ONE if m == 1 else ZERO) for m in range(order + 1))
-
-    powers = [TruncSeries.const(1, order)]
-    for _ in range(order):
-        powers.append(powers[-1] * beta)
-    P = [p.coeffs for p in powers]  # P[m][a] = [z^a] beta^m
-    R = [[dot((F.coefficient(m, l), P[m][a]) for m in range(a + 1))
-          for a in range(order + 1 - l)] for l in range(order + 1)]
-    exp_identity = all(
-        dot((R[l][a], P[l][b]) for l in range(b + 1)) == comb(a + b, a) * beta[a + b]
-        for a in range(order + 1) for b in range(order + 1 - a))
-
-    k = min(order, ASSOC_ORDER)
-    Phi = [BiTruncSeries({(0, 0): ONE}, order=k)]
-    for _ in range(k):
-        Phi.append(Phi[-1] * F)
-    associativity = all(
-        dot((F.coefficient(m, c), Phi[m].coefficient(a, b)) for m in range(k + 1 - c))
-        == dot((F.coefficient(a, l), Phi[l].coefficient(b, c)) for l in range(k + 1 - a))
-        for a in range(k + 1) for b in range(k + 1 - a) for c in range(k + 1 - a - b))
-
-    return {
-        "unit": unit,
-        "commutativity": F.is_symmetric(),
-        "associativity": associativity,
-        "exp_identity": exp_identity,
-    }
+    return GroupLaw().axioms(*_law_inputs(beta_series, order, log), order)

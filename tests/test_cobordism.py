@@ -7,7 +7,8 @@ from thetacob.core import Partition, bernoulli, partitions_of
 from thetacob.gradedring import ONE, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
-from thetacob.series import TruncSeries, fgl
+from thetacob.cli import main
+from thetacob.series import GroupLaw, TruncSeries, fgl, fgl_axiom_residuals
 from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
 from thetacob.cobordism import (
     adams_novikov,
@@ -17,6 +18,7 @@ from thetacob.cobordism import (
     cp_tangent_chern_vector,
     decompose,
     decompose_tangent,
+    group_law_axioms,
     mischenko_log,
     product_chern_vector,
     psi_on_class,
@@ -82,6 +84,30 @@ def test_fgl_from_the_kept_log_matches_a_fresh_reversion(empty_prefix_caches, or
     for n in orders:
         b = beta(max(n, 2))
         assert fgl(b, n, log=mischenko_log(max(n, 2))) == fgl(b, n), n
+
+
+def _fgl_check_text(capsys, n):
+    assert main(["fgl", "check", "--order", str(n)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("orders", [
+    [1, 4, 8, 12],
+    [12, 8, 4, 1],
+    [10, 3, 16, 7],
+], ids=["ascending", "descending", "interleaved"])
+def test_group_law_axioms_do_not_depend_on_call_order(empty_prefix_caches, capsys,
+                                                      monkeypatch, orders):
+    kept, longest = cobordism._LAW, 0
+    for n in orders:
+        assert group_law_axioms(n) == fgl_axiom_residuals(beta(max(n, 2)), n), n
+        text = _fgl_check_text(capsys, n)
+        with monkeypatch.context() as m:
+            m.setattr(cobordism, "_LAW", GroupLaw())
+            assert text == _fgl_check_text(capsys, n), n
+        # one kept law, checked to the longest order asked
+        longest = max(longest, n)
+        assert len(kept._F) == len(kept._ok["unit"]) == longest + 1
 
 
 @pytest.mark.parametrize("orders", [
