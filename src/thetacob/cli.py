@@ -22,7 +22,8 @@ import sys
 FORMAT_VERSION = "1.0.0"
 
 # Largest `congruences --n`: one run takes about 3 s at 14, 2 s of it in
-# the lattice step, and 5 to 6 s at 15.
+# the lattice step, and 5 to 6 s at 15.  `--check` adds 0.2 to 0.5 s at 14
+# in any frame and basis: 3.2 to 4.2 s one-shot (2-vCPU host).
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
@@ -64,7 +65,7 @@ MAX_THETA_N = 30
 
 # Largest weight of `quantize --expr`, `ln apply --expr` and `ln apply
 # --partition`: one-shot, quantising the sum of all monomials of weight
-# <= 14 takes about 2.2 s, and of weight 16 alone (cap lifted) 3.4 s.
+# <= 14 takes 1.5 to 1.7 s, and of weight 16 alone (cap lifted) 1.3 to 1.5 s.
 MAX_EXPR_WEIGHT = 14
 
 # Largest N in `genus --of theta:N` and weight of `genus --of poly:EXPR`.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial, partitions_of, bernoulli
@@ -176,50 +176,3 @@ def theta_power_class(n: int, k: int) -> GradedPoly:
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return t(n) * Fraction(k ** (n + 1))
-
-
-# -- standard reference Chern data for cross-checks ----------------------------------
-
-
-def cp_tangent_chern_vector(n: int) -> ChernVector:
-    """Tangent monomial Chern numbers of complex projective n-space.
-
-    Textbook data from the total Chern class (1+z)^{n+1}: all n+1 Chern
-    roots equal the hyperplane class, so the monomial number for lam is
-    the count of distinct arrangements of lam in n+1 slots.
-    """
-    from .symfun import ChernVector
-
-    values = {}
-    for lam in partitions_of(n):
-        mult = 1
-        remaining = n + 1
-        for part in sorted(set(lam)):
-            m = lam.count(part)
-            mult *= comb(remaining, m)
-            remaining -= m
-        values[lam] = Fraction(mult)
-    return ChernVector(n, "tangent", "monomial", values)
-
-
-def product_chern_vector(a: ChernVector, b: ChernVector) -> ChernVector:
-    """Chern numbers of a product manifold from those of the factors.
-
-    Valid in the monomial basis in either frame (both frames obey the same
-    splitting rule): the value on lam is the sum over weight-respecting
-    splittings lam = mu + nu of the factor values.
-    """
-    from .core import splittings
-    from .symfun import ChernVector, FrameBasisError
-
-    if a.basis != "monomial" or b.basis != "monomial" or a.frame != b.frame:
-        raise FrameBasisError("product rule needs monomial vectors in a common frame")
-    n = a.weight + b.weight
-    values = {lam: Fraction(0) for lam in partitions_of(n)}
-    for lam in partitions_of(n):
-        total = Fraction(0)
-        for mu, nu in splittings(lam):
-            if mu.weight == a.weight and nu.weight == b.weight:
-                total += a.values[mu] * b.values[nu]
-        values[lam] = total
-    return ChernVector(n, a.frame, "monomial", values)

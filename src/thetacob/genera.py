@@ -321,18 +321,12 @@ def classical_congruences(n: int):
 
 def tangent_product_functional_to_normal_monomial(row: dict, n: int) -> dict:
     """Rewrite a functional on tangent product values as one on normal
-    monomial values (product values = e-to-m matrix applied to tangent
-    monomial values, which are the involution applied to normal ones).
+    monomial values: sum row_lam e_lam of the tangent roots is the sign
+    involution of the same function of the normal roots.
     """
-    from .symfun import _to_m_matrix, _vec_mat, involution_matrix
+    from .symfun import SymFunExpr, convert_basis, sign_involution
 
-    parts = partitions_of(n)
-    E = _to_m_matrix(n, "e")
-    A = involution_matrix(n)
-    coeffs = [Fraction(row.get(lam, 0)) for lam in parts]
-    # pull back through E then through A (both act on value vectors)
-    through_a = _vec_mat(_vec_mat(coeffs, E), A)
-    return {lam: c for lam, c in zip(parts, through_a) if c}
+    return convert_basis(sign_involution(SymFunExpr("e", n, row)), "m").terms
 
 
 def classical_system(n: int) -> CongruenceSystem:

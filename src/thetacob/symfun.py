@@ -1,19 +1,29 @@
 """Symmetric functions in the m/e/h/p bases and Chern-number vectors.
 
 A weight-n symmetric function is a Fraction-linear combination of basis
-elements indexed by partitions of n.  Conversions go through the monomial
-basis: for each multiplicative basis g in {e, h, p} the expansion of g_lam
-into monomials is computed by counting exponent assignments (a 0/1 matrix
-count for e, unrestricted for h, single-row for p), and the inverse
-matrices are obtained by exact Gaussian elimination.  All matrices are
-cached per weight.
+elements indexed by partitions of n.  Conversions go through the power
+sums p (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  The
+e, h and p bases are multiplicative, so an element of one is a GradedPoly
+in its generators, and a change between them is one substitution of
+generator images.  Newton's identities give those images:
+
+    k g_k = sum_{i=1..k} s^(i-1) g_{k-i} p_i,    s = -1 for e, +1 for h,
+
+and, solved for their last term s^(k-1) p_k, the reverse map.  The
+monomial basis is reached through the integer matrix P[kappa][mu] =
+[m_mu] p_kappa, counted by placing each part of kappa in one variable.
+P is lower triangular in partitions_of order (p_kappa only holds the m_mu
+whose parts merge those of kappa) with diagonal prod m_i(kappa)!, so
+leaving or entering m is one triangular pass, never an inverse.
 
 ChernVector packages the p(n) Chern numbers of a stably complex manifold.
 Two frames (tangent / normal bundle) and two index conventions (monomial
-symmetric functions vs. products of Chern classes) coexist; the linear
-maps between them are induced by the basis matrices above and by the sign
-involution p_k -> -p_k, which exchanges tangent and normal data because
-the two bundles sum to a trivial one.
+symmetric functions vs. products of Chern classes) coexist.  Every map
+between them goes through the values of the power sums p_kappa: from
+monomial values by P, from product values by p_kappa written in e.  The
+tangent and normal bundles sum to a trivial one, so their power sums
+differ by a sign, and a change of frame multiplies the value of p_kappa
+by (-1)^length(kappa).
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import Partition, partitions_of
+from .gradedring import ONE, GradedPoly, dot, t
 
 BASES = ("m", "e", "h", "p")
 
@@ -34,108 +45,70 @@ class FrameBasisError(ValueError):
     """Operation applied to a ChernVector in the wrong frame or basis."""
 
 
-# -- expansions into the monomial basis -------------------------------------------
-
-
-def _contribs(kind: str, k: int, residual: tuple[int, ...]):
-    """Exponent vectors one factor g_k can contribute, bounded by residual."""
-    n = len(residual)
-
-    if kind == "p":
-        for i in range(n):
-            if residual[i] >= k:
-                v = [0] * n
-                v[i] = k
-                yield tuple(v)
-        return
-
-    cap = (lambda r: min(1, r)) if kind == "e" else (lambda r: r)
-
-    def rec(i, remaining, prefix):
-        if remaining == 0:
-            yield prefix + (0,) * (n - i)
-            return
-        if i == n:
-            return
-        top = min(cap(residual[i]), remaining)
-        for take in range(top, -1, -1):
-            yield from rec(i + 1, remaining - take, prefix + (take,))
-
-    yield from rec(0, k, ())
+# -- the power sums and the other bases ---------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _completions(kind: str, factors: tuple[int, ...], residual: tuple[int, ...]) -> int:
-    """Number of ways the factors can jointly produce the residual exponents.
+def _generator(src: str, dst: str, k: int) -> GradedPoly:
+    """The generator src_k as a polynomial in the generators of dst != src.
 
-    The residual is kept sorted (descending): the count only depends on the
-    multiset, which collapses the memo space.
+    Newton's identities give e_k and h_k in p, and p_k in e or h; between
+    e and h the image goes through p.
     """
-    if not factors:
-        return 1 if not any(residual) else 0
-    k = factors[0]
-    total = 0
-    for v in _contribs(kind, k, residual):
-        rest = tuple(sorted((r - x for r, x in zip(residual, v)), reverse=True))
-        total += _completions(kind, factors[1:], rest)
-    return total
+    if k == 0:
+        return ONE
+    if dst == "p":
+        s = -1 if src == "e" else 1
+        return dot([(_generator(src, "p", k - i), t(i)) for i in range(1, k + 1)],
+                   [s ** (i - 1) for i in range(1, k + 1)], k)
+    if src == "p":
+        s = -1 if dst == "e" else 1
+        # s^(k-1) p_k = k g_k - sum_{i<k} s^(i-1) g_{k-i} p_i, and s^2 = 1
+        return dot([(t(k), ONE)] + [(t(k - i), _generator("p", dst, i)) for i in range(1, k)],
+                   [k * s ** (k - 1)] + [-s ** (k + i) for i in range(1, k)])
+    return _generator(src, "p", k).substitute(lambda i: _generator("p", dst, i))
 
 
 @lru_cache(maxsize=None)
-def m_expansion(kind: str, lam: Partition) -> dict:
-    """Expansion of e_lam / h_lam / p_lam in monomial symmetric functions."""
-    if kind not in ("e", "h", "p"):
-        raise ValueError(f"unknown multiplicative basis {kind!r}")
-    lam = Partition(lam)
-    out = {}
-    for mu in partitions_of(lam.weight):
-        c = _completions(kind, tuple(lam), tuple(mu))
-        if c:
-            out[mu] = Fraction(c)
-    return out
-
-
-def _mat_inverse(mat):
-    """Exact inverse of a square Fraction matrix by Gaussian elimination."""
-    n = len(mat)
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular conversion matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+def _fillings(parts: tuple[int, ...], slots: tuple[int, ...]) -> int:
+    """[x^slots] p_parts: the ways to put each part in one slot (a variable)
+    so that every slot is filled exactly.  The slots are kept sorted, since
+    the count depends only on their multiset."""
+    if not parts:
+        return 0 if any(slots) else 1
+    k, rest = parts[0], parts[1:]
+    return sum(_fillings(rest, tuple(sorted(slots[:i] + (s - k,) + slots[i + 1:], reverse=True)))
+               for i, s in enumerate(slots) if s >= k)
 
 
 @lru_cache(maxsize=None)
-def _to_m_matrix(n: int, basis: str):
-    """Rows indexed by partitions_of(n): basis_lam = sum_mu M[lam][mu] m_mu."""
+def _power_sum_rows(n: int, transposed: bool) -> dict:
+    """The non-zero entries of P[kappa][mu] = [m_mu] p_kappa by row, or of
+    its transpose.  P is lower triangular, so its rows are listed first to
+    last and those of the transpose last to first: each row's other
+    unknowns come before it, as _solve needs."""
     parts = partitions_of(n)
-    if basis == "m":
-        return tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(len(parts)))
-            for i in range(len(parts))
-        )
-    rows = []
-    for lam in parts:
-        exp = m_expansion(basis, lam)
-        rows.append(tuple(exp.get(mu, Fraction(0)) for mu in parts))
-    return tuple(rows)
+    rows = {kappa: {mu: c for mu in parts[:i + 1] if (c := _fillings(kappa, mu))}
+            for i, kappa in enumerate(parts)}
+    if not transposed:
+        return rows
+    return {mu: {kappa: rows[kappa][mu] for kappa in parts if mu in rows[kappa]}
+            for mu in reversed(parts)}
 
 
-@lru_cache(maxsize=None)
-def _from_m_matrix(n: int, basis: str):
-    """Solves m-coefficient vectors back into the given basis."""
-    T = _to_m_matrix(n, basis)
-    transpose = tuple(tuple(T[i][j] for i in range(len(T))) for j in range(len(T)))
-    return _mat_inverse(transpose)
+def _mul(rows: dict, x: dict) -> dict:
+    """The matrix given by its rows applied to the vector x."""
+    return {i: sum((c * x[j] for j, c in row.items()), Fraction(0)) for i, row in rows.items()}
+
+
+def _solve(rows: dict, y: dict) -> dict:
+    """The x with _mul(rows, x) == y, for triangular rows listed so that
+    each row's off-diagonal unknowns are solved before it."""
+    x = {}
+    for i, row in rows.items():
+        rest = sum((c * x[j] for j, c in row.items() if j != i), Fraction(0))
+        x[i] = (y[i] - rest) / row[i]
+    return x
 
 
 # -- symmetric function expressions --------------------------------------------------
@@ -178,27 +151,32 @@ class SymFunExpr:
         return clean(a.terms) == clean(other.terms)
 
 
-def _vec_mat(vec, mat):
-    cols = len(mat[0]) if mat else 0
-    return [sum((vec[i] * mat[i][j] for i in range(len(vec))), Fraction(0)) for j in range(cols)]
-
-
 def convert_basis(x: SymFunExpr, target: str) -> SymFunExpr:
     """Re-express x in another basis; conversions round-trip exactly."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == x.basis:
         return x
-    parts = partitions_of(x.weight)
-    mvec = _vec_mat(x.coeff_vector(), _to_m_matrix(x.weight, x.basis))
-    if target == "m":
-        out = mvec
-    else:
-        inv = _from_m_matrix(x.weight, target)
-        out = [sum((inv[i][j] * mvec[j] for j in range(len(mvec))), Fraction(0))
-               for i in range(len(parts))]
-    terms = {mu: c for mu, c in zip(parts, out) if c != 0}
-    return SymFunExpr(target, x.weight, terms)
+    n, basis, terms = x.weight, x.basis, x.terms
+    parts = partitions_of(n)
+    if basis == "m":
+        terms, basis = _solve(_power_sum_rows(n, True), {mu: terms.get(mu, 0) for mu in parts}), "p"
+    if target != basis:
+        via = "p" if target == "m" else target
+        if basis != via:
+            poly = GradedPoly(terms).substitute(lambda k: _generator(basis, via, k))
+            terms = dict(poly.items())
+        if target == "m":
+            terms = _mul(_power_sum_rows(n, True), {mu: terms.get(mu, 0) for mu in parts})
+    return SymFunExpr(target, n, {mu: terms[mu] for mu in parts if terms.get(mu)})
+
+
+@lru_cache(maxsize=None)
+def m_expansion(kind: str, lam: Partition) -> dict:
+    """Expansion of e_lam / h_lam / p_lam in monomial symmetric functions."""
+    if kind not in ("e", "h", "p"):
+        raise ValueError(f"unknown multiplicative basis {kind!r}")
+    return convert_basis(SymFunExpr.element(kind, lam), "m").terms
 
 
 def sign_involution(x: SymFunExpr) -> SymFunExpr:
@@ -290,13 +268,27 @@ class ChernVector:
             and self.values == other.values
 
 
-def _apply_matrix(c: ChernVector, mat, frame, basis) -> ChernVector:
-    parts = partitions_of(c.weight)
-    vec = c.as_vector()
-    vals = {}
-    for i, lam in enumerate(parts):
-        vals[lam] = sum((mat[i][j] * vec[j] for j in range(len(parts))), Fraction(0))
-    return ChernVector(c.weight, frame, basis, vals)
+@lru_cache(maxsize=None)
+def _in_basis(n: int, src: str, dst: str) -> dict:
+    """Rows src_lam -> its coefficients in dst, for every partition lam of n."""
+    return {lam: convert_basis(SymFunExpr.element(src, lam), dst).terms
+            for lam in partitions_of(n)}
+
+
+def _convert(c: ChernVector, frame: str, basis: str) -> ChernVector:
+    """c in another frame and basis, through the values of the power sums."""
+    n = c.weight
+    if c.basis == "monomial":
+        power_sums = _mul(_power_sum_rows(n, False), c.values)
+    else:
+        power_sums = _mul(_in_basis(n, "p", "e"), c.values)
+    if frame != c.frame:
+        power_sums = {kappa: v * (-1) ** kappa.length for kappa, v in power_sums.items()}
+    if basis == "monomial":
+        values = _solve(_power_sum_rows(n, False), power_sums)
+    else:
+        values = _mul(_in_basis(n, "e", "p"), power_sums)
+    return ChernVector(n, frame, basis, {lam: values[lam] for lam in partitions_of(n)})
 
 
 def tangent_to_normal(c: ChernVector) -> ChernVector:
@@ -310,7 +302,7 @@ def tangent_to_normal(c: ChernVector) -> ChernVector:
         raise FrameBasisError("tangent/normal exchange is defined on the monomial basis")
     if c.frame != "tangent":
         raise FrameBasisError("expected a tangent-frame vector")
-    return _apply_matrix(c, involution_matrix(c.weight), "normal", "monomial")
+    return _convert(c, "normal", "monomial")
 
 
 def normal_to_tangent(c: ChernVector) -> ChernVector:
@@ -318,36 +310,29 @@ def normal_to_tangent(c: ChernVector) -> ChernVector:
         raise FrameBasisError("tangent/normal exchange is defined on the monomial basis")
     if c.frame != "normal":
         raise FrameBasisError("expected a normal-frame vector")
-    return _apply_matrix(c, involution_matrix(c.weight), "tangent", "monomial")
-
-
-@lru_cache(maxsize=None)
-def _e_matrix_inverse(n: int):
-    return _mat_inverse(_to_m_matrix(n, "e"))
+    return _convert(c, "tangent", "monomial")
 
 
 def chern_product_to_monomial(c: ChernVector) -> ChernVector:
     """Values of Chern-class products -> monomial Chern numbers.
 
     The product c_{i_1}...c_{i_k} is the elementary symmetric function
-    e_lam of the Chern roots, so product values are the e-to-m matrix
-    applied to monomial values; this inverts that relation.
+    e_lam of the Chern roots, so product values are the values of e_lam
+    in the monomial basis; this inverts that relation.
     """
     if c.basis != "chern_product":
         raise FrameBasisError("expected a chern_product-basis vector")
-    return _apply_matrix(c, _e_matrix_inverse(c.weight), c.frame, "monomial")
+    return _convert(c, c.frame, "monomial")
 
 
 def monomial_to_chern_product(c: ChernVector) -> ChernVector:
     if c.basis != "monomial":
         raise FrameBasisError("expected a monomial-basis vector")
-    return _apply_matrix(c, _to_m_matrix(c.weight, "e"), c.frame, "chern_product")
+    return _convert(c, c.frame, "chern_product")
 
 
 def to_normal_monomial(c: ChernVector) -> ChernVector:
     """Normalise any frame/basis combination to (normal, monomial)."""
-    if c.basis == "chern_product":
-        c = chern_product_to_monomial(c)
-    if c.frame == "tangent":
-        c = tangent_to_normal(c)
-    return c
+    if c.frame == "normal" and c.basis == "monomial":
+        return c
+    return _convert(c, "normal", "monomial")

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from thetacob.core import Partition, bernoulli, partitions_of
+from thetacob.core import Partition, bernoulli, partitions_of, splittings
 from thetacob.gradedring import ONE, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
@@ -15,12 +15,10 @@ from thetacob.cobordism import (
     beta,
     beta_over_z,
     cp_classes,
-    cp_tangent_chern_vector,
     decompose,
     decompose_tangent,
     group_law_axioms,
     mischenko_log,
-    product_chern_vector,
     psi_on_class,
     q_multiplier,
     theta_monomial,
@@ -32,6 +30,48 @@ from thetacob.genera import theta_normal_vector, theta_tangent_product_vector
 from thetacob.symfun import chern_product_to_monomial
 
 P = Partition
+
+
+# -- reference Chern data, read only by the tests ------------------------------------
+
+
+def cp_tangent_chern_vector(n: int) -> ChernVector:
+    """Tangent monomial Chern numbers of complex projective n-space.
+
+    Textbook data from the total Chern class (1+z)^{n+1}: all n+1 Chern
+    roots equal the hyperplane class, so the monomial number for lam is
+    the count of distinct arrangements of lam in n+1 slots.
+    """
+    values = {}
+    for lam in partitions_of(n):
+        mult = 1
+        remaining = n + 1
+        for part in sorted(set(lam)):
+            m = lam.count(part)
+            mult *= comb(remaining, m)
+            remaining -= m
+        values[lam] = Fraction(mult)
+    return ChernVector(n, "tangent", "monomial", values)
+
+
+def product_chern_vector(a: ChernVector, b: ChernVector) -> ChernVector:
+    """Chern numbers of a product manifold from those of the factors.
+
+    Valid in the monomial basis in either frame (both frames obey the same
+    splitting rule): the value on lam is the sum over weight-respecting
+    splittings lam = mu + nu of the factor values.
+    """
+    if a.basis != "monomial" or b.basis != "monomial" or a.frame != b.frame:
+        raise FrameBasisError("product rule needs monomial vectors in a common frame")
+    n = a.weight + b.weight
+    values = {lam: Fraction(0) for lam in partitions_of(n)}
+    for lam in partitions_of(n):
+        total = Fraction(0)
+        for mu, nu in splittings(lam):
+            if mu.weight == a.weight and nu.weight == b.weight:
+                total += a.values[mu] * b.values[nu]
+        values[lam] = total
+    return ChernVector(n, a.frame, "monomial", values)
 
 
 def test_beta_coefficients():

@@ -12,7 +12,6 @@ from thetacob.cobordism import (
     beta,
     cp_classes,
     decompose,
-    product_chern_vector,
     q_multiplier,
     theta_monomial,
     v_classes,
@@ -40,6 +39,7 @@ from thetacob.genera import (
     todd_genus,
     tangent_product_functional_to_normal_monomial,
 )
+from test_cobordism import product_chern_vector
 from test_landweber import _cartan_ln_apply
 
 P = Partition

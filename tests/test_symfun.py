@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -23,6 +24,152 @@ from thetacob.symfun import (
 )
 
 P = Partition
+
+
+# -- oracles: the m-expansions counted factor by factor, and dense inverses ---------
+
+
+def _contribs(kind, k, residual):
+    """Exponent vectors one factor g_k can contribute, bounded by residual."""
+    n = len(residual)
+    if kind == "p":
+        for i in range(n):
+            if residual[i] >= k:
+                v = [0] * n
+                v[i] = k
+                yield tuple(v)
+        return
+    cap = (lambda r: min(1, r)) if kind == "e" else (lambda r: r)
+
+    def rec(i, remaining, prefix):
+        if remaining == 0:
+            yield prefix + (0,) * (n - i)
+            return
+        if i == n:
+            return
+        for take in range(min(cap(residual[i]), remaining), -1, -1):
+            yield from rec(i + 1, remaining - take, prefix + (take,))
+
+    yield from rec(0, k, ())
+
+
+@lru_cache(maxsize=None)
+def _completions(kind, factors, residual):
+    """Number of ways the factors g_k can jointly produce the residual exponents."""
+    if not factors:
+        return 1 if not any(residual) else 0
+    return sum(_completions(kind, factors[1:],
+                            tuple(sorted((r - x for r, x in zip(residual, v)), reverse=True)))
+               for v in _contribs(kind, factors[0], residual))
+
+
+def _oracle_m_expansion(kind, lam):
+    return {mu: Fraction(c) for mu in partitions_of(lam.weight)
+            if (c := _completions(kind, tuple(lam), tuple(mu)))}
+
+
+def _mat_inverse(mat):
+    """Exact inverse of a square Fraction matrix by Gauss-Jordan elimination."""
+    n = len(mat)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+@lru_cache(maxsize=None)
+def _to_m_matrix(n, basis):
+    """Rows indexed by partitions_of(n): basis_lam = sum_mu M[lam][mu] m_mu."""
+    parts = partitions_of(n)
+    if basis == "m":
+        return [[Fraction(int(lam == mu)) for mu in parts] for lam in parts]
+    return [[_oracle_m_expansion(basis, lam).get(mu, Fraction(0)) for mu in parts]
+            for lam in parts]
+
+
+def _times(mat, vec):
+    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in mat]
+
+
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+@lru_cache(maxsize=None)
+def _from_m_matrix(n, basis):
+    """The inverse of the transposed _to_m_matrix: m-coefficients -> basis ones."""
+    return _mat_inverse(_transpose(_to_m_matrix(n, basis)))
+
+
+def _oracle_convert(x, target):
+    parts = partitions_of(x.weight)
+    mvec = _times(_transpose(_to_m_matrix(x.weight, x.basis)), x.coeff_vector())
+    out = _times(_from_m_matrix(x.weight, target), mvec)
+    return {mu: c for mu, c in zip(parts, out) if c}
+
+
+def _oracle_involution_matrix(n):
+    parts = partitions_of(n)
+    rows = []
+    for lam in parts:
+        p = _oracle_convert(SymFunExpr.element("m", lam), "p")
+        flipped = {kappa: c * (-1) ** kappa.length for kappa, c in p.items()}
+        image = _oracle_convert(SymFunExpr("p", n, flipped), "m")
+        rows.append([image.get(mu, Fraction(0)) for mu in parts])
+    return rows
+
+
+def _random_values(rng, n):
+    return {lam: Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for lam in partitions_of(n)}
+
+
+def test_m_expansion_and_convert_basis_match_the_counting_oracle():
+    rng = random.Random(47)
+    for n in range(0, 9):
+        parts = partitions_of(n)
+        for kind in ("e", "h", "p"):
+            for lam in parts:
+                assert m_expansion(kind, lam) == _oracle_m_expansion(kind, lam), (kind, lam)
+        terms = {rng.choice(parts): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for _ in range(4)}
+        for src in BASES:
+            x = SymFunExpr(src, n, dict(terms))
+            for dst in BASES:
+                assert convert_basis(x, dst).terms == _oracle_convert(x, dst), (n, src, dst)
+
+
+def test_involution_matrix_matches_the_dense_oracle():
+    for n in range(0, 7):
+        assert [list(row) for row in involution_matrix(n)] == _oracle_involution_matrix(n), n
+
+
+def test_chern_vector_conversions_match_the_dense_oracle():
+    rng = random.Random(53)
+    for n in range(0, 9):
+        parts = partitions_of(n)
+        A = _oracle_involution_matrix(n)
+        E = _to_m_matrix(n, "e")
+        for frame, other in (("tangent", "normal"), ("normal", "tangent")):
+            c = ChernVector(n, frame, "monomial", _random_values(rng, n))
+            exchange = tangent_to_normal if frame == "tangent" else normal_to_tangent
+            flipped = exchange(c)
+            assert (flipped.frame, flipped.basis) == (other, "monomial")
+            assert flipped.as_vector() == _times(A, c.as_vector())
+            prod = monomial_to_chern_product(c)
+            assert (prod.frame, prod.basis) == (frame, "chern_product")
+            assert prod.as_vector() == _times(E, c.as_vector())
+            c = ChernVector(n, frame, "chern_product", _random_values(rng, n))
+            mono = chern_product_to_monomial(c)
+            assert (mono.frame, mono.basis) == (frame, "monomial")
+            assert mono.as_vector() == _times(_mat_inverse(E), c.as_vector())
+            assert list(mono.values) == list(parts)
 
 
 def test_m_expansion_small_goldens():
@@ -120,7 +267,7 @@ def test_chern_vector_validation():
 def test_tangent_normal_exchange_theta_data():
     # the 2n-dimensional theta locus: tangent products all (-1)^n (n+1)!,
     # normal data concentrated on the one-part partition
-    for n in range(1, 7):
+    for n in range(1, 13):
         val = Fraction((-1) ** n * factorial(n + 1))
         tangent_prod = ChernVector.build(
             n, "tangent", "chern_product", {lam: val for lam in partitions_of(n)})
