@@ -21,9 +21,9 @@ import sys
 
 FORMAT_VERSION = "1.0.0"
 
-# Largest `congruences --n`: one run takes about 3 s at 14, 2 s of it in
-# the lattice step, and 5 to 6 s at 15.  `--check` adds 0.2 to 0.5 s at 14
-# in any frame and basis: 3.2 to 4.2 s one-shot (2-vCPU host).
+# Largest `congruences --n`: one run takes about 3 s at 14, nearly all of it
+# in the lattice step (the rows take 0.1 s), and 6 to 10 s at 15.  `--check`
+# adds about 0.1 s at 14 in any frame and basis (2-vCPU host, one-shot).
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median

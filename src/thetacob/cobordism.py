@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .core import Partition, partition_factorial, partitions_of, bernoulli
+from .core import partition_factorial, partitions_of, bernoulli
 from .gradedring import GradedPoly, ONE, ZERO, t
 from .series import GroupLaw, Inversion, Reversion, TruncSeries
 
@@ -122,11 +122,6 @@ def q_multiplier(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return ((n + 1) * bernoulli(n)).denominator
-
-
-def theta_monomial(lam) -> GradedPoly:
-    """The product class t^lam for a partition lam."""
-    return GradedPoly.monomial(Partition(lam))
 
 
 def decompose(c: ChernVector) -> GradedPoly:

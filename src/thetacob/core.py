@@ -94,11 +94,6 @@ def partition_factorial(lam) -> int:
     return out
 
 
-def partition_union(*parts) -> Partition:
-    """Multiset union of partitions (concatenate parts and re-sort)."""
-    return Partition(itertools.chain.from_iterable(parts))
-
-
 @lru_cache(maxsize=None)
 def splittings(lam: Partition) -> tuple[tuple[Partition, Partition], ...]:
     """All ordered pairs (mu, nu) with multiset union mu + nu = lam.

@@ -205,14 +205,11 @@ class CongruenceSystem(NamedTuple):
         """All (mu, value) evaluations of a vector (converted if needed)."""
         from .symfun import to_normal_monomial
 
-        c = to_normal_monomial(c)
         if c.weight != self.weight:
             raise ValueError(f"vector weight {c.weight} != system weight {self.weight}")
-        out = []
-        for mu, row in self.functionals:
-            val = sum((row.get(lam, Fraction(0)) * c.values[lam] for lam in c.values), Fraction(0))
-            out.append((mu, val))
-        return out
+        values = to_normal_monomial(c).values
+        return [(mu, sum((v * values[lam] for lam, v in row.items()), Fraction(0)))
+                for mu, row in self.functionals]
 
     def check(self, c: ChernVector):
         """Verdict: (passed, failing) with failing = [(mu, value), ...]."""
@@ -268,21 +265,14 @@ def congruence_system(n: int) -> CongruenceSystem:
     Row for the partition mu: lam -> Td(S_mu(t^lam)) / (lam+1)!.  Because
     every operation image of a manifold class is again a manifold class
     and the Todd genus is integral, each row must evaluate to an integer.
+    Column lam is read off the terms of its image, so a row holds only its
+    non-zero entries, keyed in partitions_of(n) order.
     """
-    from .cobordism import theta_monomial
-
-    parts = partitions_of(n)
-    columns = {lam: _todd_of_operations(theta_monomial(lam)) for lam in parts}
-    functionals = []
-    for w in range(n + 1):
-        for mu in partitions_of(w):
-            row = {}
-            for lam in parts:
-                val = columns[lam].coeff(mu) * partition_factorial(mu) / partition_factorial(lam)
-                if val:
-                    row[lam] = val
-            functionals.append((mu, row))
-    return _system(n, functionals)
+    rows = {mu: {} for w in range(n + 1) for mu in partitions_of(w)}
+    for lam in partitions_of(n):
+        for mu, c in _todd_of_operations(GradedPoly.monomial(lam)).items():
+            rows[mu][lam] = c * partition_factorial(mu) / partition_factorial(lam)
+    return _system(n, list(rows.items()))
 
 
 # -- classical low-dimension congruence lists ----------------------------------------------

@@ -423,9 +423,6 @@ class BiTruncSeries:
                     pairs.setdefault((m1 + m2, l1 + l2), []).append((a, b))
         return BiTruncSeries({key: dot(ps) for key, ps in pairs.items()}, order=n)
 
-    def is_symmetric(self) -> bool:
-        return all(self.coefficient(l, m) == c for (m, l), c in self.terms.items())
-
     def __eq__(self, other):
         if not isinstance(other, BiTruncSeries):
             return NotImplemented

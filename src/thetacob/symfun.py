@@ -252,9 +252,6 @@ class ChernVector:
         vals = {Partition(k): Fraction(v) for k, v in values.items()}
         return cls(weight, frame, basis, vals)
 
-    def value(self, lam) -> Fraction:
-        return self.values[Partition(lam)]
-
     def as_vector(self):
         return [self.values[mu] for mu in partitions_of(self.weight)]
 

@@ -10,7 +10,6 @@ from thetacob.core import (
     catalan,
     parse_partition,
     partition_factorial,
-    partition_union,
     partitions_of,
     splittings,
 )
@@ -103,7 +102,7 @@ def test_splittings_multiset_convention():
     assert len(pairs21) == 4
     # every pair unions back to the original
     for mu, nu in pairs21:
-        assert partition_union(mu, nu) == Partition((2, 1))
+        assert Partition((*mu, *nu)) == Partition((2, 1))
 
 
 def test_rational_arithmetic_exact():

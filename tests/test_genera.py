@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -7,13 +8,13 @@ from thetacob.core import EMPTY, Partition, bernoulli, catalan, partition_factor
 from thetacob.gradedring import GradedPoly, t
 from thetacob.landweber import quantize
 from thetacob.series import TruncationError
-from thetacob.symfun import ChernVector
+from thetacob import symfun
+from thetacob.symfun import ChernVector, to_normal_monomial
 from thetacob.cobordism import (
     beta,
     cp_classes,
     decompose,
     q_multiplier,
-    theta_monomial,
     v_classes,
     w_classes,
 )
@@ -202,12 +203,69 @@ def test_congruence_rows_match_cartan_expansion():
             for mu in partitions_of(w):
                 row = {}
                 for lam in partitions_of(n):
-                    image = _cartan_ln_apply(mu, theta_monomial(lam))
+                    image = _cartan_ln_apply(mu, GradedPoly.monomial(lam))
                     val = genus_of_poly(todd, image) / partition_factorial(lam)
                     if val:
                         row[lam] = val
                 rows.append((mu, row))
         assert congruence_system(n).functionals == tuple(rows), n
+
+
+def _rows_by_cell_lookup(n):
+    """The rows read one coefficient per (mu, lam) cell of the column images:
+    the oracle for congruence_system's build from each image's own terms."""
+    parts = partitions_of(n)
+    columns = {lam: GradedPoly.monomial(lam).substitute(_todd_image) for lam in parts}
+    rows = []
+    for w in range(n + 1):
+        for mu in partitions_of(w):
+            row = {}
+            for lam in parts:
+                val = columns[lam].coeff(mu) * partition_factorial(mu) / partition_factorial(lam)
+                if val:
+                    row[lam] = val
+            rows.append((mu, list(row.items())))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_congruence_rows_match_cell_lookup(n):
+    """Rows, row order and key order within each row."""
+    rows = [(mu, list(row.items())) for mu, row in congruence_system(n).functionals]
+    assert rows == _rows_by_cell_lookup(n)
+
+
+def _random_vector(rng, n, frame, basis, fractional):
+    dens = (1, 2, 3, 12) if fractional else (1,)
+    return ChernVector(n, frame, basis, {lam: Fraction(rng.randint(-50, 50), rng.choice(dens))
+                                         for lam in partitions_of(n)})
+
+
+@pytest.mark.parametrize("frame", ["normal", "tangent"])
+@pytest.mark.parametrize("basis", ["monomial", "chern_product"])
+def test_check_matches_dense_evaluation(frame, basis):
+    """Verdicts and failing lists against every row times every partition."""
+    rng = random.Random(f"{frame}-{basis}")
+    for n in range(9):
+        system = congruence_system(n)
+        for fractional in (False, True):
+            c = _random_vector(rng, n, frame, basis, fractional)
+            values = to_normal_monomial(c).values
+            dense = [(mu, sum((row.get(lam, 0) * values[lam] for lam in partitions_of(n)),
+                              Fraction(0)))
+                     for mu, row in system.functionals]
+            failing = [(mu, v) for mu, v in dense if v.denominator != 1]
+            assert system.check(c) == (not failing, failing), (n, fractional)
+
+
+def test_check_refuses_a_weight_mismatch_before_converting():
+    c = ChernVector(14, "tangent", "chern_product",
+                    {lam: Fraction(1) for lam in partitions_of(14)})
+    system = congruence_system(2)
+    tables = symfun._in_basis.cache_info(), symfun._power_sum_rows.cache_info()
+    with pytest.raises(ValueError, match="vector weight 14 != system weight 2"):
+        system.check(c)
+    assert (symfun._in_basis.cache_info(), symfun._power_sum_rows.cache_info()) == tables
 
 
 def test_congruence_equivalence_with_classical_lists():

@@ -16,7 +16,7 @@ ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__fil
 OPERATIONS = {"core", "gradedring", "series", "cobordism", "landweber"}
 SERIES = {"core", "gradedring", "series", "cobordism"}
 GENUS = {"core", "gradedring", "series", "genera"}
-CONGRUENCES = {"core", "gradedring", "series", "cobordism", "genera", "lattices"}
+CONGRUENCES = {"core", "gradedring", "series", "genera", "lattices"}
 
 # Case -> (argv, the thetacob modules besides `cli` that its process loads,
 # exactly).  The processes run in a directory that holds genus.json and

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thetacob.acceptance import _cartan_ln_apply
-from thetacob.core import EMPTY, Partition, partition_factorial, partition_union, partitions_of
+from thetacob.core import EMPTY, Partition, partition_factorial, partitions_of
 from thetacob.gradedring import GradedPoly, ONE, ZERO, t
 from thetacob.cobordism import beta, beta_over_z, v_classes, w_classes
 from thetacob.landweber import (
@@ -50,10 +50,10 @@ def _times_by_terms(left: dict, right: dict, keep=None) -> dict:
     out: dict[tuple[Partition, Partition], Fraction] = {}
     for (m1, n1), c1 in left.items():
         for (m2, n2), c2 in right.items():
-            nu = partition_union(n1, n2)
+            nu = Partition((*n1, *n2))
             if keep is not None and nu not in keep:
                 continue
-            key = (partition_union(m1, m2), nu)
+            key = (Partition((*m1, *m2)), nu)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
 

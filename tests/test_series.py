@@ -54,6 +54,10 @@ def _revert_by_composition(f):
     return TruncSeries(g, order=n, grade_shift=shift)
 
 
+def _is_symmetric(F: BiTruncSeries) -> bool:
+    return all(F.coefficient(l, m) == c for (m, l), c in F.terms.items())
+
+
 def _bi_add(x, y):
     n = min(x.order, y.order)
     keys = set(x.terms) | set(y.terms)
@@ -191,7 +195,7 @@ def _residuals_by_power_tables(F, beta, order):
 
     return {
         "unit": unit,
-        "commutativity": F.is_symmetric(),
+        "commutativity": _is_symmetric(F),
         "associativity": associativity,
         "exp_identity": exp_identity,
     }
@@ -439,8 +443,8 @@ def test_bivariate_mul_and_symmetry():
     prod = u_plus_v * u_plus_v
     assert prod.coefficient(2, 0) == ONE
     assert prod.coefficient(1, 1) == GradedPoly.const(2)
-    assert prod.is_symmetric()
-    assert not (u_plus_v * BiTruncSeries({(1, 0): ONE}, order=4)).is_symmetric()
+    assert _is_symmetric(prod)
+    assert not _is_symmetric(u_plus_v * BiTruncSeries({(1, 0): ONE}, order=4))
 
 
 def test_fgl_low_order():
@@ -448,7 +452,7 @@ def test_fgl_low_order():
     assert F.coefficient(1, 0) == ONE
     assert F.coefficient(0, 1) == ONE
     assert F.coefficient(1, 1) == t(1)
-    assert F.is_symmetric()
+    assert _is_symmetric(F)
     assert [F.coefficient(m, 0) for m in range(7)] == TruncSeries.identity(6).coeffs
 
 
