@@ -60,7 +60,9 @@ MAX_INVARIANTS_N = 45
 # Python's 4300-digit limit on int-to-str conversion.
 MAX_INVARIANTS_K = 10 ** 6
 
-# Largest `theta intersect --n`: at most 2 s at 30 for any --k, 3.7 s at 35.
+# Largest `theta intersect --n`: one-shot, at most 0.13 s at 30 for any --k
+# (2-vCPU host).  Above the cap one class takes, in-process, at most 0.04 s
+# at 35, 0.1 s at 40 and 0.5 s at 50 (worst --k near n/4).
 MAX_THETA_N = 30
 
 # Largest weight of `quantize --expr`, `ln apply --expr` and `ln apply

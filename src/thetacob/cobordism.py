@@ -8,8 +8,12 @@ encodes the Chern-Dold character over the theta basis.  Its compositional
 inverse is the universal logarithm whose coefficients carry the projective
 space classes [CP^n]/(n+1); the multiplicative inverse of beta(z)/z
 carries the dual classes v_n, and log(beta(z)/z) the power-sum companions
-w_n.  decompose() reconstructs any weight-n class from its normal Chern
-numbers, decompose_tangent() from the tangent ones via the v family.
+w_n.  Writing beta(z) = z(1+u), u = sum t_n z^n/(n+1)!, each coefficient
+of those three series is one sum over the partitions of its weight
+(gradedring.partition_sum; Lagrange inversion for the logarithm), computed
+once per process.  decompose() reconstructs any weight-n class from its
+normal Chern numbers, decompose_tangent() from the tangent ones via the v
+family.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .core import partition_factorial, partitions_of, bernoulli
-from .gradedring import GradedPoly, ONE, ZERO, t
-from .series import GroupLaw, Inversion, Reversion, TruncSeries
+from .gradedring import GradedPoly, ONE, ZERO, partition_sum, power_weights, t
+from .series import GroupLaw, TruncSeries
 
 if TYPE_CHECKING:
     from .symfun import ChernVector
@@ -44,19 +48,24 @@ def beta_over_z(order: int) -> TruncSeries:
     return beta(order + 1).divide_by_z()
 
 
-# The logarithm's coefficients so far; a higher order extends them.
-_LOG = Reversion()
+@lru_cache(maxsize=None)
+def _log_coefficient(m: int) -> GradedPoly:
+    """g_m = (1/m) [z^(m-1)] (1+u)^(-m), beta(z) = z(1+u): Lagrange inversion."""
+    return partition_sum(m - 1, power_weights(-m, m), m)
 
 
 @lru_cache(maxsize=None)
 def mischenko_log(order: int) -> TruncSeries:
     """Compositional inverse of beta: the universal logarithm series.
 
-    One list of coefficients serves every order: a new order below the
-    longest computed is a truncation of it, one above computes only the
-    missing coefficients.
+    Each coefficient g_m = (1/m) [z^(m-1)] (beta(z)/z)^(-m) (Lagrange
+    inversion) is one sum over the partitions of m-1 (gradedring.partition_sum),
+    computed once per process: every order reads the same coefficients.
     """
-    return TruncSeries(_LOG.coefficients(beta(order)), order=order, grade_shift=1)
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    return TruncSeries([ZERO] + [_log_coefficient(m) for m in range(1, order + 1)],
+                       order=order, grade_shift=1)
 
 
 @lru_cache(maxsize=None)
@@ -65,13 +74,10 @@ def cp_classes(order: int) -> tuple[GradedPoly, ...]:
 
     cp[n] is (n+1) times the coefficient of u^{n+1} in the logarithm, so
     cp[1] = -t1 and cp[2] = 3/2*t1^2 - 1/2*t2; cp[0] is the unit.  It
-    reads the logarithm up to u^order only.
+    reads the logarithm's coefficients up to u^order only, which every
+    order shares.
     """
-    lg = mischenko_log(max(order, 2))
-    out = [ONE]
-    for n in range(1, order):
-        out.append((n + 1) * lg[n + 1])
-    return tuple(out)
+    return (ONE,) + tuple((n + 1) * _log_coefficient(n + 1) for n in range(1, order))
 
 
 # The group law F and its axioms' verdicts so far, by total degree.
@@ -86,8 +92,10 @@ def group_law_axioms(order: int) -> dict[str, bool]:
     return _LAW.axioms(beta(n), mischenko_log(n), order)
 
 
-# The coefficients of (beta(z)/z)^{-1} so far; a higher order extends them.
-_INV = Inversion()
+@lru_cache(maxsize=None)
+def _v_class(n: int) -> GradedPoly:
+    """v_n = (-1)^n (n+1)! [z^n] (1+u)^(-1), beta(z) = z(1+u)."""
+    return partition_sum(n, power_weights(-1, n + 1, (-1) ** n * factorial(n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -95,23 +103,30 @@ def v_classes(order: int) -> tuple[GradedPoly, ...]:
     """Dual classes v_n for n <= order, v[0] = 1.
 
     v_n is (-1)^n (n+1)! times the coefficient of z^n in the multiplicative
-    inverse of beta(z)/z.  Acceptance criterion 1 checks it for n <= 12
+    inverse of beta(z)/z, one sum over the partitions of n
+    (gradedring.partition_sum).  Acceptance criterion 1 checks it for n <= 12
     against an independent route, the h-in-terms-of-e Jacobi-Trudi
-    determinant with e_n = t_n/(n+1)!.  One list of inverse coefficients
-    serves every order, as the logarithm's does.
+    determinant with e_n = t_n/(n+1)!.  Each v_n is computed once per
+    process, and every order reads the same classes, as the logarithm's
+    coefficients are read.
     """
-    qv = _INV.coefficients(beta_over_z(order))
-    return (ONE,) + tuple(((-1) ** n * factorial(n + 1)) * qv[n] for n in range(1, order + 1))
+    return (ONE,) + tuple(_v_class(n) for n in range(1, order + 1))
+
+
+@lru_cache(maxsize=None)
+def _w_class(n: int) -> GradedPoly:
+    """w_n = n! [z^n] log(1+u), beta(z) = z(1+u)."""
+    return partition_sum(n, [0] + [(-1) ** (l - 1) * factorial(n) * factorial(l - 1)
+                                   for l in range(1, n + 1)])
 
 
 @lru_cache(maxsize=None)
 def w_classes(order: int) -> tuple[GradedPoly, ...]:
-    """Power-sum companions w_n = n! [z^n] log(beta(z)/z); w[0] = 0."""
-    lw = beta_over_z(order).log()
-    out = [ZERO]
-    for n in range(1, order + 1):
-        out.append(factorial(n) * lw[n])
-    return tuple(out)
+    """Power-sum companions w_n = n! [z^n] log(beta(z)/z); w[0] = 0.
+
+    Each w_n is one sum over the partitions of n (gradedring.partition_sum).
+    """
+    return (ZERO,) + tuple(_w_class(n) for n in range(1, order + 1))
 
 
 def q_multiplier(n: int) -> int:

@@ -23,13 +23,14 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
 from .gradedring import GradedPoly
-from .series import TruncSeries, TruncationError
 
 if TYPE_CHECKING:
+    from .series import TruncSeries
     from .symfun import ChernVector
 
-# The genus path needs only core, gradedring and series; the functions that
-# use symfun, cobordism or lattices import them, so `genus` never loads them.
+# The genus path needs only core, gradedring and series, and the congruence
+# path core, gradedring and lattices; each function imports the modules
+# beyond core and gradedring that it uses, so neither path loads the other's.
 
 
 class GenusSpec:
@@ -56,6 +57,8 @@ class GenusSpec:
 @lru_cache(maxsize=None)
 def todd_genus(order: int) -> GenusSpec:
     """Q = z/(1 - e^{-z}) = sum (-1)^n B_n z^n / n!, exactly."""
+    from .series import TruncSeries
+
     vals = [Fraction((-1) ** n) * bernoulli(n) / factorial(n) for n in range(order + 1)]
     return GenusSpec(TruncSeries.from_rationals(vals, order), name="todd")
 
@@ -63,6 +66,8 @@ def todd_genus(order: int) -> GenusSpec:
 @lru_cache(maxsize=None)
 def l_genus(order: int) -> GenusSpec:
     """Q = z/tanh z, from the Bernoulli form of the tanh series."""
+    from .series import TruncSeries
+
     tanh_over_z = [Fraction(0)] * (order + 1)
     tanh_over_z[0] = Fraction(1)
     for k in range(0, order // 2 + 1):
@@ -78,10 +83,14 @@ def l_genus(order: int) -> GenusSpec:
 @lru_cache(maxsize=None)
 def euler_genus(order: int) -> GenusSpec:
     """Q = 1 + z: the genus computing the Euler characteristic."""
+    from .series import TruncSeries
+
     return GenusSpec(TruncSeries.from_rationals([1, 1], order), name="euler")
 
 
 def custom_genus(coeffs, order=None, name="custom") -> GenusSpec:
+    from .series import TruncSeries
+
     vals = [Fraction(c) for c in coeffs]
     if order is None:
         order = len(vals) - 1
@@ -98,6 +107,8 @@ def genus_preset(name: str, order: int) -> GenusSpec:
 def genus_of_theta(spec: GenusSpec, n: int) -> Rat:
     """Value on the n-th theta class: (n+1)! [z^{n+1}] (z / Q(z))."""
     if n > spec.order:
+        from .series import TruncationError
+
         raise TruncationError(f"genus series truncated at order {spec.order}, need {n}")
     return factorial(n + 1) * spec._inv[n].aug()
 

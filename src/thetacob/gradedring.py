@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm, log10
+from math import factorial, gcd, lcm, log10
 from numbers import Real
 from typing import Iterable, Mapping
 
@@ -357,6 +357,55 @@ def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
     return _canonical({m: n for m, n in acc.items() if n}, denominator * divisor)
+
+
+def partition_sum(n: int, weights: list[int], divisor: int = 1) -> GradedPoly:
+    """[z^n] of sum_l w[l] u^l / l!, divided by the integer divisor >= 1, for
+    u = sum_{i>=1} t_i z^i/(i+1)! and the integer weights w = weights.
+
+    By the multinomial theorem this is one sum over the partitions mu of n,
+    the term of mu being w[len(mu)] t^mu / (prod_i m_i! prod_j (mu_j+1)!),
+    with m_i the number of parts of mu equal to i.  With
+    w[l] = alpha (alpha-1)...(alpha-l+1) (power_weights) it is
+    [z^n] (1+u)^alpha, and with w[l] = (-1)^(l-1) (l-1)!, w[0] = 0, it is
+    [z^n] log(1+u) (Comtet, Advanced Combinatorics, 1974).  Only the
+    partitions with fewer than len(weights) parts are walked, each once, and
+    the terms are built as integers over one denominator: no series
+    arithmetic and no Fraction.
+    """
+    _check_weight(n)
+    most = len(weights) - 1
+    terms = []
+
+    def walk(rest, top, key, length, den):
+        # the parts still to place sum to rest, and each is at most top
+        if not rest:
+            if weights[length]:
+                terms.append((key, weights[length], den))
+            return
+        room = most - length
+        for part in range(min(rest, top), 0, -1):
+            if part * room < rest:
+                break
+            step, f = 1 << 8 * (part - 1), factorial(part + 1)
+            k, d = key, den
+            for m in range(1, min(rest // part, room) + 1):
+                k += step
+                d *= m * f
+                walk(rest - m * part, part - 1, k, length + m, d)
+
+    walk(n, n, 0, 0, 1)
+    den = lcm(*(d for _, _, d in terms))
+    return _canonical({key: w * (den // d) for key, w, d in terms}, den * divisor)
+
+
+def power_weights(alpha: int, count: int, scale: int = 1) -> list[int]:
+    """scale * alpha (alpha-1)...(alpha-l+1) for l < count: the partition_sum
+    weights of scale * (1+u)^alpha."""
+    out = [scale]
+    for l in range(1, count):
+        out.append(out[-1] * (alpha - l + 1))
+    return out
 
 
 def _as_poly(x):

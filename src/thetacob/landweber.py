@@ -24,12 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial
 from .gradedring import (GradedPoly, ZERO, _PARTITION, _check_weight, _integer_form, _key, _new,
-                         _top_weight, dot, format_monomial)
-from .series import TruncSeries, residue_extract
-from .cobordism import beta
+                         _top_weight, dot, format_monomial, partition_sum, power_weights)
+
+if TYPE_CHECKING:
+    from .series import TruncSeries
 
 
 @lru_cache(maxsize=None)
@@ -37,8 +39,13 @@ def intersection_class(n: int, k: int) -> GradedPoly:
     """The class of the intersection of the n-th theta divisor with k
     generic translates: (n+1)! [z^{n+1}] beta^{k+1}.  Integral with
     positive coefficients; equals (n+1)! for k = n.
+
+    As beta(z) = z(1+u), this is (n+1)! [z^(n-k)] (1+u)^(k+1), one sum over
+    the partitions of n-k with at most k+1 parts (gradedring.partition_sum).
     """
-    return residue_extract(beta(max(n + 1, 2)), n, k)
+    if k < 0 or k > n:
+        raise ValueError("need 0 <= k <= n")
+    return partition_sum(n - k, power_weights(k + 1, min(k + 2, n - k + 1), factorial(n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +87,8 @@ def ln_apply_series(lam, f: TruncSeries) -> TruncSeries:
     On the universal exponential series the one-part operation (k) must
     reproduce beta^{k+1}; partitions of length > 1 give zero.
     """
+    from .series import TruncSeries
+
     lam = Partition(lam)
     shift = f.grade_shift + lam.weight if f.grade_shift is not None else None
     return TruncSeries([ln_apply(lam, c) for c in f.coeffs], order=f.order, grade_shift=shift)

@@ -20,6 +20,13 @@ by its missing coefficients only.  GroupLaw builds F from the univariate
 powers of the logarithm instead of composing bivariate series, and reads
 each group-law axiom off coefficients of powers of beta and of F, degree by
 degree, so that it too grows by the missing degrees only.
+
+The universal series themselves need none of this arithmetic: every
+coefficient of beta's logarithm, of (beta(z)/z)^{-1}, of log(beta(z)/z) and
+of a power of beta is one sum over partitions (gradedring.partition_sum),
+which cobordism and landweber read directly.  Reversion, Inversion, log and
+residue_extract serve generic series, and the tests check those closed
+forms against them.
 """
 
 from __future__ import annotations

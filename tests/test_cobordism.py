@@ -8,7 +8,8 @@ from thetacob.gradedring import ONE, GradedPoly, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
 from thetacob.cli import main
-from thetacob.series import GroupLaw, TruncSeries, fgl, fgl_axiom_residuals
+from thetacob.series import (GroupLaw, Inversion, Reversion, TruncSeries, fgl,
+                             fgl_axiom_residuals)
 from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
 from thetacob.cobordism import (
     adams_novikov,
@@ -155,21 +156,41 @@ def test_group_law_axioms_do_not_depend_on_call_order(empty_prefix_caches, capsy
     [9, 4, 12, 1, 7, 2, 10, 5],
 ], ids=["ascending", "descending", "interleaved"])
 def test_v_classes_do_not_depend_on_call_order(empty_prefix_caches, orders):
-    longest = 0
     for n in orders:
         qv = beta_over_z(n).inv()
         assert v_classes(n) == (ONE,) + tuple(
             ((-1) ** m * factorial(m + 1)) * qv[m] for m in range(1, n + 1)), n
-        # one kept list of inverse coefficients, extended to the longest order asked
-        longest = max(longest, n)
-        assert len(cobordism._INV._h) == longest + 1
 
 
-@pytest.mark.parametrize("n", [2, 5, 12])
-def test_cp_classes_extends_the_log_only_to_its_order(empty_prefix_caches, n):
-    # cp[n-1] reads [u^n] of the logarithm, so g_0..g_n are all it needs
-    cp_classes(n)
-    assert len(cobordism._LOG._g) == n + 1
+# -- the closed forms against the series routes -----------------------------------------
+#
+# Every coefficient of the logarithm, of (beta(z)/z)^(-1) and of log(beta(z)/z)
+# is one sum over partitions (gradedring.partition_sum); the generic series
+# routes, Lagrange-Buermann reversion, the multiplicative inverse and the
+# logarithm recurrence, are their oracles.  Each route's coefficients do not
+# depend on the order it is run to, so one run to order 20 serves every order.
+
+ORACLE_ORDER = 20
+
+
+@pytest.fixture(scope="module")
+def oracle_series():
+    return {"log": Reversion().coefficients(beta(ORACLE_ORDER)),
+            "inv": Inversion().coefficients(beta_over_z(ORACLE_ORDER)),
+            "ln": beta_over_z(ORACLE_ORDER).log().coeffs}
+
+
+@pytest.mark.parametrize("order", range(1, ORACLE_ORDER + 1))
+def test_closed_forms_match_the_series_routes(empty_prefix_caches, oracle_series, order):
+    if order >= 2:
+        assert mischenko_log(order).coeffs == oracle_series["log"][:order + 1]
+    else:
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            mischenko_log(order)
+    inv, ln = oracle_series["inv"], oracle_series["ln"]
+    assert v_classes(order) == (ONE,) + tuple(
+        ((-1) ** n * factorial(n + 1)) * inv[n] for n in range(1, order + 1))
+    assert w_classes(order) == tuple(factorial(n) * ln[n] for n in range(order + 1))
 
 
 def test_v_classes_printed_forms():

@@ -341,6 +341,13 @@ def test_integrality_multiplier_matches_cartan_expansion():
         assert integrality_multiplier(ws[n]) == lcm(*dens), n
 
 
+def test_integrality_multipliers_of_w_classes_are_bernoulli_denominators():
+    """The multipliers that `classes wn` prints against the denominator of B_n/n."""
+    ws = w_classes(16)
+    for n in range(1, 17):
+        assert integrality_multiplier(ws[n]) == (bernoulli(n) / n).denominator, n
+
+
 def test_integrality_multiplier_on_w_classes():
     ws = w_classes(4)
     # w_1 = t1/2 needs 2; the values below are recorded empirically

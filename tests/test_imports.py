@@ -13,10 +13,10 @@ import thetacob
 
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
 
-OPERATIONS = {"core", "gradedring", "series", "cobordism", "landweber"}
+OPERATIONS = {"core", "gradedring", "landweber"}
 SERIES = {"core", "gradedring", "series", "cobordism"}
 GENUS = {"core", "gradedring", "series", "genera"}
-CONGRUENCES = {"core", "gradedring", "series", "genera", "lattices"}
+CONGRUENCES = {"core", "gradedring", "genera", "lattices"}
 
 # Case -> (argv, the thetacob modules besides `cli` that its process loads,
 # exactly).  The processes run in a directory that holds genus.json and
@@ -36,7 +36,7 @@ LOAD_SETS = {
     "genus-poly": (["genus", "--name", "todd", "--of", "poly:t2 + t1^2"], GENUS),
     "genus-file": (["genus", "--name", "file:genus.json", "--of", "theta:3"], GENUS),
     "genus-json": (["--format", "json", "genus", "--name", "euler", "--of", "theta:3"], GENUS),
-    "invariants": (["invariants", "--n", "4"], GENUS | {"symfun"}),
+    "invariants": (["invariants", "--n", "4"], {"core", "gradedring", "genera", "symfun"}),
     "congruences": (["congruences", "--n", "3"], CONGRUENCES),
     "congruences-check": (["congruences", "--n", "2", "--check", "vec.json"],
                           CONGRUENCES | {"symfun"}),

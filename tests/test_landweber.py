@@ -9,6 +9,7 @@ from thetacob.acceptance import _cartan_ln_apply
 from thetacob.core import EMPTY, Partition, partition_factorial, partitions_of
 from thetacob.gradedring import GradedPoly, ONE, ZERO, t
 from thetacob.cobordism import beta, beta_over_z, v_classes, w_classes
+from thetacob.series import residue_extract
 from thetacob.landweber import (
     Diff1Field,
     TensorElement,
@@ -100,6 +101,16 @@ def test_generator_action_table():
     assert ln_apply(EMPTY, t(3)) == t(3)                      # identity operation
     assert intersection_class(2, 1) == 6 * t(1)
     assert intersection_class(3, 2) == 36 * t(1)
+
+
+@pytest.mark.parametrize("n", [*range(17), 30])
+def test_intersection_classes_match_the_residues(n):
+    """The partition sum against (n+1)! [z^(n+1)] of a power of the series beta."""
+    b = beta(max(n + 1, 2))
+    for k in (range(n + 1) if n <= 16 else (0, 1, 15, 29, 30)):
+        assert intersection_class(n, k) == residue_extract(b, n, k), (n, k)
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        intersection_class(n, n + 1)
 
 
 def test_cartan_rule_products():
