@@ -27,9 +27,10 @@ FORMAT_VERSION = "1.0.0"
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
-# of 5, a check takes 0.22 s at 16, 0.37 s at 18 and 0.69 s at 20, of which
-# the logarithm takes 0.1 s and the axioms 0.4 to 0.45 s.  A process checks
-# each degree once, so a repeated or lower order checks nothing.
+# of 5, a check takes 0.17 to 0.18 s at 16, 0.24 to 0.31 s at 18 and 0.45 to
+# 0.49 s at 20; in-process at 20 the logarithm takes 0.01 to 0.03 s and the
+# axioms 0.31 to 0.43 s.  A process checks each degree once, so a repeated or
+# lower order checks nothing.
 MAX_FGL_ORDER = 20
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
@@ -103,12 +104,9 @@ def _default_weight() -> int:
     if env is None:
         return 12
     try:
-        value = int(env)
+        return int(env)
     except ValueError:
         raise CliError(f"THETA_MAX_WEIGHT must be an integer, got {env!r}") from None
-    if not 2 <= value <= MAX_WEIGHT:
-        raise CliError(f"THETA_MAX_WEIGHT must be between 2 and {MAX_WEIGHT}, got {value}")
-    return value
 
 
 def _emit(args, command: str, params: dict, payload, text_lines) -> None:
@@ -619,7 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fgl", help="formal group law")
     fsub = p.add_subparsers(dest="fgl_command", required=True)
-    pc = fsub.add_parser("check", help="axiom residuals (must vanish exactly)")
+    # 6 is series.ASSOC_ORDER, which this module does not import.
+    pc = fsub.add_parser("check", help="axiom residuals (must vanish exactly; "
+                         "associativity to total order 6 at most)",
+                         description="Check the group-law axioms to total order --order, "
+                         "associativity to total order 6 at most: it is the one check in "
+                         "three variables.")
     pc.add_argument("--order", type=int, default=8)
     pc.set_defaults(handler=cmd_fgl_check)
 
@@ -644,10 +647,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "max_weight"):
+            source = "--max-weight"
             if args.max_weight is None:
-                args.max_weight = _default_weight()
-            elif not 1 <= args.max_weight <= MAX_WEIGHT:
-                raise CliError(f"--max-weight must be between 1 and {MAX_WEIGHT}, "
+                source, args.max_weight = "THETA_MAX_WEIGHT", _default_weight()
+            if not 1 <= args.max_weight <= MAX_WEIGHT:
+                raise CliError(f"{source} must be between 1 and {MAX_WEIGHT}, "
                                f"got {args.max_weight}")
         args.handler(args)
     except ValueError as exc:  # CliError and the parser's errors included

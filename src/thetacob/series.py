@@ -13,18 +13,17 @@ BiTruncSeries holds a bivariate series truncated by total degree, such as
 the formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)) that fgl
 returns.  It multiplies and compares; it does not compose.
 
-Reversion is Lagrange-Buermann inversion with J.C.P. Miller's power
-recurrence (see Reversion; Brent and Kung, J. ACM 1978): O(n^3)
-coefficient products, one coefficient at a time, so a kept inverse grows
-by its missing coefficients only.  GroupLaw builds F from the univariate
-powers of the logarithm instead of composing bivariate series, and reads
-each group-law axiom off coefficients of powers of beta and of F, degree by
-degree, so that it too grows by the missing degrees only.
+Series reversion is Lagrange-Buermann inversion with J.C.P. Miller's power
+recurrence (see TruncSeries.revert): O(n^3) coefficient products.  GroupLaw
+builds F from the univariate powers of the logarithm instead of composing
+bivariate series, and reads each group-law axiom off coefficients of powers
+of beta and of F, degree by degree, so that a kept law grows by the missing
+degrees only.
 
 The universal series themselves need none of this arithmetic: every
 coefficient of beta's logarithm, of (beta(z)/z)^{-1}, of log(beta(z)/z) and
 of a power of beta is one sum over partitions (gradedring.partition_sum),
-which cobordism and landweber read directly.  Reversion, Inversion, log and
+which cobordism and landweber read directly.  revert, inv, log and
 residue_extract serve generic series, and the tests check those closed
 forms against them.
 """
@@ -52,7 +51,7 @@ class CompositionDomainError(SeriesError):
 
 
 class NotNormalizedError(SeriesError):
-    """Reversion needs f_0 = 0 and f_1 = 1."""
+    """revert() needs f_0 = 0 and f_1 = 1."""
 
 
 class TruncationError(SeriesError):
@@ -184,9 +183,23 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inv(self) -> "TruncSeries":
-        """Multiplicative inverse: needs a nonzero rational constant term."""
+        """Multiplicative inverse: needs a nonzero rational constant term.
+
+        From f * h = 1: h_0 = 1/f_0 and h_m = -(1/f_0) sum_{k=1..m} f_k h_{m-k},
+        one weighted dot() per coefficient.
+        """
+        f = self.coeffs
+        if not f[0].is_constant() or f[0].is_zero():
+            raise NonInvertibleSeriesError(
+                "series inverse needs a nonzero constant rational leading coefficient"
+            )
+        h0 = 1 / f[0].aug()
+        h = [GradedPoly.const(h0)]
+        for m in range(1, self.order + 1):
+            h.append(dot(((f[k], h[m - k]) for k in range(1, m + 1)),
+                         repeat(-h0.numerator), h0.denominator))
         shift = -self.grade_shift if self.grade_shift is not None else None
-        return TruncSeries(Inversion().coefficients(self), order=self.order, grade_shift=shift)
+        return TruncSeries(h, order=self.order, grade_shift=shift)
 
     def __pow__(self, k: int) -> "TruncSeries":
         if not isinstance(k, int):
@@ -232,15 +245,42 @@ class TruncSeries:
         return TruncSeries(acc.coeffs, order=n, grade_shift=shift)
 
     def revert(self) -> "TruncSeries":
-        """Compositional inverse g with f(g(z)) = g(f(z)) = z.
+        """Compositional inverse g with f(g(z)) = g(f(z)) = z; needs f_0 = 0
+        and f_1 = 1 (at order 0, only f_0 = 0).
 
-        Lagrange-Buermann inversion, one coefficient at a time (see
-        Reversion).  Needs f_0 = 0 and f_1 = 1.
+        Lagrange-Buermann inversion gives each coefficient of g on its own,
+
+            g_m = (1/m) [z^(m-1)] h^m,    h = (f/z)^{-1},
+
+        and J.C.P. Miller's power recurrence gives the coefficients of a = h^m
+        from those of h: a_0 = 1 and
+
+            a_k = (1/k) sum_{j=1..k} ((m+1) j - k) h_j a_{k-j}.
+
+        So g_m costs O(m^2) coefficient products, O(n^3) for the whole series
+        instead of the O(n^4) of solving f(g) = z order by order.  The
+        recurrence's scalars are weights and divisors of dot(), so it builds
+        no scaled polynomial.  Brent and Kung ("Fast algorithms for
+        manipulating formal power series", J. ACM 1978) survey this and the
+        asymptotically faster Newton reversion.
         """
-        if not self.coeffs[0].is_zero() or self.coeffs[1] != ONE:
+        f, n = self.coeffs, self.order
+        if not f[0].is_zero() or (n > 0 and f[1] != ONE):
             raise NotNormalizedError("reversion needs f_0 = 0 and f_1 = 1")
         shift = 1 if self.grade_shift == 1 else None
-        return TruncSeries(Reversion().coefficients(self), order=self.order, grade_shift=shift)
+        if n == 0:
+            return TruncSeries([ZERO], order=0, grade_shift=shift)
+        h = TruncSeries(f[1:], order=n - 1).inv().coeffs
+        g = [ZERO, ONE]
+        for m in range(2, n + 1):
+            # a_k = [z^k] h^m; the last, k = m-1, is divided by m too: g_m
+            a = [ONE]
+            for k in range(1, m):
+                a.append(dot(((h[j], a[k - j]) for j in range(1, k + 1)),
+                             ((m + 1) * j - k for j in range(1, k + 1)),
+                             k if k < m - 1 else k * m))
+            g.append(a[m - 1])
+        return TruncSeries(g, order=n, grade_shift=shift)
 
     # -- exp / log ---------------------------------------------------------------
 
@@ -276,88 +316,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({format_series(self)!r})"
-
-
-class Inversion:
-    """Multiplicative inverse of a series, kept as a growing prefix.
-
-    From f * h = 1: h_0 = 1/f_0 and h_m = -(1/f_0) sum_{k=1..m} f_k h_{m-k},
-    one weighted dot() per coefficient.  h_m needs only f_0..f_m, so asking
-    for a higher order extends the kept prefix and recomputes none of it.
-    """
-
-    def __init__(self):
-        self._h: list[GradedPoly] = []
-        self._lock = threading.Lock()
-
-    def coefficients(self, f: TruncSeries) -> list[GradedPoly]:
-        """h_0..h_N for N = f.order.
-
-        f_0 must be a nonzero rational, and f must agree, on the common
-        prefix, with every series this object was given before.
-        """
-        f0 = f.coeffs[0]
-        if not f0.is_constant() or f0.is_zero():
-            raise NonInvertibleSeriesError(
-                "series inverse needs a nonzero constant rational leading coefficient"
-            )
-        with self._lock:
-            h, fc = self._h, f.coeffs
-            if not h:
-                h.append(GradedPoly.const(1 / f0.aug()))
-            c = -h[0].aug()
-            for m in range(len(h), f.order + 1):
-                h.append(dot(((fc[k], h[m - k]) for k in range(1, m + 1)),
-                             repeat(c.numerator), c.denominator))
-            return h[: f.order + 1]
-
-
-class Reversion:
-    """Compositional inverse of a normalised series, kept as a growing prefix.
-
-    Lagrange-Buermann inversion gives each coefficient of g = f^{-1} on its
-    own,
-
-        g_m = (1/m) [z^(m-1)] h^m,    h = (f/z)^{-1},
-
-    and J.C.P. Miller's power recurrence gives the coefficients of a = h^m
-    from those of h: a_0 = 1 and
-
-        a_k = (1/k) sum_{j=1..k} ((m+1) j - k) h_j a_{k-j}.
-
-    So g_m costs O(m^2) coefficient products, O(n^3) for the whole series
-    instead of the O(n^4) of solving f(g) = z order by order, and it needs
-    only h_1..h_{m-1}, hence only f_2..f_m: asking for a higher order
-    extends the kept prefixes of g and of h (an Inversion of f/z) and
-    recomputes none of them.  The recurrence's scalars are weights and
-    divisors of dot(), so it builds no scaled polynomial.  Brent and Kung ("Fast algorithms for manipulating formal
-    power series", J. ACM 1978) survey this and the asymptotically faster
-    Newton reversion.
-    """
-
-    def __init__(self):
-        self._h = Inversion()
-        self._g = [ZERO, ONE]
-        self._lock = threading.Lock()
-
-    def coefficients(self, f: TruncSeries) -> list[GradedPoly]:
-        """g_0..g_N for N = f.order.
-
-        f must be normalised (f_0 = 0, f_1 = 1) and agree, on the common
-        prefix, with every series this object was given before.
-        """
-        with self._lock:
-            g = self._g
-            h = self._h.coefficients(TruncSeries(f.coeffs[1:], order=f.order - 1))
-            for m in range(len(g), f.order + 1):
-                # a_k = [z^k] h^m; the last, k = m-1, is divided by m too: g_m
-                a = [ONE]
-                for k in range(1, m):
-                    a.append(dot(((h[j], a[k - j]) for j in range(1, k + 1)),
-                                 ((m + 1) * j - k for j in range(1, k + 1)),
-                                 k if k < m - 1 else k * m))
-                g.append(a[m - 1])
-            return g[: f.order + 1]
 
 
 def residue_extract(beta_series: TruncSeries, n: int, k: int) -> GradedPoly:
@@ -491,9 +449,8 @@ class GroupLaw:
     Degree d adds one coefficient to every power of L and of beta, the
     diagonals Q_{j,d-j}, F_{m,d-m} and R_{l,d-l}, the degree-d coefficients
     of each Phi_m and degree d's verdicts; an order's verdict is all() over
-    degrees 0..order.  As with Inversion, a higher order extends the kept
-    prefix, so beta and L must agree, on the common prefix, with every pair
-    given before.
+    degrees 0..order.  A higher order extends the kept prefix, so beta and L
+    must agree, on the common prefix, with every pair given before.
     """
 
     def __init__(self):

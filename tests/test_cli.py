@@ -312,6 +312,15 @@ def test_fgl_order_bounded(capsys):
     assert code == 0 and out.count("residual 0") == 4
 
 
+def test_fgl_check_help_states_the_associativity_order(capsys):
+    from thetacob.series import ASSOC_ORDER
+    for argv in (["fgl", "--help"], ["fgl", "check", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"associativity to total order {ASSOC_ORDER}" in out
+
+
 def test_weierstrass_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "weierstrass", "verify", "--lemniscatic")
     assert code == 0
@@ -369,10 +378,11 @@ def test_classes_wn_and_cpn(capsys):
 
 
 def test_env_var_default_weight(monkeypatch, capsys):
-    monkeypatch.setenv("THETA_MAX_WEIGHT", "4")
-    code, out, _ = run_cli(capsys, "--format", "json", "beta")
-    env = json.loads(out)
-    assert env["payload"]["max_weight"] == 4
+    for weight in (4, 1):
+        monkeypatch.setenv("THETA_MAX_WEIGHT", str(weight))
+        code, out, _ = run_cli(capsys, "--format", "json", "beta")
+        env = json.loads(out)
+        assert code == 0 and env["payload"]["max_weight"] == weight
     monkeypatch.setenv("THETA_MAX_WEIGHT", "zzz")
     code, _, err = run_cli(capsys, "beta")
     assert code == 2

@@ -8,8 +8,7 @@ from thetacob.gradedring import ONE, GradedPoly, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
 from thetacob.cli import main
-from thetacob.series import (GroupLaw, Inversion, Reversion, TruncSeries, fgl,
-                             fgl_axiom_residuals)
+from thetacob.series import GroupLaw, TruncSeries, fgl, fgl_axiom_residuals
 from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
 from thetacob.cobordism import (
     adams_novikov,
@@ -126,6 +125,11 @@ def test_fgl_from_the_kept_log_matches_a_fresh_reversion(empty_prefix_caches, or
         assert fgl(b, n, log=mischenko_log(max(n, 2))) == fgl(b, n), n
 
 
+def test_group_law_at_order_zero(empty_prefix_caches):
+    assert fgl_axiom_residuals(beta(4), 0) == group_law_axioms(0)
+    assert fgl(beta(4), 0) == fgl(beta(4), 0, log=mischenko_log(2))
+
+
 def _fgl_check_text(capsys, n):
     assert main(["fgl", "check", "--order", str(n)]) == 0
     return capsys.readouterr().out
@@ -175,8 +179,8 @@ ORACLE_ORDER = 20
 
 @pytest.fixture(scope="module")
 def oracle_series():
-    return {"log": Reversion().coefficients(beta(ORACLE_ORDER)),
-            "inv": Inversion().coefficients(beta_over_z(ORACLE_ORDER)),
+    return {"log": beta(ORACLE_ORDER).revert().coeffs,
+            "inv": beta_over_z(ORACLE_ORDER).inv().coeffs,
             "ln": beta_over_z(ORACLE_ORDER).log().coeffs}
 
 

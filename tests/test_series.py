@@ -242,8 +242,8 @@ _small_poly = st.dictionaries(
 
 
 def _normalised_series(max_order):
-    return st.integers(1, max_order).flatmap(
-        lambda n: st.lists(_small_poly, min_size=n - 1, max_size=n - 1).map(
+    return st.integers(0, max_order).flatmap(
+        lambda n: st.lists(_small_poly, min_size=max(n - 1, 0), max_size=max(n - 1, 0)).map(
             lambda tail: TruncSeries([ZERO, ONE] + tail, order=n)))
 
 
@@ -253,6 +253,9 @@ def test_revert_property(f):
     g = f.revert()
     assert f.compose(g) == TruncSeries.identity(f.order)
     assert g.revert() == f
+    # g_m depends on f_0..f_m only
+    for m in range(f.order + 1):
+        assert f.truncated(m).revert() == g.truncated(m)
 
 
 def test_inv_geometric_series():
@@ -355,6 +358,10 @@ def test_log_matches_horner_oracle():
 def test_log_property(f):
     assert f.log() == _log_by_horner(f)
     assert f.log().exp() == f
+    # h_m of the inverse depends on f_0..f_m only
+    h = f.inv()
+    for m in range(f.order + 1):
+        assert f.truncated(m).inv() == h.truncated(m)
 
 
 def test_inv_with_rational_constant_term():
