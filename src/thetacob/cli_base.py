@@ -1,0 +1,124 @@
+"""What every command-line handler shares: the input bounds, the validation
+error, the output envelope and the expression parser's flag-naming wrapper.
+
+The handler modules import this module and never `thetacob.cli`: under
+``python -m thetacob.cli`` that module runs as ``__main__``, and importing
+it by name would compile it a second time.
+"""
+
+from __future__ import annotations
+
+FORMAT_VERSION = "1.0.0"
+
+# Largest `congruences --n`: one run takes about 2.6 s at 14, nearly all of
+# it in the lattice step (the rows take 0.1 s), and 6 to 10 s at 15.
+# `--check` adds about 0.1 s at 14 in any frame and basis (2-vCPU host,
+# one-shot, median of 3).
+MAX_CONGRUENCE_WEIGHT = 14
+
+# Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
+# of 5, a check takes 0.17 to 0.18 s at 16, 0.24 to 0.31 s at 18 and 0.45 to
+# 0.49 s at 20; in-process at 20 the logarithm takes 0.01 to 0.03 s and the
+# axioms 0.31 to 0.43 s.  A process checks each degree once, so a repeated or
+# lower order checks nothing.
+MAX_FGL_ORDER = 20
+
+# Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
+# about 0.33 s one-shot (same host), nearly all of it in the integrality
+# multipliers; `logarithm`, `classes cpn` and `classes vn` take 0.12 to 0.17 s.
+MAX_WEIGHT = 16
+
+# Least and largest modulus of a `weierstrass verify` half-period.  The
+# stated tolerances are absolute, set for periods of modulus near 1; the
+# float series lose all precision well outside this range (at 1e-6 and at
+# 1e8 a lemniscatic lattice's Newton iterates turn NaN, at 1e200 g3
+# overflows), and below 0.1 some checks already fail.
+MIN_HALF_PERIOD = 1e-4
+MAX_HALF_PERIOD = 1e4
+
+# Largest max(|omega1|, |omega2|)^2 / Im(conj(omega1) omega2): 1 for the
+# square lattice, larger the longer and flatter the cell the two
+# half-periods span.  The quasi-periodicity factors exp(4 eta_k (z + omega_k))
+# grow with it and overflow a float from about 17 on (random period pairs).
+MAX_PERIOD_SKEW = 10
+
+# Largest `invariants --n`: the Chern tables run over the partitions of n,
+# about 2.1 to 2.5 s at 45 one-shot (2-vCPU host, median of 3) and 6 s at 50.
+MAX_INVARIANTS_N = 45
+
+# Largest `invariants --k`: the Euler characteristic and the middle Betti
+# number grow as k^(n+1), so at n = 45 they keep under 350 digits, far below
+# Python's 4300-digit limit on int-to-str conversion.
+MAX_INVARIANTS_K = 10 ** 6
+
+# Largest `theta intersect --n`: one-shot, at most 0.13 s at 30 for any --k
+# (2-vCPU host).  Above the cap one class takes, in-process, at most 0.04 s
+# at 35, 0.1 s at 40 and 0.5 s at 50 (worst --k near n/4).
+MAX_THETA_N = 30
+
+# Largest weight of `quantize --expr`, `ln apply --expr` and `ln apply
+# --partition`: one-shot, quantising the sum of all monomials of weight
+# <= 14 takes 1.5 to 1.7 s, and of weight 16 alone (cap lifted) 1.3 to 1.5 s.
+MAX_EXPR_WEIGHT = 14
+
+# Largest N in `genus --of theta:N` and weight of `genus --of poly:EXPR`.
+# The genus series is cheap here (the L-genus takes 0.5 s to order 200);
+# the bound is set by the terms the parser may expand below it:
+# `(1+t1+...+t6)^10` has 8008 and takes 0.8 to 1.1 s one-shot with a preset
+# genus, and 2.5 to 3.1 s with a genus file {"coeffs": ["1", "1/<50 sevens>"]},
+# whose widest term has about 3000 digits (2-vCPU host).
+MAX_GENUS_WEIGHT = 60
+
+# Largest sum, over the coefficients of a genus file up to the order that a
+# request uses, of the decimal digits of each (of its numerator or its
+# denominator, whichever is longer).  Inverting the series costs most when
+# long denominators sit at z^1 and z^2: `genus --of theta:60` then takes
+# up to about 1 s at 1250 digits and 1.4 s at 1560 (in-process, 2-vCPU
+# host).  The Todd series to z^60 has 1201.
+MAX_GENUS_FILE_DIGITS = 1250
+
+# Longest numerator or denominator of a printed genus value, checked before
+# it is converted to text; Python refuses to convert one of 4300 digits.
+# `genus --of poly:EXPR` also refuses, before it sums, an expression whose
+# widest term may pass it: the coefficient's digits plus, for each factor
+# t_n, the digits of the genus of theta_n.
+MAX_VALUE_DIGITS = 4000
+
+
+class CliError(ValueError):
+    """Validation failure reported with exit code 2."""
+
+
+def _emit(args, command: str, params: dict, payload, text_lines) -> None:
+    if args.format == "json":
+        import json
+
+        envelope = {
+            "command": command,
+            "params": params,
+            "format_version": FORMAT_VERSION,
+            "payload": payload,
+        }
+        print(json.dumps(envelope, indent=2))
+    else:
+        for line in text_lines:
+            print(line)
+
+
+def _frac(x: Fraction) -> str:
+    return str(x)
+
+
+def _digits(x: Fraction) -> int:
+    """Bound on the decimal digits of x's numerator or denominator, read
+    from its bit length: converting a long integer to text is quadratic."""
+    return max(abs(x.numerator), x.denominator).bit_length() * 30103 // 100000 + 1
+
+
+def _parse_expr(flag: str, text: str, max_weight: int):
+    from .gradedring import parse_poly
+
+    try:
+        return parse_poly(text, max_weight=max_weight)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None

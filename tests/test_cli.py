@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -127,6 +128,57 @@ def test_main_after_parse_errors_matches_fresh_process(capsys):
     fresh = subprocess.run([sys.executable, "-m", "thetacob.cli", *good], env=env,
                            capture_output=True, check=True, timeout=120)
     assert code == 0 and out.encode() == fresh.stdout
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["congruences", "--n", "12"], 0),  # 111 KB, more than a pipe buffer
+    (["congruences", "--n", "99"], 2),
+    (["weierstrass", "verify", "--lemniscatic", "--tol", "1e-300"], 3),
+    (["congruences", "--n"], 2),  # argparse's own error
+], ids=["exit-0", "exit-2", "exit-3", "argparse-error"])
+def test_oneshot_process_matches_main(capsys, argv, expected):
+    """A one-shot process writes what in-process `main` writes and exits with its
+    code, and `main` leaves the garbage collector unfrozen."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on a malformed argv
+        code = exc.code
+    assert gc.get_freeze_count() == 0
+    in_process = capsys.readouterr()
+    # Buffered, as a pipe is by default, so that an exit without a flush shows.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(thetacob.__file__))
+    oneshot = subprocess.run([sys.executable, "-m", "thetacob.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+    assert (oneshot.returncode, oneshot.stdout, oneshot.stderr) == \
+        (code, in_process.out, in_process.err)
+    assert code == expected
+    assert (len(oneshot.stdout) > 65536) == (expected == 0)
+
+
+def test_console_script_returns_the_exit_code_of_main(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["thetacob"]
+    argv = ["congruences", "--n", "99"]
+    code = main(argv)
+    expected = capsys.readouterr()
+    # What the generated script does, short of its sys.exit: the entry must
+    # also freeze the collector before it returns.
+    script = (
+        "import gc, importlib, sys\n"
+        f"module, _, name = {target!r}.partition(':')\n"
+        "entry = getattr(importlib.import_module(module), name)\n"
+        f"sys.argv = ['thetacob', *{argv!r}]\n"
+        "code = entry()\n"
+        "print(repr(code), gc.get_freeze_count() > 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert code == 2 and proc.stderr == expected.err
+    assert proc.stdout == expected.out + f"{code!r} True\n"
 
 
 def test_invariants(capsys):

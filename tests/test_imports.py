@@ -13,15 +13,17 @@ import thetacob
 
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
 
-OPERATIONS = {"core", "gradedring", "landweber"}
-SERIES = {"core", "gradedring", "series", "cobordism"}
-GENUS = {"core", "gradedring", "series", "genera"}
-CONGRUENCES = {"core", "gradedring", "genera", "lattices"}
+OPERATIONS = {"cli_base", "cli_operations", "core", "gradedring", "landweber"}
+SERIES = {"cli_base", "cli_series", "core", "gradedring", "series", "cobordism"}
+GENUS = {"cli_base", "cli_genera", "core", "gradedring", "series", "genera"}
+CONGRUENCES = {"cli_base", "cli_genera", "core", "gradedring", "genera", "lattices"}
+VERIFY = {"cli_base", "cli_verify", "weierstrass"}
 
 # Case -> (argv, the thetacob modules besides `cli` that its process loads,
-# exactly).  The processes run in a directory that holds genus.json and
-# vec.json.  `selftest` loads every module; test_no_module_loads_dataclasses
-# covers it.
+# exactly: the shared `cli_base`, the one handler module that `main` imports
+# on dispatch and the modules the handler runs).  The processes run in a
+# directory that holds genus.json and vec.json.  `selftest` loads every
+# module; test_no_module_loads_dataclasses covers it.
 LOAD_SETS = {
     "beta": (["beta", "--max-weight", "4"], SERIES),
     "logarithm": (["logarithm", "--max-weight", "4"], SERIES),
@@ -36,14 +38,14 @@ LOAD_SETS = {
     "genus-poly": (["genus", "--name", "todd", "--of", "poly:t2 + t1^2"], GENUS),
     "genus-file": (["genus", "--name", "file:genus.json", "--of", "theta:3"], GENUS),
     "genus-json": (["--format", "json", "genus", "--name", "euler", "--of", "theta:3"], GENUS),
-    "invariants": (["invariants", "--n", "4"], {"core", "gradedring", "genera", "symfun"}),
+    "invariants": (["invariants", "--n", "4"],
+                   {"cli_base", "cli_genera", "core", "gradedring", "genera", "symfun"}),
     "congruences": (["congruences", "--n", "3"], CONGRUENCES),
     "congruences-check": (["congruences", "--n", "2", "--check", "vec.json"],
                           CONGRUENCES | {"symfun"}),
     "weierstrass-verify": (["weierstrass", "verify", "--omega1=1.3+0.2i", "--omega2=-0.4+1.1i"],
-                           {"weierstrass"}),
-    "weierstrass-json": (["--format", "json", "weierstrass", "verify", "--lemniscatic"],
-                         {"weierstrass"}),
+                           VERIFY),
+    "weierstrass-json": (["--format", "json", "weierstrass", "verify", "--lemniscatic"], VERIFY),
 }
 
 
@@ -86,8 +88,19 @@ def test_subcommand_loads_only_its_modules(loaded_by_case, case):
     assert {m[9:] for m in loaded if m.startswith("thetacob.")} == modules | {"cli"}
     assert not loaded & {"dataclasses", "inspect"}
     assert ("json" in loaded) == _uses_json(argv)
-    if modules == {"weierstrass"}:
+    if modules == VERIFY:
         assert not loaded & {"fractions", "decimal"}
+
+
+def test_oneshot_compiles_cli_once():
+    """Under -m, `cli` runs as __main__: importing it by name would compile it again."""
+    argv = ["ln", "apply", "--partition", "2,1", "--expr", "t3 - 4*t1*t2"]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "thetacob.cli", *argv],
+                          env=ENV, capture_output=True, text=True, check=True, timeout=120)
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"thetacob.cli_base", "thetacob.cli_operations", "thetacob.landweber"} <= imported
+    assert "thetacob.cli" not in imported
 
 
 def test_no_module_loads_dataclasses_or_inspect():
