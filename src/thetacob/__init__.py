@@ -26,9 +26,11 @@ _HOMES = {
     "symfun": ("ChernVector", "SymFunExpr", "chern_product_to_monomial", "convert_basis",
                "monomial_to_chern_product", "normal_to_tangent", "sign_involution",
                "tangent_to_normal", "to_normal_monomial"),
-    "cobordism": ("adams_novikov", "beta", "beta_over_z", "cp_classes", "decompose",
-                  "decompose_tangent", "mischenko_log", "psi_on_class", "q_multiplier",
-                  "theta_power_class", "v_classes", "w_classes"),
+    "grouplaw": ("ASSOC_ORDER", "GroupLaw"),
+    "cobordism": ("adams_novikov", "beta", "beta_coefficients", "beta_over_z", "cp_classes",
+                  "decompose", "decompose_tangent", "log_coefficients", "mischenko_log",
+                  "psi_on_class", "q_multiplier", "theta_power_class", "v_classes",
+                  "w_classes"),
     "landweber": ("Diff1Field", "TensorElement", "dequantize", "diff1_commutator",
                   "dual_pairing", "intersection_class", "ln_apply", "ln_apply_series",
                   "quantize"),

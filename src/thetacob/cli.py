@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fgl", help="formal group law")
     fsub = p.add_subparsers(dest="fgl_command", required=True)
-    # 6 is series.ASSOC_ORDER, which this module does not import.
+    # 6 is grouplaw.ASSOC_ORDER, which this module does not import.
     pc = fsub.add_parser("check", help="axiom residuals (must vanish exactly; "
                          "associativity to total order 6 at most)",
                          description="Check the group-law axioms to total order --order, "

@@ -17,15 +17,16 @@ FORMAT_VERSION = "1.0.0"
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
-# of 5, a check takes 0.17 to 0.18 s at 16, 0.24 to 0.31 s at 18 and 0.45 to
-# 0.49 s at 20; in-process at 20 the logarithm takes 0.01 to 0.03 s and the
-# axioms 0.31 to 0.43 s.  A process checks each degree once, so a repeated or
+# of 5, a check takes 0.15 to 0.2 s at 16, 0.24 to 0.28 s at 18 and 0.45 to
+# 0.54 s at 20; in-process at 20 the logarithm takes 0.01 s and the axioms
+# 0.32 to 0.47 s.  A process checks each degree once, so a repeated or
 # lower order checks nothing.
 MAX_FGL_ORDER = 20
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# about 0.33 s one-shot (same host), nearly all of it in the integrality
-# multipliers; `logarithm`, `classes cpn` and `classes vn` take 0.12 to 0.17 s.
+# 0.21 to 0.28 s one-shot (same host, median of 5), nearly all of it in the
+# integrality multipliers; `beta`, `logarithm` and `classes cpn|vn` take
+# 0.06 to 0.11 s, most of it interpreter start.
 MAX_WEIGHT = 16
 
 # Least and largest modulus of a `weierstrass verify` half-period.  The

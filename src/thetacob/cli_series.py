@@ -12,7 +12,7 @@ def cmd_beta(args):
     from .gradedring import format_poly
 
     n = args.max_weight
-    b = cob.beta(n + 1)
+    b = cob.beta_coefficients(n + 1)
     coeffs = [format_poly(b[m]) for m in range(n + 2)]
     payload = {"max_weight": n, "coefficients": coeffs}
     lines = [f"beta(z) up to weight {n} (coefficient of z^m has weight m-1)"]
@@ -25,7 +25,7 @@ def cmd_logarithm(args):
     from .gradedring import format_poly
 
     n = args.max_weight
-    lg = cob.mischenko_log(n + 1)
+    lg = cob.log_coefficients(n + 1)
     cps = cob.cp_classes(n + 1)
     coeffs = [format_poly(lg[m]) for m in range(n + 2)]
     payload = {

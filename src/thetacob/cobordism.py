@@ -10,10 +10,18 @@ space classes [CP^n]/(n+1); the multiplicative inverse of beta(z)/z
 carries the dual classes v_n, and log(beta(z)/z) the power-sum companions
 w_n.  Writing beta(z) = z(1+u), u = sum t_n z^n/(n+1)!, each coefficient
 of those three series is one sum over the partitions of its weight
-(gradedring.partition_sum; Lagrange inversion for the logarithm), computed
-once per process.  decompose() reconstructs any weight-n class from its
-normal Chern numbers, decompose_tangent() from the tangent ones via the v
-family.
+(gradedring.partition_sum; Lagrange inversion for the logarithm).
+
+Every coefficient and class is computed once per process, by a cache per
+index (_beta_coefficient, _log_coefficient, _cp_class, _v_class,
+_w_class), and each per-order function is a view over them:
+beta_coefficients, log_coefficients, cp_classes, v_classes and w_classes
+give tuples, and beta, beta_over_z and mischenko_log wrap the same
+coefficients in a series.TruncSeries, which they import when called.  So
+orders a < b share their first a + 1 coefficients as objects, and the
+group law (grouplaw.GroupLaw, kept by group_law_axioms) reads the tuples.
+decompose() reconstructs any weight-n class from its normal Chern numbers,
+decompose_tangent() from the tangent ones via the v family.
 """
 
 from __future__ import annotations
@@ -25,21 +33,33 @@ from typing import TYPE_CHECKING
 
 from .core import partition_factorial, partitions_of, bernoulli
 from .gradedring import GradedPoly, ONE, ZERO, partition_sum, power_weights, t
-from .series import GroupLaw, TruncSeries
+from .grouplaw import GroupLaw
 
 if TYPE_CHECKING:
+    from .series import TruncSeries
     from .symfun import ChernVector
+
+
+@lru_cache(maxsize=None)
+def _beta_coefficient(m: int) -> GradedPoly:
+    """[z^m] beta: 0, 1 and then t_(m-1)/m!."""
+    return (ZERO, ONE)[m] if m < 2 else t(m - 1) * Fraction(1, factorial(m))
+
+
+@lru_cache(maxsize=None)
+def beta_coefficients(order: int) -> tuple[GradedPoly, ...]:
+    """The coefficients of beta(z) = z + sum t_n z^{n+1}/(n+1)!, z^0..z^order."""
+    return tuple(_beta_coefficient(m) for m in range(order + 1))
 
 
 @lru_cache(maxsize=None)
 def beta(order: int) -> TruncSeries:
     """The universal exponential series over the theta basis, to z^order."""
+    from .series import TruncSeries
+
     if order < 2:
         raise ValueError("order must be >= 2")
-    coeffs = [ZERO, ONE]
-    for n in range(1, order):
-        coeffs.append(t(n) * Fraction(1, factorial(n + 1)))
-    return TruncSeries(coeffs, order=order, grade_shift=1)
+    return TruncSeries(beta_coefficients(order), order=order, grade_shift=1)
 
 
 @lru_cache(maxsize=None)
@@ -55,17 +75,31 @@ def _log_coefficient(m: int) -> GradedPoly:
 
 
 @lru_cache(maxsize=None)
-def mischenko_log(order: int) -> TruncSeries:
-    """Compositional inverse of beta: the universal logarithm series.
+def log_coefficients(order: int) -> tuple[GradedPoly, ...]:
+    """The coefficients of the logarithm beta^{-1}, u^0..u^order.
 
-    Each coefficient g_m = (1/m) [z^(m-1)] (beta(z)/z)^(-m) (Lagrange
-    inversion) is one sum over the partitions of m-1 (gradedring.partition_sum),
-    computed once per process: every order reads the same coefficients.
+    Each g_m = (1/m) [z^(m-1)] (beta(z)/z)^(-m) (Lagrange inversion) is one
+    sum over the partitions of m-1 (gradedring.partition_sum), computed once
+    per process: every order reads the same coefficients.
     """
+    return (ZERO,) + tuple(_log_coefficient(m) for m in range(1, order + 1))
+
+
+@lru_cache(maxsize=None)
+def mischenko_log(order: int) -> TruncSeries:
+    """Compositional inverse of beta: the universal logarithm series, the
+    coefficients log_coefficients(order) as a series."""
+    from .series import TruncSeries
+
     if order < 2:
         raise ValueError("order must be >= 2")
-    return TruncSeries([ZERO] + [_log_coefficient(m) for m in range(1, order + 1)],
-                       order=order, grade_shift=1)
+    return TruncSeries(log_coefficients(order), order=order, grade_shift=1)
+
+
+@lru_cache(maxsize=None)
+def _cp_class(n: int) -> GradedPoly:
+    """cp_n = (n+1) g_(n+1), for n >= 1."""
+    return (n + 1) * _log_coefficient(n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -73,11 +107,11 @@ def cp_classes(order: int) -> tuple[GradedPoly, ...]:
     """Projective-space classes in the theta basis, cp[n] for n < order.
 
     cp[n] is (n+1) times the coefficient of u^{n+1} in the logarithm, so
-    cp[1] = -t1 and cp[2] = 3/2*t1^2 - 1/2*t2; cp[0] is the unit.  It
-    reads the logarithm's coefficients up to u^order only, which every
-    order shares.
+    cp[1] = -t1 and cp[2] = 3/2*t1^2 - 1/2*t2; cp[0] is the unit.  Each
+    cp_n is computed once per process, and every order reads the same
+    classes.
     """
-    return (ONE,) + tuple((n + 1) * _log_coefficient(n + 1) for n in range(1, order))
+    return (ONE,) + tuple(_cp_class(n) for n in range(1, order))
 
 
 # The group law F and its axioms' verdicts so far, by total degree.
@@ -89,7 +123,7 @@ def group_law_axioms(order: int) -> dict[str, bool]:
     series.fgl_axiom_residuals gives them, from the kept logarithm.  One
     GroupLaw serves every order, so each degree is checked once."""
     n = max(order, 2)
-    return _LAW.axioms(beta(n), mischenko_log(n), order)
+    return _LAW.axioms(beta_coefficients(n), log_coefficients(n), order)
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +163,7 @@ def w_classes(order: int) -> tuple[GradedPoly, ...]:
     return (ZERO,) + tuple(_w_class(n) for n in range(1, order + 1))
 
 
+@lru_cache(maxsize=None)
 def q_multiplier(n: int) -> int:
     """Denominator of (n+1) B_n: the minimal integer q with q*v_n integral.
 

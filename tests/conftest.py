@@ -1,14 +1,17 @@
 import pytest
 
 from thetacob import cobordism
-from thetacob.series import GroupLaw
+from thetacob.grouplaw import GroupLaw
 
 
 @pytest.fixture
 def empty_prefix_caches(monkeypatch):
-    """Start from no computed logarithm coefficient, v_n or w_n, no kept
-    group law and no cached classes built from them."""
-    cached = (cobordism._log_coefficient, cobordism._v_class, cobordism._w_class,
+    """Start from no computed coefficient of beta or of the logarithm, no
+    cp_n, v_n or w_n, no kept group law and no cached series or tuple built
+    from them."""
+    cached = (cobordism._beta_coefficient, cobordism._log_coefficient, cobordism._cp_class,
+              cobordism._v_class, cobordism._w_class, cobordism.beta_coefficients,
+              cobordism.beta, cobordism.beta_over_z, cobordism.log_coefficients,
               cobordism.mischenko_log, cobordism.cp_classes, cobordism.v_classes,
               cobordism.w_classes)
     monkeypatch.setattr(cobordism, "_LAW", GroupLaw())

@@ -365,7 +365,7 @@ def test_fgl_order_bounded(capsys):
 
 
 def test_fgl_check_help_states_the_associativity_order(capsys):
-    from thetacob.series import ASSOC_ORDER
+    from thetacob.grouplaw import ASSOC_ORDER
     for argv in (["fgl", "--help"], ["fgl", "check", "--help"]):
         with pytest.raises(SystemExit):
             main(argv)

@@ -8,16 +8,19 @@ from thetacob.gradedring import ONE, GradedPoly, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
 from thetacob.cli import main
-from thetacob.series import GroupLaw, TruncSeries, fgl, fgl_axiom_residuals
+from thetacob.grouplaw import GroupLaw
+from thetacob.series import TruncSeries, fgl, fgl_axiom_residuals
 from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
 from thetacob.cobordism import (
     adams_novikov,
     beta,
+    beta_coefficients,
     beta_over_z,
     cp_classes,
     decompose,
     decompose_tangent,
     group_law_axioms,
+    log_coefficients,
     mischenko_log,
     psi_on_class,
     q_multiplier,
@@ -116,6 +119,25 @@ def test_log_and_cp_classes_do_not_depend_on_call_order(empty_prefix_caches, cal
         else:
             lg = beta(n + 1).revert()
             assert cp_classes(n) == (ONE,) + tuple((m + 1) * lg[m + 1] for m in range(1, n))
+
+
+@pytest.mark.parametrize("orders", [range(16, 1, -1), range(2, 17)], ids=["descending", "ascending"])
+def test_orders_share_their_prefix(empty_prefix_caches, orders):
+    """Orders a < b <= 16 read the same coefficient and class objects up to
+    index a, and the series wrap the very tuples' objects: each coefficient
+    is computed once, whichever order asks first."""
+    views = {"beta": beta_coefficients, "log": log_coefficients, "cp": cp_classes,
+             "v": v_classes, "w": w_classes, "beta series": lambda n: beta(n).coeffs,
+             "log series": lambda n: mischenko_log(n).coeffs}
+    got = {(name, n): view(n) for n in orders for name, view in views.items()}
+    for (name, a), short in got.items():
+        for b in range(a + 1, 17):
+            long = got[name, b]
+            assert all(short[i] is long[i] for i in range(len(short))), (name, a, b)
+    for n in orders:
+        for name in ("beta", "log"):
+            pairs = zip(got[f"{name} series", n], got[name, n], strict=True)
+            assert all(x is y for x, y in pairs), (name, n)
 
 
 @pytest.mark.parametrize("orders", [range(1, 13), range(12, 0, -1)], ids=["ascending", "descending"])

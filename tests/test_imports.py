@@ -14,7 +14,7 @@ import thetacob
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
 
 OPERATIONS = {"cli_base", "cli_operations", "core", "gradedring", "landweber"}
-SERIES = {"cli_base", "cli_series", "core", "gradedring", "series", "cobordism"}
+SERIES = {"cli_base", "cli_series", "core", "gradedring", "grouplaw", "cobordism"}
 GENUS = {"cli_base", "cli_genera", "core", "gradedring", "series", "genera"}
 CONGRUENCES = {"cli_base", "cli_genera", "core", "gradedring", "genera", "lattices"}
 VERIFY = {"cli_base", "cli_verify", "weierstrass"}
