@@ -16,24 +16,7 @@ import gc
 import os
 import sys
 
-# The bounds are re-exported here for callers that import them from `cli`.
-from .cli_base import (  # noqa: F401
-    FORMAT_VERSION,
-    MAX_CONGRUENCE_WEIGHT,
-    MAX_EXPR_WEIGHT,
-    MAX_FGL_ORDER,
-    MAX_GENUS_FILE_DIGITS,
-    MAX_GENUS_WEIGHT,
-    MAX_HALF_PERIOD,
-    MAX_INVARIANTS_K,
-    MAX_INVARIANTS_N,
-    MAX_PERIOD_SKEW,
-    MAX_THETA_N,
-    MAX_VALUE_DIGITS,
-    MAX_WEIGHT,
-    MIN_HALF_PERIOD,
-    CliError,
-)
+from .cli_base import MAX_WEIGHT, CliError
 
 # Each subcommand's handler is named "module:function" and its module is
 # imported on dispatch, so that a process compiles only the handlers of the

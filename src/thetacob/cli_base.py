@@ -106,10 +106,6 @@ def _emit(args, command: str, params: dict, payload, text_lines) -> None:
             print(line)
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _digits(x: Fraction) -> int:
     """Bound on the decimal digits of x's numerator or denominator, read
     from its bit length: converting a long integer to text is quadratic."""

@@ -16,7 +16,6 @@ from .cli_base import (
     CliError,
     _digits,
     _emit,
-    _frac,
     _parse_expr,
 )
 
@@ -110,7 +109,7 @@ def cmd_genus(args):
         raise CliError('--of must be "theta:N" or "poly:EXPR"')
     if max(abs(value.numerator), value.denominator) >= 10 ** MAX_VALUE_DIGITS:
         raise CliError(f"--name: the genus value has more than {MAX_VALUE_DIGITS} digits")
-    payload = {"name": spec.name, "of": shown, "value": _frac(value)}
+    payload = {"name": spec.name, "of": shown, "value": str(value)}
     lines = [f"{spec.name} genus of {shown} = {value}"]
     _emit(args, "genus", {"name": args.name, "of": target}, payload, lines)
 
@@ -118,7 +117,7 @@ def cmd_genus(args):
 def _chern_values_payload(vec: ChernVector) -> dict:
     from .core import partitions_of
 
-    return {str(lam): _frac(vec.values[lam]) for lam in partitions_of(vec.weight)}
+    return {str(lam): str(vec.values[lam]) for lam in partitions_of(vec.weight)}
 
 
 def cmd_invariants(args):
@@ -134,7 +133,7 @@ def cmd_invariants(args):
         "k": inv.k,
         "betti": list(inv.betti),
         "euler": inv.euler,
-        "signature": _frac(inv.signature) if inv.signature is not None else None,
+        "signature": str(inv.signature) if inv.signature is not None else None,
         "chern_tangent_products": _chern_values_payload(inv.chern_tangent)
         if inv.chern_tangent else None,
         "chern_normal_monomial": _chern_values_payload(inv.chern_normal)
@@ -191,7 +190,7 @@ def cmd_congruences(args):
         payload = {
             "weight": args.n,
             "pass": ok,
-            "failing": [{"mu": str(mu), "value": _frac(v)} for mu, v in failing],
+            "failing": [{"mu": str(mu), "value": str(v)} for mu, v in failing],
         }
         lines = [f"vector verdict at weight {args.n}: {'pass' if ok else 'FAIL'}"]
         lines += [f"  functional mu=({f['mu']}) evaluates to {f['value']}" for f in payload["failing"]]
@@ -200,7 +199,7 @@ def cmd_congruences(args):
     payload = {
         "weight": sys_n.weight,
         "functionals": [
-            {"mu": str(mu), "coeffs": {str(lam): _frac(c) for lam, c in sorted(
+            {"mu": str(mu), "coeffs": {str(lam): str(c) for lam, c in sorted(
                 row.items(), key=lambda kv: (kv[0].weight, kv[0]), reverse=True)}}
             for mu, row in sys_n.functionals
         ],

@@ -4,7 +4,7 @@ the subcommands that run `landweber`'s operations.
 
 from __future__ import annotations
 
-from .cli_base import MAX_EXPR_WEIGHT, MAX_THETA_N, CliError, _emit, _frac, _parse_expr
+from .cli_base import MAX_EXPR_WEIGHT, MAX_THETA_N, CliError, _emit, _parse_expr
 
 
 def cmd_ln_apply(args):
@@ -48,7 +48,7 @@ def cmd_quantize(args):
     poly = _parse_expr("--expr", args.expr, MAX_EXPR_WEIGHT)
     q = ln.quantize(poly)
     terms = [
-        {"t": str(mu), "tp": str(nu), "coeff": _frac(c)}
+        {"t": str(mu), "tp": str(nu), "coeff": str(c)}
         for (mu, nu), c in q.items()
     ]
     payload = {"expr": format_poly(poly), "tensor": terms}

@@ -23,7 +23,10 @@ def _parse_half_period(flag: str, text: str) -> complex:
 def cmd_weierstrass_verify(args):
     from . import weierstrass as ws
 
-    if args.lemniscatic or (args.omega1 is None and args.omega2 is None):
+    if args.lemniscatic and (args.omega1 is not None or args.omega2 is not None):
+        raise CliError("--lemniscatic fixes the half-periods 1 and i: "
+                       "give it or --omega1/--omega2, not both")
+    if args.omega1 is None and args.omega2 is None:
         omega1, omega2 = complex(1.0), complex(0.0, 1.0)
     else:
         if args.omega1 is None or args.omega2 is None:

@@ -485,44 +485,19 @@ class ExprSyntaxError(ValueError):
     """Raised when a polynomial expression cannot be parsed."""
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch == "t":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ExprSyntaxError(f"generator index expected after 't' at position {i}")
-            tokens.append(("gen", int(text[i + 1:j])))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(("end", None))
-    return tokens
-
-
-# With max_weight, the parser also refuses a coefficient of more than
-# MAX_COEFF_DIGITS decimal digits, before a product or power would build it.
+# With max_weight, the parser also refuses a number of more than
+# MAX_COEFF_DIGITS decimal digits: one it reads, a generator's index
+# included, or a coefficient that a product or power would build,
+# before it is built.
 # Every number it returns then stays far below Python's 4300-digit limit on
 # int-to-str conversion, also after the CLI's operations scale it.
 MAX_COEFF_DIGITS = 1000
+
+# The deepest the parser nests parentheses.  Each level takes four Python
+# frames (expr, term, factor, atom), so 100 levels stay far inside the
+# default recursion limit of 1000 even when the caller is itself deep in
+# the stack, as a request loop or a test runner is.
+MAX_NESTING = 100
 
 
 def _digits(p: GradedPoly) -> float:
@@ -533,9 +508,12 @@ def _digits(p: GradedPoly) -> float:
 
 
 class _Parser:
-    def __init__(self, tokens, max_weight=None):
-        self.tokens = tokens
-        self.pos = 0
+    """One recursive-descent pass over the text: `pos` is the index of the
+    next character to read, and `depth` the number of open parentheses."""
+
+    def __init__(self, text: str, max_weight=None):
+        self.text = text
+        self.pos = self.depth = 0
         self.max_weight = max_weight
 
     def check_weight(self, weight: int) -> None:
@@ -544,33 +522,45 @@ class _Parser:
             raise ValueError(f"weight {weight} is above the limit {self.max_weight}")
 
     def check_digits(self, digits: float) -> None:
-        """Refuse a coefficient of more than MAX_COEFF_DIGITS digits (with max_weight)."""
+        """Refuse a number of more than MAX_COEFF_DIGITS digits (with max_weight)."""
         if self.max_weight is not None and digits > MAX_COEFF_DIGITS:
-            raise ValueError(f"a coefficient of about {digits:.0f} digits is above the limit "
+            raise ValueError(f"a number of about {digits:.0f} digits is above the limit "
                              f"of {MAX_COEFF_DIGITS} digits")
 
+    def fail(self, expected: str):
+        found = repr(self.text[self.pos]) if self.pos < len(self.text) else "the end"
+        raise ExprSyntaxError(f"expected {expected} at position {self.pos}, found {found}")
+
+    def peek(self) -> str:
+        """The next character that is not blank, '' at the end; pos moves to it."""
+        text, i = self.text, self.pos
+        while i < len(text) and text[i].isspace():
+            i += 1
+        self.pos = i
+        return text[i:i + 1]
+
+    def natural(self) -> int:
+        """The number whose digits start at pos: at least one digit."""
+        text, start = self.text, self.pos
+        while self.pos < len(text) and text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            self.fail("a digit")
+        self.check_digits(self.pos - start)
+        return int(text[start:self.pos])
+
     def number(self) -> int:
-        text = self.take("num")
-        self.check_digits(len(text))
-        return int(text)
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def take(self, kind=None):
-        k, v = self.tokens[self.pos]
-        if kind is not None and k != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {k!r}")
-        self.pos += 1
-        return v
+        """The number at the next character that is not blank."""
+        self.peek()
+        return self.natural()
 
     def expr(self) -> GradedPoly:
-        sign = 1
-        if self.peek() in "+-":
-            sign = -1 if self.take() == "-" else 1
-        acc = sign * self.term()
-        while self.peek() in "+-":
-            op = self.take()
+        sign = self.peek()
+        if sign in ("+", "-"):
+            self.pos += 1
+        acc = -self.term() if sign == "-" else self.term()
+        while (op := self.peek()) in ("+", "-"):
+            self.pos += 1
             rhs = self.term()
             acc = acc + rhs if op == "+" else acc - rhs
             self.check_digits(_digits(acc))
@@ -579,7 +569,7 @@ class _Parser:
     def term(self) -> GradedPoly:
         acc = self.factor()
         while self.peek() == "*":
-            self.take()
+            self.pos += 1
             rhs = self.factor()
             self.check_weight(acc.top_weight() + rhs.top_weight())
             self.check_digits(_digits(acc) + _digits(rhs))
@@ -588,48 +578,57 @@ class _Parser:
 
     def factor(self) -> GradedPoly:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.number()
-            self.check_weight(base.top_weight() * exp)
-            self.check_digits(_digits(base) * exp)
-            return base ** exp
-        return base
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        exp = self.number()
+        self.check_weight(base.top_weight() * exp)
+        self.check_digits(_digits(base) * exp)
+        return base ** exp
 
     def atom(self) -> GradedPoly:
-        kind = self.peek()
-        if kind == "num":
-            num = self.number()
-            if self.peek() == "/":
-                self.take()
-                den = self.number()
-                if den == 0:
-                    raise ExprSyntaxError("zero denominator")
-                return GradedPoly.const(Fraction(num, den))
-            return GradedPoly.const(num)
-        if kind == "gen":
-            n = self.take()
-            self.check_weight(n)
-            return GradedPoly.gen(n)
-        if kind == "(":
-            self.take()
+        first = self.peek()
+        if first == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"at most {MAX_NESTING} nested parentheses")
+            self.pos += 1
+            self.depth += 1
             inner = self.expr()
             if self.peek() != ")":
-                raise ExprSyntaxError("missing closing parenthesis")
-            self.take()
+                self.fail("an operator or ')'")
+            self.pos += 1
+            self.depth -= 1
             return inner
-        raise ExprSyntaxError(f"unexpected token {kind!r}")
+        if first == "t":
+            self.pos += 1
+            n = self.natural()
+            self.check_weight(n)
+            return GradedPoly.gen(n)
+        if not first.isdecimal():
+            self.fail("a number, 't' or '('")
+        num = self.natural()
+        if self.peek() != "/":
+            return GradedPoly.const(num)
+        self.pos += 1
+        den = self.number()
+        if den == 0:
+            self.pos -= 1  # the denominator's last digit
+            self.fail("a non-zero denominator")
+        return GradedPoly.const(Fraction(num, den))
 
 
 def parse_poly(text: str, max_weight: int | None = None) -> GradedPoly:
     """Parse the canonical text form back into a GradedPoly.
 
-    With `max_weight`, a generator, product or power of higher weight, or a
-    coefficient of more than MAX_COEFF_DIGITS digits, is a ValueError,
+    A malformed expression, or parentheses nested more than MAX_NESTING
+    deep, is an ExprSyntaxError that reads "expected <what> at position
+    <i>, found <character or the end>", i counting from 0.  With
+    `max_weight`, a generator, product or power of higher weight, or a
+    number of more than MAX_COEFF_DIGITS digits, is a ValueError,
     raised before that part is expanded.
     """
-    parser = _Parser(_tokenize(text), max_weight)
+    parser = _Parser(text, max_weight)
     result = parser.expr()
-    if parser.peek() != "end":
-        raise ExprSyntaxError("trailing input after expression")
+    if parser.peek():
+        parser.fail("an operator or the end")
     return result

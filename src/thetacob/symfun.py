@@ -232,11 +232,12 @@ class ChernVector:
         parts = set(partitions_of(weight))
         keys = set(values)
         if keys != parts:
-            missing = sorted(parts - keys)
-            extra = sorted(keys - parts)
+            def listed(partitions):  # as the CLI prints a partition: "2,1"
+                return ", ".join(f'"{mu}"' for mu in sorted(partitions)) or "none"
+
             raise IncompleteVectorError(
                 f"vector must cover all partitions of {weight}; "
-                f"missing {missing}, extraneous {extra}"
+                f"missing {listed(parts - keys)}, extraneous {listed(keys - parts)}"
             )
         self.weight = weight
         self.frame = frame

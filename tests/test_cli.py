@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import thetacob
-from thetacob.cli import (
+from thetacob.cli import main
+from thetacob.cli_base import (
     MAX_CONGRUENCE_WEIGHT,
     MAX_EXPR_WEIGHT,
     MAX_FGL_ORDER,
@@ -17,7 +18,6 @@ from thetacob.cli import (
     MAX_INVARIANTS_N,
     MAX_THETA_N,
     MAX_WEIGHT,
-    main,
 )
 
 
@@ -297,6 +297,7 @@ def test_validation_errors_exit_two(capsys, tmp_path):
     for argv, named in ((("quantize", "--expr", "2^20000*t1"), "--expr"),
                         (("quantize", "--expr", "((9^16)^16)^16*t1"), "--expr"),
                         (("quantize", "--expr", "1" * 5000 + "*t1"), "--expr"),
+                        (("quantize", "--expr", "t" + "1" * 5000), "--expr"),
                         (("genus", "--name", "todd", "--of", "poly:2^20000"), "--of"),
                         (("invariants", "--n", "26", "--k", "7" * 200), "--k")):
         code, out, err = run_cli(capsys, *argv)
@@ -313,6 +314,28 @@ def test_validation_errors_exit_two(capsys, tmp_path):
         code, out, err = run_cli(capsys, "congruences", "--n", "2", "--check", str(path))
         assert code == 2 and out == "" and "--check" in err and said in err
         assert "missing" not in err
+    # a vector that misses a partition names it as the file writes it
+    path.write_text(json.dumps({"weight": 2, "frame": "tangent", "basis": "chern_product",
+                                "values": {"2": 0, "3": 1}}))
+    code, out, err = run_cli(capsys, "congruences", "--n", "2", "--check", str(path))
+    assert code == 2 and out == "" and err.startswith("error: --check:")
+    assert 'missing "1,1", extraneous "3"' in err and "Partition" not in err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["quantize", "--expr"], ""),
+    (["ln", "apply", "--partition", "1", "--expr"], ""),
+    (["genus", "--name", "todd", "--of"], "poly:"),
+], ids=["quantize", "ln-apply", "genus"])
+def test_deeply_nested_expression_exits_two_naming_the_flag(argv, prefix):
+    argv = argv + [prefix + "(" * 1000 + "t1" + ")" * 1000]
+    flag = argv[-2]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "thetacob.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {flag}: expected at most 100 nested parentheses")
+    assert "Traceback" not in proc.stderr
 
 
 def test_congruences_weight_bounded(capsys):
@@ -415,7 +438,10 @@ def test_weierstrass_degenerate_lattice(capsys):
      "--omega1/--omega2"),  # a long, flat cell: the quasi-periodicity factors overflow
     (("--lemniscatic", "--tol", "nan"), "--tol"),  # every check would fail
     (("--lemniscatic", "--tol", "-1"), "--tol"),
-], ids=["tiny", "huge", "small", "nan", "flat", "tol-nan", "tol-negative"])
+    (("--lemniscatic", "--omega1=5", "--omega2=3i"), "--lemniscatic"),  # fixes 1 and i
+    (("--lemniscatic", "--omega2=3i"), "--lemniscatic"),
+], ids=["tiny", "huge", "small", "nan", "flat", "tol-nan", "tol-negative",
+        "lemniscatic-and-periods", "lemniscatic-and-omega2"])
 def test_weierstrass_verify_refuses_bad_periods_and_tol(capsys, flags, named):
     code, out, err = run_cli(capsys, "weierstrass", "verify", *flags)
     assert code == 2 and out == ""

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from thetacob.cobordism import psi_on_class
 from thetacob.core import EMPTY, Partition, partitions_of
 from thetacob.gradedring import (
+    MAX_NESTING,
     ExprSyntaxError,
     GradedPoly,
     MissingGeneratorError,
@@ -227,12 +228,101 @@ def test_parse_golden():
     assert parse_poly("2*(t1 + t2)^2") == 2 * (t(1) + t(2)) ** 2
     assert parse_poly("1/2") == GradedPoly.const(Fraction(1, 2))
     assert parse_poly("t0") == ONE
-    with pytest.raises(ExprSyntaxError):
-        parse_poly("t1 +")
-    with pytest.raises(ExprSyntaxError):
-        parse_poly("(t1")
-    with pytest.raises(ExprSyntaxError):
-        parse_poly("x1")
+    deepest = "(" * MAX_NESTING + "t1 + 1" + ")" * MAX_NESTING + "^2"
+    assert parse_poly(deepest, max_weight=14) == (t(1) + 1) ** 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t1 +", "expected a number, 't' or '(' at position 4, found the end"),
+    ("(t1", "expected an operator or ')' at position 3, found the end"),
+    ("x1", "expected a number, 't' or '(' at position 0, found 'x'"),
+    ("2*-t1", "expected a number, 't' or '(' at position 2, found '-'"),
+    ("t 1", "expected a digit at position 1, found ' '"),
+    ("t1^", "expected a digit at position 3, found the end"),
+    ("1/ 00", "expected a non-zero denominator at position 4, found '0'"),
+    ("t1 t2", "expected an operator or the end at position 3, found 't'"),
+    ("(t1 t2)", "expected an operator or ')' at position 4, found 't'"),
+    ("(" * (MAX_NESTING + 1) + "t1" + ")" * (MAX_NESTING + 1),
+     f"expected at most {MAX_NESTING} nested parentheses at position {MAX_NESTING}, found '('"),
+], ids=["dangling-plus", "unclosed", "bad-character", "sign-after-times", "blank-after-t",
+        "no-exponent", "zero-denominator", "juxtaposed", "juxtaposed-in-parentheses", "too-deep"])
+def test_parse_errors_say_what_was_expected_where(text, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(alphabet="0123456789t+-*/^() ", max_size=40))
+@example(text="(" * 1000 + "t1" + ")" * 1000)
+@example(text="(" * 1000)
+def test_parse_returns_a_poly_or_raises_value_error(text):
+    # max_weight as the CLI passes it, so that no power is expanded unbounded
+    try:
+        p = parse_poly(text, max_weight=14)
+    except ValueError as exc:  # never RecursionError, nor a token kind in the message
+        assert not any(kind in str(exc) for kind in ("'num'", "'gen'", "'end'"))
+    else:
+        assert isinstance(p, GradedPoly)
+
+
+def _wrapped(item, level):
+    """item = (text, value, level), the level of the grammar its text is
+    written at: 0 atom, 1 factor, 2 term, 3 expr.  Parenthesised when
+    above `level`."""
+    text, value, own = item
+    return item if own <= level else (f"({text})", value, 0)
+
+
+def _power(base, blank, e):
+    text, value, _ = _wrapped(base, 0)
+    return f"{text}{blank}^{blank}{e}", value ** e, 1
+
+
+def _product(factors, blank):
+    factors = [_wrapped(f, 1) for f in factors]
+    value = ONE
+    for _, v, _ in factors:
+        value = value * v
+    return f"{blank}*{blank}".join(text for text, _, _ in factors), value, 2
+
+
+def _sum(signed_terms, lead, blank):
+    text, value = "", ZERO
+    for i, (op, term) in enumerate(signed_terms):
+        piece, v, _ = _wrapped(term, 2)
+        if i or lead:
+            text += f"{blank}{op}{blank}" if i else op
+            v = -v if op == "-" else v
+        text, value = text + piece, value + v
+    return text, value, 3
+
+
+_blank = st.sampled_from(["", " ", "  ", "\t "])
+_grammar = st.recursive(
+    st.one_of(
+        st.builds(lambda zeros, n: (zeros + str(n), GradedPoly.const(n), 0),
+                  st.sampled_from(["", "0", "00"]), st.integers(0, 99)),
+        st.builds(lambda a, blank, b: (f"{a}{blank}/{blank}{b}", GradedPoly.const(Fraction(a, b)), 0),
+                  st.integers(0, 99), _blank, st.integers(1, 99)),
+        st.builds(lambda n: (f"t{n}", t(n), 0), st.integers(0, 4)),
+    ),
+    lambda items: st.one_of(
+        st.builds(_power, items, _blank, st.integers(0, 2)),
+        st.builds(_product, st.lists(items, min_size=2, max_size=3), _blank),
+        st.builds(_sum, st.lists(st.tuples(st.sampled_from("+-"), items), min_size=1, max_size=3),
+                  st.booleans(), _blank),
+    ).filter(lambda item: item[1].top_weight() <= 30 and len(item[1]) <= 60),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(item=_grammar)
+def test_parse_matches_the_value_the_text_was_built_from(item):
+    text, value, _ = item
+    assert parse_poly(text) == value
+    assert parse_poly(f" {text} ", max_weight=30) == value  # every part weighs at most 30
 
 
 def test_render_parse_roundtrip_randomised():
