@@ -127,9 +127,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache  # bounded at 128 argvs; a raised SystemExit is never stored
+def _parse(argv: tuple[str, ...]) -> dict:
+    return vars(build_parser().parse_args(argv))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand on `argv` (default: ``sys.argv[1:]``) and return
+    its exit code: 0 success, 2 a parameter or validation error, 3 a
+    tolerance failure in `weierstrass verify`, 1 a failing `selftest`
+    criterion.  An argparse error or ``--help`` prints as usual and raises
+    `SystemExit` (2 and 0).
+
+    The parsed arguments of the last 128 distinct argvs are cached, so a
+    process that repeats a request skips argparse; each call gets a fresh
+    namespace, so ``THETA_MAX_WEIGHT`` is read on every call and no
+    handler sees what another changed.  `main` never freezes the garbage
+    collector: only `oneshot`, whose process ends when it returns, does.
+    """
+    args = argparse.Namespace(**_parse(tuple(sys.argv[1:] if argv is None else argv)))
     try:
         if hasattr(args, "max_weight"):
             source = "--max-weight"

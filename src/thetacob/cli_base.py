@@ -44,7 +44,8 @@ MAX_HALF_PERIOD = 1e4
 MAX_PERIOD_SKEW = 10
 
 # Largest `invariants --n`: the Chern tables run over the partitions of n,
-# about 2.1 to 2.5 s at 45 one-shot (2-vCPU host, median of 3) and 6 s at 50.
+# one-shot on a 2-vCPU Xeon host, median of 3: 1.9 s at 45 and 4.7 s at 50
+# (4.3 to 5.1 s), timed with the cap lifted.
 MAX_INVARIANTS_N = 45
 
 # Largest `invariants --k`: the Euler characteristic and the middle Betti

@@ -205,7 +205,10 @@ class GradedPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = _as_poly(other)

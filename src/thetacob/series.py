@@ -136,9 +136,18 @@ class TruncSeries:
     def _common_order(self, other):
         return min(self.order, other.order)
 
-    def __add__(self, other):
+    def _as_series(self, other):
+        """`other` as a series of this order, or NotImplemented if it is no scalar."""
+        if isinstance(other, TruncSeries):
+            return other
         if isinstance(other, (int, Fraction, GradedPoly)):
-            other = TruncSeries.const(other, self.order)
+            return TruncSeries.const(other, self.order)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._as_series(other)
+        if other is NotImplemented:
+            return NotImplemented
         n = self._common_order(other)
         shift = self.grade_shift if self.grade_shift == other.grade_shift else None
         return TruncSeries(
@@ -151,11 +160,15 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs], order=self.order, grade_shift=self.grade_shift)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly)):
-            other = TruncSeries.const(other, self.order)
+        other = self._as_series(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        other = self._as_series(other)
+        if other is NotImplemented:
+            return NotImplemented
         return (-self) + other
 
     def scale(self, c) -> "TruncSeries":
@@ -169,6 +182,8 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GradedPoly)):
             return self.scale(other)
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         n = self._common_order(other)
         a, b = self.coeffs, other.coeffs
         out = [dot((a[i], b[m - i]) for i in range(m + 1)) for m in range(n + 1)]

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import thetacob
-from thetacob.cli import main
+from thetacob.cli import _parse, build_parser, main
 from thetacob.cli_base import (
     MAX_CONGRUENCE_WEIGHT,
     MAX_EXPR_WEIGHT,
@@ -128,6 +128,41 @@ def test_main_after_parse_errors_matches_fresh_process(capsys):
     fresh = subprocess.run([sys.executable, "-m", "thetacob.cli", *good], env=env,
                            capture_output=True, check=True, timeout=120)
     assert code == 0 and out.encode() == fresh.stdout
+
+
+@pytest.mark.parametrize("argv, code, usage", [
+    (["classes", "zz"], 2, "usage: thetacob classes"),
+    (["logarithm", "--max-weight", "x"], 2, "usage: thetacob logarithm"),
+    (["--help"], 0, "usage: thetacob"),
+], ids=["bad-choice", "bad-int", "help"])
+def test_repeated_parse_error_and_help_print_every_time(capsys, argv, code, usage):
+    outputs = []
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert usage in (err if code else out)
+        outputs.append((out, err))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_repeated_argv_is_parsed_once(monkeypatch, capsys):
+    parser = build_parser()
+    calls = []
+
+    def counting_parse_args(argv):
+        calls.append(argv)
+        return type(parser).parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", counting_parse_args)
+    _parse.cache_clear()
+    argv = ["--format", "json", "logarithm", "--max-weight", "2"]
+    outs = [run_cli(capsys, *argv) for _ in range(3)]
+    assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+    assert calls == [tuple(argv)]
+    assert _parse.cache_info().hits == 2
+    assert _parse.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -456,11 +491,18 @@ def test_classes_wn_and_cpn(capsys):
 
 
 def test_env_var_default_weight(monkeypatch, capsys):
-    for weight in (4, 1):
+    """THETA_MAX_WEIGHT is read on every call, also when the same argv repeats
+    in one process and `main` reuses its parse."""
+    tables = {}
+    for weight in (4, 1, 3, 5, 3):
         monkeypatch.setenv("THETA_MAX_WEIGHT", str(weight))
         code, out, _ = run_cli(capsys, "--format", "json", "beta")
         env = json.loads(out)
         assert code == 0 and env["payload"]["max_weight"] == weight
+        code, out, _ = run_cli(capsys, "logarithm")
+        assert code == 0 and out == run_cli(capsys, "logarithm", "--max-weight", str(weight))[1]
+        assert tables.setdefault(weight, out) == out
+    assert len(set(tables.values())) == 4
     monkeypatch.setenv("THETA_MAX_WEIGHT", "zzz")
     code, _, err = run_cli(capsys, "beta")
     assert code == 2

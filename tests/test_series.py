@@ -542,3 +542,23 @@ def test_group_law_grown_by_many_threads_at_once():
         sys.setswitchinterval(interval)
     assert got == want
     assert len(law._F) == len(law._ok["unit"]) == 11
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: 1.5 - t(1), "for -: 'float' and 'GradedPoly'"),
+    (lambda: t(1) - 1.5, "for -: 'GradedPoly' and 'float'"),
+    (lambda: beta(3) + 1.5, "for \\+: 'TruncSeries' and 'float'"),
+    (lambda: 1.5 + beta(3), "for \\+: 'float' and 'TruncSeries'"),
+    (lambda: beta(3) - 1.5, "for -: 'TruncSeries' and 'float'"),
+    (lambda: 1.5 - beta(3), "for -: 'float' and 'TruncSeries'"),
+    (lambda: beta(3) * 1.5, "for \\*: 'TruncSeries' and 'float'"),
+    (lambda: beta(3) * "x", "can't multiply sequence by non-int of type 'TruncSeries'"),
+    (lambda: "x" * beta(3), "can't multiply sequence by non-int of type 'TruncSeries'"),
+], ids=["float-minus-poly", "poly-minus-float", "series-plus-float", "float-plus-series",
+        "series-minus-float", "float-minus-series", "series-times-float", "series-times-str",
+        "str-times-series"])
+def test_unsupported_operand_raises_the_standard_type_error(op, message):
+    """An operand that is neither a series nor an exact scalar is refused by
+    Python's own TypeError, not by an error from inside the arithmetic."""
+    with pytest.raises(TypeError, match=message):
+        op()
