@@ -24,9 +24,9 @@ MAX_CONGRUENCE_WEIGHT = 14
 MAX_FGL_ORDER = 20
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# 0.21 to 0.28 s one-shot (same host, median of 5), nearly all of it in the
-# integrality multipliers; `beta`, `logarithm` and `classes cpn|vn` take
-# 0.06 to 0.11 s, most of it interpreter start.
+# about 0.13 s one-shot (same host, median of 7), 0.04 s of it in the
+# integrality multipliers (in-process); `beta`, `logarithm` and
+# `classes cpn|vn` take 0.10 to 0.12 s, most of it interpreter start.
 MAX_WEIGHT = 16
 
 # Least and largest modulus of a `weierstrass verify` half-period.  The

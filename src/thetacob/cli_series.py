@@ -53,15 +53,12 @@ def cmd_classes(args):
         header = "v_n classes with minimal integral multipliers q_n"
         lines = [header] + [f"  v{r['n']} = {r['poly']}   (q_{r['n']} = {r['q']})" for r in rows]
     elif family == "wn":
-        from . import genera
+        from .genera import w_multipliers
 
         wcl = cob.w_classes(n)
+        qs = w_multipliers(n)
         for m in range(1, n + 1):
-            rows.append({
-                "n": m,
-                "poly": format_poly(wcl[m]),
-                "q": genera.integrality_multiplier(wcl[m]),
-            })
+            rows.append({"n": m, "poly": format_poly(wcl[m]), "q": qs[m - 1]})
         header = "w_n classes with empirical minimal integral multipliers"
         lines = [header] + [f"  w{r['n']} = {r['poly']}   (q_{r['n']} = {r['q']})" for r in rows]
     else:

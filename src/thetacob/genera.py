@@ -22,7 +22,7 @@ from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
-from .gradedring import GradedPoly
+from .gradedring import ONE, ZERO, GradedPoly, dot
 
 if TYPE_CHECKING:
     from .series import TruncSeries
@@ -247,13 +247,6 @@ def _todd_image(m: int) -> GradedPoly:
     })
 
 
-def _todd_of_operations(p: GradedPoly) -> GradedPoly:
-    """(Td (x) id) S_t(p) = sum over mu of Td(S_mu(p)) t'^mu/(mu+1)!, with t'
-    written as t: the substitution of the generator images into p.
-    """
-    return p.substitute(_todd_image)
-
-
 def _system(n: int, functionals: list) -> CongruenceSystem:
     """The system of the (mu, {lam: coeff}) rows with its integrality lattice."""
     from .lattices import integrality_lattice
@@ -281,7 +274,7 @@ def congruence_system(n: int) -> CongruenceSystem:
     """
     rows = {mu: {} for w in range(n + 1) for mu in partitions_of(w)}
     for lam in partitions_of(n):
-        for mu, c in _todd_of_operations(GradedPoly.monomial(lam)).items():
+        for mu, c in GradedPoly.monomial(lam).substitute(_todd_image).items():
             rows[mu][lam] = c * partition_factorial(mu) / partition_factorial(lam)
     return _system(n, list(rows.items()))
 
@@ -350,12 +343,21 @@ def lattice_contained_in(inner: CongruenceSystem, outer: CongruenceSystem) -> bo
                for row in inner.basis_hnf)
 
 
-def integrality_multiplier(p: GradedPoly) -> int:
-    """Least q such that q*p passes every Todd-after-operation test.
+def w_multipliers(n: int) -> list[int]:
+    """The least q_m with q_m*w_m passing every Todd-after-operation test,
+    for m = 1..n: by the classical integrality criterion, the least multiple
+    of w_m lying in the integral cobordism ring.
 
-    By the classical integrality criterion this is the least multiple of p
-    lying in the integral cobordism ring.  Computed as the lcm of the
-    denominators of Td(S_mu(p)) over all mu up to the weight of p.
+    T = (Td (x) id) S_t is a ring homomorphism, so T(w_m) = m! g_m with g the
+    logarithm of T(beta)(z)/z = sum_k f_k z^k, f_k = _todd_image(k)/(k+1)!:
+    m g_m = m f_m - sum_{k<m} k g_k f_{m-k}, one weighted dot() per step, as
+    in TruncSeries.log.  q_m is the lcm of the denominators of
+    Td(S_mu(w_m)) = (mu+1)! m! [t^mu] g_m over all mu.
     """
-    image = _todd_of_operations(p)
-    return lcm(1, *((c * partition_factorial(mu)).denominator for mu, c in image.items()))
+    f = [ONE] + [_todd_image(k) * Fraction(1, factorial(k + 1)) for k in range(1, n + 1)]
+    g = [ZERO]
+    for m in range(1, n + 1):
+        pairs = [(f[m], ONE)] + [(g[k], f[m - k]) for k in range(1, m)]
+        g.append(dot(pairs, [m] + [-k for k in range(1, m)], m))
+    return [lcm(1, *((factorial(m) * partition_factorial(mu) * c).denominator
+                     for mu, c in g[m].items())) for m in range(1, n + 1)]

@@ -392,6 +392,8 @@ class BiTruncSeries:
         return self.terms.get((m, l), ZERO)
 
     def __mul__(self, other):
+        if not isinstance(other, BiTruncSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         pairs: dict[tuple[int, int], list] = {}
         for (m1, l1), a in self.terms.items():

@@ -137,10 +137,6 @@ class SymFunExpr:
         lam = Partition(lam)
         return cls(basis, lam.weight, {lam: Fraction(coeff)})
 
-    def coeff_vector(self):
-        parts = partitions_of(self.weight)
-        return [self.terms.get(mu, Fraction(0)) for mu in parts]
-
     def __eq__(self, other):
         if not isinstance(other, SymFunExpr):
             return NotImplemented
@@ -171,14 +167,6 @@ def convert_basis(x: SymFunExpr, target: str) -> SymFunExpr:
     return SymFunExpr(target, n, {mu: terms[mu] for mu in parts if terms.get(mu)})
 
 
-@lru_cache(maxsize=None)
-def m_expansion(kind: str, lam: Partition) -> dict:
-    """Expansion of e_lam / h_lam / p_lam in monomial symmetric functions."""
-    if kind not in ("e", "h", "p"):
-        raise ValueError(f"unknown multiplicative basis {kind!r}")
-    return convert_basis(SymFunExpr.element(kind, lam), "m").terms
-
-
 def sign_involution(x: SymFunExpr) -> SymFunExpr:
     """The ring involution p_k -> -p_k (equivalently e_k -> (-1)^k h_k).
 
@@ -187,27 +175,6 @@ def sign_involution(x: SymFunExpr) -> SymFunExpr:
     p = convert_basis(x, "p")
     flipped = {lam: c * ((-1) ** lam.length) for lam, c in p.terms.items()}
     return convert_basis(SymFunExpr("p", x.weight, flipped), x.basis)
-
-
-@lru_cache(maxsize=None)
-def involution_matrix(n: int):
-    """Matrix A with sign_involution(m_lam) = sum_mu A[lam][mu] m_mu.
-
-    A is an integer involution (A @ A = identity); it converts tangent
-    Chern numbers into normal ones and back.
-    """
-    parts = partitions_of(n)
-    rows = []
-    for lam in parts:
-        image = sign_involution(SymFunExpr.element("m", lam))
-        row = []
-        for mu in parts:
-            c = image.terms.get(mu, Fraction(0))
-            if c.denominator != 1:
-                raise AssertionError("involution matrix must be integral")
-            row.append(c)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 # -- Chern-number vectors ---------------------------------------------------------------
@@ -253,12 +220,6 @@ class ChernVector:
         vals = {Partition(k): Fraction(v) for k, v in values.items()}
         return cls(weight, frame, basis, vals)
 
-    def as_vector(self):
-        return [self.values[mu] for mu in partitions_of(self.weight)]
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values.values())
-
     def __eq__(self, other):
         if not isinstance(other, ChernVector):
             return NotImplemented
@@ -293,8 +254,9 @@ def tangent_to_normal(c: ChernVector) -> ChernVector:
     """Tangent monomial Chern numbers -> normal ones (involutive map).
 
     Tangent and normal bundles are stably complementary, so their power
-    sums differ by a sign; the induced map on monomial values is the
-    involution matrix.
+    sums differ by a sign: the value of p_kappa picks up (-1)^length(kappa),
+    so the monomial values map by the matrix of sign_involution in the m
+    basis (an integer involution).
     """
     if c.basis != "monomial":
         raise FrameBasisError("tangent/normal exchange is defined on the monomial basis")

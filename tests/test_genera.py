@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -29,7 +29,6 @@ from thetacob.genera import (
     genus_of_poly,
     genus_of_theta,
     genus_preset,
-    integrality_multiplier,
     l_genus,
     lattice_contained_in,
     middle_betti,
@@ -39,6 +38,7 @@ from thetacob.genera import (
     theta_tangent_product_vector,
     todd_genus,
     tangent_product_functional_to_normal_monomial,
+    w_multipliers,
 )
 from test_cobordism import product_chern_vector
 from test_landweber import _cartan_ln_apply
@@ -156,6 +156,38 @@ def test_congruence_system_low_weights():
     assert sys2.elementary_divisors == (1, 12)
     sys3 = congruence_system(3)
     assert sys3.elementary_divisors == (2, 2, 24)
+
+
+def _milnor_number(k):
+    """Milnor's s_k: the prime p when k+1 is a power of p, and 1 otherwise."""
+    p = next(d for d in range(2, k + 2) if (k + 1) % d == 0)
+    m = k + 1
+    while m % p == 0:
+        m //= p
+    return p if m == 1 else 1
+
+
+def _invariant_factors(ds):
+    """The elementary divisors of diag(ds): every pair replaced by its gcd
+    and lcm, which sorts the exponents of each prime."""
+    ds = list(ds)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            ds[i], ds[j] = gcd(ds[i], ds[j]), lcm(ds[i], ds[j])
+    return tuple(ds)
+
+
+def test_elementary_divisors_are_milnor_number_products():
+    """Z^p(n) / lattice is the sum of the Z/d_lam, d_lam = prod_i s_(lam_i):
+    the Milnor generators x_lam have normal Chern vectors that are d_lam
+    times an integral unit upper-triangular basis."""
+    assert [_milnor_number(k) for k in range(1, 10)] == [2, 3, 2, 5, 1, 7, 2, 3, 1]
+    for n in range(11):
+        divisors = [1] * len(partitions_of(n))
+        for i, lam in enumerate(partitions_of(n)):
+            for part in lam:
+                divisors[i] *= _milnor_number(part)
+        assert congruence_system(n).elementary_divisors == _invariant_factors(divisors), n
 
 
 def _todd_image_by_quantisation(m, todd):
@@ -326,6 +358,14 @@ def test_classical_lists_shape():
         classical_congruences(5)
 
 
+def integrality_multiplier(p):
+    """Least q such that q*p passes every Todd-after-operation test: the lcm
+    of the denominators of Td(S_mu(p)) over all mu, read off the substitution
+    of the generator images into p.  The oracle for w_multipliers."""
+    image = p.substitute(_todd_image)
+    return lcm(1, *((c * partition_factorial(mu)).denominator for mu, c in image.items()))
+
+
 def test_integrality_multiplier_matches_q_for_v_classes():
     vs = v_classes(6)
     for n in range(1, 7):
@@ -334,22 +374,28 @@ def test_integrality_multiplier_matches_q_for_v_classes():
 
 def test_integrality_multiplier_matches_cartan_expansion():
     ws = w_classes(8)
+    qs = w_multipliers(8)
     for n in range(1, 9):
         todd = todd_genus(n + 1)
         dens = [genus_of_poly(todd, _cartan_ln_apply(mu, ws[n])).denominator
                 for w in range(n + 1) for mu in partitions_of(w)]
-        assert integrality_multiplier(ws[n]) == lcm(*dens), n
+        assert integrality_multiplier(ws[n]) == qs[n - 1] == lcm(*dens), n
+
+
+def test_w_multipliers_match_the_substitution_oracle():
+    ws = w_classes(16)
+    expected = [integrality_multiplier(ws[m]) for m in range(1, 17)]
+    for n in range(17):
+        assert w_multipliers(n) == expected[:n], n
 
 
 def test_integrality_multipliers_of_w_classes_are_bernoulli_denominators():
     """The multipliers that `classes wn` prints against the denominator of B_n/n."""
-    ws = w_classes(16)
-    for n in range(1, 17):
-        assert integrality_multiplier(ws[n]) == (bernoulli(n) / n).denominator, n
+    assert w_multipliers(16) == [(bernoulli(n) / n).denominator for n in range(1, 17)]
 
 
 def test_integrality_multiplier_on_w_classes():
     ws = w_classes(4)
-    # w_1 = t1/2 needs 2; the values below are recorded empirically
-    assert integrality_multiplier(ws[1]) == 2
+    # w_1 = t1/2 needs 2
+    assert w_multipliers(4)[0] == integrality_multiplier(ws[1]) == 2
     assert integrality_multiplier(2 * ws[1]) == 1

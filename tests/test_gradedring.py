@@ -68,16 +68,28 @@ def _mul_by_fractions(self, other):
     return GradedPoly(out)
 
 
-_monomial = st.integers(0, 5).flatmap(lambda w: st.sampled_from(partitions_of(w)))
-# Zero, constant and empty polynomials all occur, and most coefficients have
-# a denominator above 1.
-_poly = st.dictionaries(
-    _monomial, st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=4
-).map(GradedPoly)
+def _monomials(top):
+    """One pool of every partition of weight <= top.  st.dictionaries draws
+    its keys from a sampled pool without replacement, so no draw is
+    rejected as a repeated key."""
+    return st.sampled_from([mu for w in range(top + 1) for mu in partitions_of(w)])
+
+
+# Every a/d with d <= 12 and |a/d| <= 9, the values of st.fractions(-9, 9,
+# max_denominator=12), drawn as two integers: st.fractions took about two
+# thirds of the time spent drawing a _poly.
+_coeff = st.builds(lambda a, d: Fraction((a + 9 * d) % (18 * d + 1) - 9 * d, d),
+                   st.integers(-108, 108), st.integers(1, 12))
+# Zero, constant and empty polynomials all occur (the constant and empty
+# ones also as explicit examples), and most coefficients have a denominator
+# above 1.
+_poly = st.dictionaries(_monomials(5), _coeff, max_size=4).map(GradedPoly)
+_CONST = GradedPoly.const(Fraction(-7, 3))
 
 
 @settings(max_examples=60, deadline=None)
 @given(pairs=st.lists(st.tuples(_poly, _poly), max_size=4), cancel=st.booleans())
+@example(pairs=[(ZERO, _CONST), (_CONST, _CONST)], cancel=True)
 def test_dot_and_mul_match_fraction_oracle(pairs, cancel):
     if cancel and pairs:
         # a*b - a*b: products that cancel to zero inside one sum
@@ -99,6 +111,7 @@ _weight = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-10 ** 30, 10 
 @settings(max_examples=60, deadline=None)
 @given(terms=st.lists(st.tuples(_poly, _poly, _weight), max_size=4),
        divisor=st.one_of(st.integers(1, 12), st.integers(1, 10 ** 25)), cancel=st.booleans())
+@example(terms=[(ZERO, _CONST, 3), (_CONST, _CONST, -2)], divisor=7, cancel=False)
 def test_weighted_dot_matches_fraction_oracle(terms, divisor, cancel):
     if cancel and terms:
         # w*a*b + (-w)*a*b and w*a*b + w*a*(-b): weighted sums that cancel to zero
@@ -334,6 +347,8 @@ def test_render_parse_roundtrip_randomised():
 
 @settings(max_examples=60, deadline=None)
 @given(p=_poly, q=_poly)
+@example(p=ZERO, q=_CONST)
+@example(p=_CONST, q=ZERO)
 def test_cached_text_matches_a_fresh_rendering(p, q):
     first = format_poly(p)
     assert format_poly(p) == first
@@ -388,18 +403,18 @@ def _is_canonical(p: GradedPoly) -> bool:
             and (num, den) == (fresh._num, fresh._den))
 
 
-_scalar = st.one_of(st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=12))
-_small_poly = st.dictionaries(
-    st.integers(0, 2).flatmap(lambda w: st.sampled_from(partitions_of(w))),
-    st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=3,
-).map(GradedPoly)
+_scalar = st.one_of(st.integers(-6, 6), _coeff)
+_small_poly = st.dictionaries(_monomials(2), _coeff, max_size=3).map(GradedPoly)
 # A value for each generator of _poly: a rational or a small polynomial.
 _assignment = st.fixed_dictionaries({n: st.one_of(_scalar, _small_poly) for n in range(1, 6)})
+_ASSIGN = {n: Fraction(1, n + 1) for n in range(1, 6)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=_poly, q=_poly, c=_scalar, k=st.integers(0, 3), w=_weight,
        divisor=st.integers(1, 10 ** 12), assign=_assignment)
+@example(p=ZERO, q=_CONST, c=0, k=0, w=0, divisor=1, assign=_ASSIGN)
+@example(p=_CONST, q=ZERO, c=Fraction(1, 2), k=3, w=5, divisor=6, assign=_ASSIGN)
 def test_every_result_is_canonical(p, q, c, k, w, divisor, assign):
     results = [p + q, p - q, q - p, p + c, c - p, p * q, p * c, c * p, p ** k, -p,
                dot(((p, q), (q, p))), dot(((p, q), (q, q), (p, p)), (w, 3, -w), divisor),
@@ -437,6 +452,7 @@ def _render_by_fractions(p: GradedPoly) -> str:
 @settings(max_examples=60, deadline=None)
 @given(p=_poly, q=_poly, c=_scalar)
 @example(p=GradedPoly({EMPTY: Fraction(-7, 3), (1,): Fraction(2, 3), (2, 1): 1}), q=ZERO, c=0)
+@example(p=_CONST, q=ZERO, c=3)
 def test_render_matches_fraction_oracle(p, q, c):
     for r in (p, p * q, p * c + q, dot(((p, q), (q, q)), (3, 5), 7), -p):
         assert format_poly(r) == _render_by_fractions(r)
@@ -478,6 +494,8 @@ def _substitute_by_terms(p: GradedPoly, assign) -> GradedPoly:
 
 @settings(max_examples=60, deadline=None)
 @given(p=_poly, assign=_assignment)
+@example(p=ZERO, assign=_ASSIGN)
+@example(p=_CONST, assign=_ASSIGN)
 def test_substitute_matches_term_by_term_oracle(p, assign):
     expected = _substitute_by_terms(p, assign)
     assert p.substitute(assign) == expected

@@ -554,9 +554,10 @@ def test_group_law_grown_by_many_threads_at_once():
     (lambda: beta(3) * 1.5, "for \\*: 'TruncSeries' and 'float'"),
     (lambda: beta(3) * "x", "can't multiply sequence by non-int of type 'TruncSeries'"),
     (lambda: "x" * beta(3), "can't multiply sequence by non-int of type 'TruncSeries'"),
+    (lambda: BiTruncSeries({(1, 0): 1}, order=3) * 2, "for \\*: 'BiTruncSeries' and 'int'"),
 ], ids=["float-minus-poly", "poly-minus-float", "series-plus-float", "float-plus-series",
         "series-minus-float", "float-minus-series", "series-times-float", "series-times-str",
-        "str-times-series"])
+        "str-times-series", "bivariate-times-int"])
 def test_unsupported_operand_raises_the_standard_type_error(op, message):
     """An operand that is neither a series nor an exact scalar is refused by
     Python's own TypeError, not by an error from inside the arithmetic."""
