@@ -10,23 +10,23 @@ from __future__ import annotations
 
 FORMAT_VERSION = "1.0.0"
 
-# Largest `congruences --n`: one run takes about 2.6 s at 14, nearly all of
-# it in the lattice step (the rows take 0.1 s), and 6 to 10 s at 15.
-# `--check` adds about 0.1 s at 14 in any frame and basis (2-vCPU host,
-# one-shot, median of 3).
+# Largest `congruences --n`: one run takes 2.1 s at 14 (1.8 to 2.8 s),
+# nearly all of it in the lattice step, and 6.1 s at 15 (5.4 to 6.4 s, cap
+# lifted); `--check` on a weight-14 tangent Chern-product vector takes
+# 2.3 s (2-vCPU Xeon host, Python 3.11.7, one-shot, median of 3).
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
-# of 5, a check takes 0.15 to 0.2 s at 16, 0.24 to 0.28 s at 18 and 0.45 to
-# 0.54 s at 20; in-process at 20 the logarithm takes 0.01 s and the axioms
+# of 3, a check takes 0.14 s at 16, 0.22 s at 18 and 0.46 s at 20 (0.43 to
+# 0.46 s); in-process at 20 the logarithm takes 0.01 s and the axioms
 # 0.32 to 0.47 s.  A process checks each degree once, so a repeated or
 # lower order checks nothing.
 MAX_FGL_ORDER = 20
 
 # Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# about 0.13 s one-shot (same host, median of 7), 0.04 s of it in the
+# about 0.17 s one-shot (same host, median of 3), 0.05 s of it in the
 # integrality multipliers (in-process); `beta`, `logarithm` and
-# `classes cpn|vn` take 0.10 to 0.12 s, most of it interpreter start.
+# `classes cpn|vn` take 0.08 to 0.10 s, against 0.05 s for `python -c pass`.
 MAX_WEIGHT = 16
 
 # Least and largest modulus of a `weierstrass verify` half-period.  The
@@ -44,8 +44,8 @@ MAX_HALF_PERIOD = 1e4
 MAX_PERIOD_SKEW = 10
 
 # Largest `invariants --n`: the Chern tables run over the partitions of n,
-# one-shot on a 2-vCPU Xeon host, median of 3: 1.9 s at 45 and 4.7 s at 50
-# (4.3 to 5.1 s), timed with the cap lifted.
+# one-shot on a 2-vCPU Xeon host, median of 3: 1.6 s at 45 and 5.4 s at 50
+# (4.0 to 5.7 s), timed with the cap lifted.
 MAX_INVARIANTS_N = 45
 
 # Largest `invariants --k`: the Euler characteristic and the middle Betti
@@ -53,22 +53,23 @@ MAX_INVARIANTS_N = 45
 # Python's 4300-digit limit on int-to-str conversion.
 MAX_INVARIANTS_K = 10 ** 6
 
-# Largest `theta intersect --n`: one-shot, at most 0.13 s at 30 for any --k
-# (2-vCPU host).  Above the cap one class takes, in-process, at most 0.04 s
+# Largest `theta intersect --n`: one-shot, at most 0.1 s at 30 for --k 7, 15
+# and 30 (2-vCPU host, median of 3).  Above the cap one class takes, in-process, at most 0.04 s
 # at 35, 0.1 s at 40 and 0.5 s at 50 (worst --k near n/4).
 MAX_THETA_N = 30
 
 # Largest weight of `quantize --expr`, `ln apply --expr` and `ln apply
-# --partition`: one-shot, quantising the sum of all monomials of weight
-# <= 14 takes 1.5 to 1.7 s, and of weight 16 alone (cap lifted) 1.3 to 1.5 s.
+# --partition`: one-shot, median of 3 (2-vCPU host), quantising the sum of
+# all monomials of weight <= 14 takes 1.4 s (1.2 to 1.5 s), and of weight 16
+# alone (cap lifted) 1.15 s.
 MAX_EXPR_WEIGHT = 14
 
 # Largest N in `genus --of theta:N` and weight of `genus --of poly:EXPR`.
 # The genus series is cheap here (the L-genus takes 0.5 s to order 200);
 # the bound is set by the terms the parser may expand below it:
-# `(1+t1+...+t6)^10` has 8008 and takes 0.8 to 1.1 s one-shot with a preset
-# genus, and 2.5 to 3.1 s with a genus file {"coeffs": ["1", "1/<50 sevens>"]},
-# whose widest term has about 3000 digits (2-vCPU host).
+# `(1+t1+...+t6)^10` has 8008 and takes 0.3 to 0.5 s one-shot with a preset
+# genus, and 1.4 to 1.7 s with a genus file {"coeffs": ["1", "1/<50 sevens>"]},
+# whose widest term has about 3000 digits (2-vCPU host, five runs each).
 MAX_GENUS_WEIGHT = 60
 
 # Largest sum, over the coefficients of a genus file up to the order that a

@@ -58,7 +58,8 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
             with open(path) as fh:
                 # A JSON integer stays text until _genus_coeff has bounded it.
                 data = json.load(fh, parse_int=str)
-        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors included
+        # ValueError: JSON and UTF-8 decoding errors; RecursionError: arrays nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"--name: cannot read genus file {path}: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
             raise CliError('--name: a genus file must be {"coeffs": ["1", "-1/2", ...]}')
@@ -166,14 +167,18 @@ def _load_chern_vector(path: str, weight: int) -> ChernVector:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an oversized integer
+    # ValueError: bad JSON or an oversized integer; RecursionError: arrays nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"--check: cannot read vector file {path}: {exc}") from None
     try:
         file_weight = int(data["weight"])
         if file_weight == weight:
+            if not isinstance(data["values"], dict):
+                raise TypeError("values must map partitions to numbers")
             values = {parse_partition(k): Fraction(str(v)) for k, v in data["values"].items()}
             return ChernVector(weight, data["frame"], data["basis"], values)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError,
+            ZeroDivisionError) as exc:  # OverflowError: a weight of 1e999
         raise CliError(f"--check: malformed Chern vector file: {exc}") from None
     raise CliError(f"--check: vector weight {file_weight} != --n {weight}")
 

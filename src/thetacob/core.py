@@ -115,34 +115,23 @@ def splittings(lam: Partition) -> tuple[tuple[Partition, Partition], ...]:
     return tuple(out)
 
 
-_bernoulli_cache: tuple[Fraction, ...] = ()
-
-
+@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Rat:
     """Bernoulli number B_n in the convention B_1 = -1/2.
 
-    Computed by the Akiyama-Tanigawa triangle in exact rationals.  The
-    triangle natively yields B_1 = +1/2; only that index differs between
-    the two classical conventions (odd B_n vanish for n > 1), so the sign
-    is flipped there.  The memo is an immutable tuple swapped in atomically,
-    so concurrent readers never observe a partial rebuild.
+    Computed from the classical recurrence sum_{k=0..n} C(n+1, k) B_k = 0
+    (n >= 1), which gives B_1 = -1/2 directly; odd B_n vanish for n > 1
+    and are returned without summing.  The sum asks for B_0..B_{n-1} in
+    ascending order, so each is cached before the next needs it and the
+    recursion is never more than two calls deep.
     """
-    global _bernoulli_cache
     if n < 0:
         raise ValueError("n must be >= 0")
-    cache = _bernoulli_cache
-    if n >= len(cache):
-        top = max(n, 2 * len(cache), 16)
-        row: list[Fraction] = [Fraction(0)] * (top + 1)
-        fresh: list[Fraction] = []
-        for m in range(top + 1):
-            row[m] = Fraction(1, m + 1)
-            for j in range(m, 0, -1):
-                row[j - 1] = j * (row[j - 1] - row[j])
-            fresh.append(row[0])
-        fresh[1] = Fraction(-1, 2)
-        cache = _bernoulli_cache = tuple(fresh)
-    return cache[n]
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2:
+        return Fraction(0)
+    return -sum(comb(n + 1, k) * bernoulli(k) for k in range(n)) / (n + 1)
 
 
 def catalan(n: int) -> int:

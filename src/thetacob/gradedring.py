@@ -15,6 +15,14 @@ integers alone.  Partitions and Fractions appear only at the interface:
 constructors, coeff() and aug() take or give them, items() and
 substitute() decode.
 
+A key is decoded by two functools.lru_cache functions, each bounded at
+2^16 keys: _monomial(key) gives the pair (weight, Partition), which is
+also the monomial's graded-lex sort key, and _text(key) its text.  A
+long-lived process that meets more distinct monomials recomputes the
+least recently used ones, so the tables never outgrow the bound;
+_monomial.cache_info() and _text.cache_info() show their hits, misses,
+maxsize and currsize.
+
 The canonical text form (used by the CLI and golden files) lists terms in
 descending graded-lex order -- higher weight first, then descending
 lexicographic order on the exponent partition -- with generators inside a
@@ -24,6 +32,7 @@ monomial printed in ascending index order, e.g. ``-t2 + 3/2*t1^2``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import factorial, gcd, lcm, log10
 from numbers import Real
@@ -56,41 +65,28 @@ def _key(mu) -> int:
     return sum(1 << 8 * (part - 1) for part in mu)
 
 
-def _decode(key: int) -> Partition:
-    """The Partition of a packed key: one divmod per digit, smallest part first."""
-    parts, part, rest = [], 1, key
+@lru_cache(maxsize=1 << 16)  # bounded, as the module docstring says
+def _monomial(key: int) -> tuple[int, Partition]:
+    """The weight and Partition of a packed key, one divmod per digit: the
+    pair is also the monomial's graded-lex sort key."""
+    parts, part, rest, weight = [], 1, key, 0
     while rest:
         rest, count = divmod(rest, 256)
         parts += [part] * count
+        weight += part * count
         part += 1
     parts.reverse()
-    return tuple.__new__(Partition, parts)
+    return weight, tuple.__new__(Partition, parts)
 
 
-class _Memo(dict):
-    """A dict that computes a missing value from its key with `fill` and keeps it."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-# Packed key -> its Partition, its weight, its graded-lex sort key and its
-# text, for every key decoded so far.
-_PARTITION = _Memo(_decode)
-_WEIGHT = _Memo(lambda key: sum(_PARTITION[key]))
-_ORDER = _Memo(lambda key: (_WEIGHT[key], _PARTITION[key]))
-_TEXT = _Memo(lambda key: format_monomial(_PARTITION[key]))
+@lru_cache(maxsize=1 << 16)
+def _text(key: int) -> str:
+    """The text of the monomial of a packed key, e.g. ``t1^2*t2``."""
+    return format_monomial(_monomial(key)[1])
 
 
 def _top_weight(keys) -> int:
-    return max(map(_WEIGHT.__getitem__, keys), default=0)
+    return max((_monomial(key)[0] for key in keys), default=0)
 
 
 def _check_weight(weight: int) -> None:
@@ -150,8 +146,8 @@ class GradedPoly:
     def items(self):
         """(Partition, coefficient) terms in descending graded-lex order."""
         num, den = self._num, self._den
-        return [(_PARTITION[m], Fraction(num[m], den))
-                for m in sorted(num, key=_ORDER.__getitem__, reverse=True)]
+        return [(_monomial(m)[1], Fraction(num[m], den))
+                for m in sorted(num, key=_monomial, reverse=True)]
 
     def coeff(self, mu) -> Fraction:
         return Fraction(self._num.get(_key(mu), 0), self._den)
@@ -177,7 +173,7 @@ class GradedPoly:
         return top
 
     def is_homogeneous(self, w: int) -> bool:
-        return all(_WEIGHT[m] == w for m in self._num)
+        return all(_monomial(m)[0] == w for m in self._num)
 
     # -- ring operations ----------------------------------------------------
 
@@ -260,9 +256,11 @@ class GradedPoly:
         generator raises MissingGeneratorError naming it.  The values are
         real numbers or polynomials, and the image is always a polynomial: a
         constant one for scalar values, a float taken at its exact rational
-        value.  Any other value raises TypeError.  The terms are summed by one
-        weighted dot(): each term's numerator weighs the product of its
-        images but the last times the last, over the common denominator.
+        value.  Any other value raises TypeError.  ``assign`` is asked once
+        per distinct generator in a call, and its image is kept for the
+        call's other occurrences.  The terms are summed by one weighted
+        dot(): each term's numerator weighs the product of its images but the
+        last times the last, over the common denominator.
         """
         if callable(assign):
             get = assign
@@ -273,6 +271,7 @@ class GradedPoly:
                 except KeyError:
                     raise MissingGeneratorError(f"no value assigned for generator t{n}") from None
 
+        @lru_cache(maxsize=None)  # one image per distinct generator in this call
         def image(n):
             value = get(n)
             poly = _as_poly(value)
@@ -284,7 +283,7 @@ class GradedPoly:
 
         pairs = []
         for mono in self._num:
-            factors = [image(part) for part in _PARTITION[mono]] or [ONE]
+            factors = [image(part) for part in _monomial(mono)[1]] or [ONE]
             head = ONE
             for f in factors[:-1]:
                 head = head * f
@@ -453,12 +452,13 @@ def format_poly(p: GradedPoly) -> str:
 
 def _render(p: GradedPoly) -> str:
     """The text form from the integer form: one gcd per term reduces its
-    coefficient, and each monomial's sort key and text are memoised."""
+    coefficient, and each monomial's sort key and text come from the
+    bounded caches _monomial and _text."""
     num, den = p._num, p._den
     if not num:
         return "0"
     chunks = []
-    for m in sorted(num, key=_ORDER.__getitem__, reverse=True):
+    for m in sorted(num, key=_monomial, reverse=True):
         c = num[m]
         mag = -c if c < 0 else c
         g = gcd(mag, den)
@@ -466,9 +466,9 @@ def _render(p: GradedPoly) -> str:
         if not m:
             body = text
         elif mag == den:
-            body = _TEXT[m]
+            body = _text(m)
         else:
-            body = f"{text}*{_TEXT[m]}"
+            body = f"{text}*{_text(m)}"
         if chunks:
             chunks.append(f" - {body}" if c < 0 else f" + {body}")
         else:

@@ -27,7 +27,7 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial
-from .gradedring import (GradedPoly, ZERO, _PARTITION, _check_weight, _integer_form, _key, _new,
+from .gradedring import (GradedPoly, ZERO, _check_weight, _integer_form, _key, _monomial, _new,
                          _top_weight, dot, format_monomial, partition_sum, power_weights)
 
 if TYPE_CHECKING:
@@ -139,7 +139,7 @@ class TensorElement:
         def key(kv):
             (mu, nu), _ = kv
             return (mu.weight + nu.weight, mu.weight, mu, nu)
-        return sorted((((mu, _PARTITION[nu]), c) for nu, q in self._terms.items()
+        return sorted((((mu, _monomial(nu)[1]), c) for nu, q in self._terms.items()
                        for mu, c in q.items()), key=key)
 
     def __add__(self, other):

@@ -3,12 +3,19 @@ import gc
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import thetacob
+from thetacob import cobordism, core, genera, gradedring, landweber, symfun
 from thetacob.cli import _parse, build_parser, main
 from thetacob.cli_base import (
     MAX_CONGRUENCE_WEIGHT,
@@ -292,6 +299,63 @@ def test_genus_of_poly(capsys):
     code, out, _ = run_cli(capsys, "genus", "--name", "todd", "--of",
                            "poly:3/2*t1^2 - 1/2*t2")
     assert code == 0 and out.strip().endswith("= 1")
+
+
+EVICTION_REQUESTS = [
+    ("logarithm", "--max-weight", "12"),
+    ("classes", "vn"),
+    ("quantize", "--expr", "t3 - 4*t1*t2 + 3*t1^3 + t2^3", "--roundtrip"),
+    ("ln", "apply", "--partition", "2,1", "--expr", "(t1+t2+t3)^3 - t4*t2"),
+    ("genus", "--name", "l", "--of", "poly:(1+t1+t2+t3)^4 - 3/2*t5*t1"),
+]
+
+
+def test_monomial_cache_eviction_changes_no_output(capsys, monkeypatch):
+    """With the monomial caches cut to 8 keys, so that most lookups miss and
+    evict a key, each request prints what it prints with the real caches.
+    The caches of the modules above them are emptied first, so that every
+    request decodes its monomials again."""
+    monkeypatch.delenv("THETA_MAX_WEIGHT", raising=False)
+    expected = [run_cli(capsys, *argv) for argv in EVICTION_REQUESTS]
+    for module in (core, cobordism, genera, landweber, symfun):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    monomial = functools.lru_cache(maxsize=8)(gradedring._monomial.__wrapped__)
+    text = functools.lru_cache(maxsize=8)(gradedring._text.__wrapped__)
+    for module in (gradedring, landweber):
+        monkeypatch.setattr(module, "_monomial", monomial)
+    monkeypatch.setattr(gradedring, "_text", text)
+    for argv, want in zip(EVICTION_REQUESTS, expected):
+        assert want[0] == 0 and run_cli(capsys, *argv) == want, argv
+    for cache in (monomial, text):
+        info = cache.cache_info()
+        assert info.currsize == 8 and info.misses > 100
+
+
+def test_monomial_caches_stay_bounded_over_distinct_requests(capsys):
+    """300 distinct `genus --of poly:` requests in one process, each of four
+    monomials of weight 40 to 60, leave both caches within their bound."""
+    rng = random.Random(27)
+
+    def monomial():
+        parts, rest = [], rng.randint(40, 60)
+        while rest:
+            parts.append(rng.randint(1, rest))
+            rest -= parts[-1]
+        return "*".join(f"t{part}" for part in parts)
+
+    exprs = {" + ".join(monomial() for _ in range(4)) for _ in range(300)}
+    assert len(exprs) == 300
+    before = gradedring._monomial.cache_info()
+    for expr in sorted(exprs):
+        code, _, err = run_cli(capsys, "genus", "--name", "todd", "--of", f"poly:{expr}")
+        assert code == 0, err
+    assert gradedring._monomial.cache_info().misses - before.misses > 1000
+    assert landweber._monomial is gradedring._monomial
+    for cache in (gradedring._monomial, gradedring._text):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_validation_errors_exit_two(capsys, tmp_path):
@@ -581,3 +645,133 @@ def test_congruence_path_replay_recorded_digests(capsys, tmp_path, monkeypatch):
                     target.write_text(text)
     monkeypatch.chdir(tmp_path)
     _replay(capsys, cases)
+
+
+# -- the CLI grammar, drawn ------------------------------------------------------------
+#
+# Values at and past each cap, empty, signed and non-ASCII digits, long
+# generator indices, nested parentheses and malformed input files.  A cap
+# whose request takes over 0.2 s (congruences --n 14, invariants --n 45,
+# fgl check --order 20, selftest) is drawn only past it, to keep the test
+# near a second.
+
+_VECTOR = '"values": {"2": 1, "1,1": 1}, "frame": "tangent", "basis": "monomial"'
+GRAMMAR_FILES = {
+    "deep.json": "[" * 100000,
+    "binary.json": "\udcff\udcfe",
+    "text.json": "not json",
+    "g-inf.json": '{"coeffs": ["1", 1e999]}',
+    "g-object.json": '{"coeffs": ["1", {"a": 1}]}',
+    "g-empty.json": '{"coeffs": []}',
+    "g-two.json": '{"coeffs": ["2"]}',
+    "g-zero-den.json": '{"coeffs": ["1", "1/0"]}',
+    "g-long.json": '{"coeffs": ["1", "1e5000"]}',
+    "g-arabic.json": '{"coeffs": ["1", "\u0663/\u0664"]}',
+    "g-string.json": '{"coeffs": "1"}',
+    "v-ok.json": "{\"weight\": 2, " + _VECTOR + "}",
+    "v-list.json": '{"weight": 2, "values": [1], "frame": "tangent", "basis": "monomial"}',
+    "v-inf.json": '{"weight": 1e999}',
+    "v-frame.json": '{"weight": 2, "values": {"2": 1, "1,1": 1}, "frame": 5, "basis": "monomial"}',
+    "v-short.json": '{"weight": 2, "values": {"2": 1}, "frame": "tangent", "basis": "monomial"}',
+    "v-part.json": '{"weight": 2, "values": {"-1,3": 1, "1,1": 1}, "frame": "tangent", '
+                   '"basis": "monomial"}',
+    "v-nan.json": '{"weight": 2, "values": {"2": "nan", "1,1": 1}, "frame": "tangent", '
+                  '"basis": "monomial"}',
+    "v-weight.json": "{\"weight\": \"\u0663\", " + _VECTOR + "}",
+}
+_PATHS = [*(f"@/{name}" for name in GRAMMAR_FILES), "@/missing.json"]
+_FILES = st.sampled_from(_PATHS)
+
+
+def _with_every_file(test):
+    """Each file under both flags that read one, as explicit examples."""
+    for path in _PATHS:
+        test = example(argv=["genus", "--name", f"file:{path}", "--of", "theta:3"])(test)
+        test = example(argv=["congruences", "--n", "2", "--check", path])(test)
+    return test
+
+
+def _numbers(*edges):
+    """Integer texts: the given edges, and malformed or signed ones."""
+    return st.sampled_from([*map(str, edges), "", "-0", "+2", "\u0663", "\uff11", "\u00b2",
+                            "1_0", " 4", "9" * 30, "x"])
+
+
+_ATOMS = st.sampled_from(["t1", "t2", "t7", "t14", "t15", "t60", "t61", "t" + "1" * 30, "t",
+                          "t\u0663", "t0", "t00001", "", "3/2", "1/0", "-t2", "+t3", "t1^14",
+                          "t1^15", "t30^2", "2^3000*t1", "(t1+t2)^3", "\u0663", "t1*", "1e3"])
+_EXPRS = st.one_of(
+    st.lists(_ATOMS, min_size=1, max_size=3).flatmap(
+        lambda atoms: st.sampled_from([" + ".join(atoms), "*".join(atoms), " - ".join(atoms)])),
+    st.tuples(st.sampled_from([1, 50, 99, 100, 101]), st.booleans()).map(
+        lambda dc: "(" * dc[0] + "t1+t2" + ")" * (dc[0] if dc[1] else dc[0] - 1)))
+_COMPLEX = st.sampled_from(["1", "1j", "1.3+0.2i", "-0.4+1.1i", "1e-4", "1e-5", "1e4j", "1e5",
+                            "0", "nan", "inf", "", "\u0663", "1+1j", "10j", "0.1+100j"])
+
+
+def _flag(name, values, optional=True):
+    pair = values.map(lambda value: (name, value))
+    return st.one_of(st.just(()), pair) if optional else pair
+
+
+def _command(words, *flags):
+    return st.tuples(*flags).map(lambda drawn: [*words, *(x for pair in drawn for x in pair)])
+
+
+_ARGVS = st.tuples(st.sampled_from([[], ["--format", "json"]]), st.one_of(
+    st.sampled_from([["beta"], ["logarithm"], ["classes", "vn"], ["classes", "wn"],
+                     ["classes", "cpn"], ["classes", "xx"]]).flatmap(
+        lambda words: _command(words, _flag("--max-weight", _numbers(1, 16, 0, 17)))),
+    _command(["fgl", "check"], _flag("--order", _numbers(1, 8, 0, 21))),
+    _command(["congruences"], _flag("--n", _numbers(0, 2, 4, -1, 15), optional=False),
+             _flag("--check", _FILES)),
+    _command(["invariants"], _flag("--n", _numbers(1, 6, 0, 46), optional=False),
+             _flag("--k", _numbers(1, 10 ** 6, 0, 10 ** 6 + 1))),
+    _command(["theta", "intersect"], _flag("--n", _numbers(0, 30, -1, 31), optional=False),
+             _flag("--k", _numbers(0, 30, -1, 31), optional=False)),
+    _command(["ln", "apply"],
+             _flag("--partition", st.sampled_from(["", "2,1", "14", "15", "7,7", "7,8", "\u0663",
+                                                   "1,,2", "-1", "1" + "0" * 30, "a"]),
+                   optional=False),
+             _flag("--expr", _EXPRS, optional=False)),
+    _command(["quantize"], _flag("--expr", _EXPRS, optional=False),
+             st.sampled_from([(), ("--roundtrip",)])),
+    _command(["genus"],
+             _flag("--name", st.one_of(st.sampled_from(["todd", "l", "euler", "nope", ""]),
+                                       _FILES.map(lambda path: "file:" + path)), optional=False),
+             _flag("--of", st.one_of(_numbers(0, 60, -1, 61).map(lambda n: "theta:" + n),
+                                     _EXPRS.map(lambda expr: "poly:" + expr), st.just("t1")),
+                   optional=False)),
+    _command(["weierstrass", "verify"], st.sampled_from([(), ("--lemniscatic",)]),
+             _flag("--omega1", _COMPLEX), _flag("--omega2", _COMPLEX),
+             _flag("--tol", st.sampled_from(["1e-8", "0", "-1", "inf", "nan", "", "\u0663"]))),
+)).map(lambda parts: parts[0] + parts[1])
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grammar")
+    for name, text in GRAMMAR_FILES.items():
+        (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    return root
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_ARGVS)
+@_with_every_file
+def test_cli_grammar_exits_cleanly(grammar_dir, argv):
+    """Every drawn argv exits 0, 2 or 3 within seconds, with no traceback;
+    an exit 2 names a flag or prints the usage."""
+    argv = [arg.replace("@/", f"{grammar_dir}{os.sep}") for arg in argv]
+    out, err = StringIO(), StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # an argparse error
+            code = exc.code
+    assert time.perf_counter() - start < 5, argv
+    err = err.getvalue()
+    assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)
+    if code == 2:
+        assert err.startswith("usage:") or re.search(r"--[a-z]|THETA_MAX_WEIGHT", err), (argv, err)

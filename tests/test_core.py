@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -77,6 +78,31 @@ def test_bernoulli_reference_values():
     assert bernoulli(6) == Fraction(1, 42)
     assert bernoulli(8) == Fraction(-1, 30)
     assert bernoulli(10) == Fraction(5, 66)
+
+
+def akiyama_tanigawa_oracle(top):
+    """B_0..B_top (B_1 = -1/2) by the Akiyama-Tanigawa triangle,
+    a_(m,j) = 1/(j+1) refined by a_(j-1) <- j (a_(j-1) - a_j), whose row
+    starts are the Bernoulli numbers with B_1 = +1/2.  Every entry lies in
+    (1/L)Z for L = lcm(1..top+1), so the triangle runs on integers scaled
+    by L."""
+    scale = lcm(*range(1, top + 2))
+    row = [0] * (top + 1)
+    out = []
+    for m in range(top + 1):
+        row[m] = scale // (m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(Fraction(row[0], scale))
+    out[1] = -out[1]
+    return out
+
+
+def test_bernoulli_matches_akiyama_tanigawa_oracle():
+    assert [bernoulli(n) for n in range(301)] == akiyama_tanigawa_oracle(300)
+    assert all(type(bernoulli(n)) is Fraction for n in range(301))
+    with pytest.raises(ValueError):
+        bernoulli(-1)
 
 
 def test_bernoulli_odd_vanish():

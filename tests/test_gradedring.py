@@ -14,10 +14,8 @@ from thetacob.gradedring import (
     MissingGeneratorError,
     ONE,
     ZERO,
-    _PARTITION,
-    _WEIGHT,
-    _decode,
     _key,
+    _monomial,
     dot,
     format_monomial,
     format_poly,
@@ -147,8 +145,7 @@ _key_partition = st.one_of(st.lists(st.integers(1, 6), max_size=300),
 def test_packed_keys_round_trip(mus):
     for mu in mus:
         key = _key(mu)
-        assert _decode(key) == _PARTITION[key] == mu and type(_PARTITION[key]) is Partition
-        assert _WEIGHT[key] == mu.weight
+        assert _monomial(key) == (mu.weight, mu) and type(_monomial(key)[1]) is Partition
         assert _key(list(reversed(mu))) == key
     for a in mus:
         for b in mus:
@@ -200,6 +197,20 @@ def test_substitute():
     assert ONE.substitute(todd_like) == 1
     with pytest.raises(MissingGeneratorError, match="t3"):
         t(3).substitute({1: Fraction(1)})
+
+
+def test_substitute_asks_once_per_distinct_generator():
+    calls = []
+
+    def assign(n):
+        calls.append(n)
+        return t(n) + n
+
+    p = (t(1) + t(2) * t(3) + 2) ** 4 - t(1) ** 6 * t(3)
+    image = p.substitute(assign)
+    assert sorted(calls) == [1, 2, 3]
+    assert image == p.substitute({n: t(n) + n for n in (1, 2, 3)})
+    assert image == (t(1) + 1 + (t(2) + 2) * (t(3) + 3) + 2) ** 4 - (t(1) + 1) ** 6 * (t(3) + 3)
 
 
 def test_substitute_is_ring_homomorphism():

@@ -138,7 +138,10 @@ def test_operations_match_cartan_expansion():
 def _polys(max_weight):
     monomial = st.integers(0, max_weight).flatmap(
         lambda w: st.sampled_from(partitions_of(w)))
-    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    # Every a/d with d <= 12 and |a/d| <= 20, the values of st.fractions(-20, 20,
+    # max_denominator=12), drawn as two integers, which is faster to draw.
+    coeff = st.builds(lambda a, d: Fraction((a + 20 * d) % (40 * d + 1) - 20 * d, d),
+                      st.integers(-240, 240), st.integers(1, 12))
     return st.dictionaries(monomial, coeff, max_size=4).map(GradedPoly)
 
 

@@ -235,9 +235,13 @@ def test_fgl_matches_horner_oracle():
         assert fgl(f, n) == _fgl_by_horner(f, n)
 
 
+# Every a/d with d <= 6 and |a/d| <= 6, the values of st.fractions(-6, 6,
+# max_denominator=6), drawn as two integers, which is faster to draw.
+_coeff = st.builds(lambda a, d: Fraction((a + 6 * d) % (12 * d + 1) - 6 * d, d),
+                   st.integers(-36, 36), st.integers(1, 6))
 _small_poly = st.dictionaries(
     st.integers(0, 4).flatmap(lambda w: st.sampled_from(partitions_of(w))),
-    st.fractions(min_value=-6, max_value=6, max_denominator=6), max_size=3).map(GradedPoly)
+    _coeff, max_size=3).map(GradedPoly)
 
 
 def _normalised_series(max_order):
