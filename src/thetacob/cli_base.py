@@ -75,9 +75,10 @@ MAX_GENUS_WEIGHT = 60
 # Largest sum, over the coefficients of a genus file up to the order that a
 # request uses, of the decimal digits of each (of its numerator or its
 # denominator, whichever is longer).  Inverting the series costs most when
-# long denominators sit at z^1 and z^2: `genus --of theta:60` then takes
-# up to about 1 s at 1250 digits and 1.4 s at 1560 (in-process, 2-vCPU
-# host).  The Todd series to z^60 has 1201.
+# long denominators sit at z^1 and z^2: with two of 594 digits there (1247
+# in all), `genus --of theta:60` takes 0.56 to 0.66 s one-shot and 0.44 to
+# 0.46 s in-process, and with two of 750 (1559 in all) 0.68 s in-process
+# (2-vCPU Xeon host, Python 3.11.7).  The Todd series to z^60 has 1201.
 MAX_GENUS_FILE_DIGITS = 1250
 
 # Longest numerator or denominator of a printed genus value, checked before

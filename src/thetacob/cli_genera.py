@@ -40,6 +40,8 @@ def _genus_coeff(index: int, value) -> Fraction:
             raise CliError(f"--name: genus file coefficient {index} has more than "
                            f"{MAX_COEFF_DIGITS} digits")
     try:
+        if isinstance(value, bool):
+            raise TypeError("Fraction(True) would be 1")
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise CliError(f"--name: genus file coefficient {index} is not a rational number: "
@@ -84,9 +86,10 @@ def cmd_genus(args):
 
     target = args.of
     if target.startswith("theta:"):
-        try:
-            n = int(target[6:])
-        except ValueError:
+        digits = target[6:]
+        try:  # int() alone would also read "+3", " 3", "3_0" and non-ASCII digits
+            n = int(digits) if digits.isascii() and digits.isdigit() else -1
+        except ValueError:  # more digits than int() converts
             n = -1
         if not 0 <= n <= MAX_GENUS_WEIGHT:
             raise CliError(f"--of theta:N needs an integer N between 0 and {MAX_GENUS_WEIGHT}, "
@@ -98,7 +101,8 @@ def cmd_genus(args):
         poly = _parse_expr("--of", target[5:], MAX_GENUS_WEIGHT)
         order = max(poly.top_weight(), 2)
         spec = _load_genus(args.name, order)
-        gen_digits = {n: _digits(genera.genus_of_theta(spec, n)) for n in range(order + 1)}
+        gen_digits = {n: _digits(genera.genus_of_theta(spec, n))
+                      for n in {part for mu, _ in poly.items() for part in mu}}
         widest = max((_digits(c) + sum(gen_digits[n] for n in mu) for mu, c in poly.items()),
                      default=0)
         if widest > MAX_VALUE_DIGITS:
@@ -171,14 +175,15 @@ def _load_chern_vector(path: str, weight: int) -> ChernVector:
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"--check: cannot read vector file {path}: {exc}") from None
     try:
-        file_weight = int(data["weight"])
+        file_weight = data["weight"]
+        if type(file_weight) is not int:  # not a bool, a float or a string either
+            raise TypeError(f"the weight must be an integer, got {file_weight!r}")
         if file_weight == weight:
             if not isinstance(data["values"], dict):
                 raise TypeError("values must map partitions to numbers")
             values = {parse_partition(k): Fraction(str(v)) for k, v in data["values"].items()}
             return ChernVector(weight, data["frame"], data["basis"], values)
-    except (KeyError, OverflowError, TypeError, ValueError,
-            ZeroDivisionError) as exc:  # OverflowError: a weight of 1e999
+    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"--check: malformed Chern vector file: {exc}") from None
     raise CliError(f"--check: vector weight {file_weight} != --n {weight}")
 

@@ -3,9 +3,10 @@
 A genus is determined by a characteristic series Q(z) = 1 + a_1 z + ...;
 its value on the n-th theta class is (n+1)! [z^{n+1}] (z / Q(z)), and on
 an arbitrary polynomial class it acts as the induced ring homomorphism.
-Presets cover the Todd genus (Q = z/(1 - e^{-z})), the signature
-(Q = z/tanh z) and the Euler characteristic (Q = 1 + z), all built from
-exact Bernoulli data.
+Q and 1/Q are lists of rational coefficients, inverted by
+gradedring._reciprocal, so no genus loads the series module.  Presets
+cover the Todd genus (Q = z/(1 - e^{-z})), the signature (Q = z/tanh z)
+and the Euler characteristic (Q = 1 + z), all built from exact Bernoulli data.
 
 The congruence generator applies every operation S_mu of weight <= n to
 the weight-n decomposition formula and takes the Todd genus, producing
@@ -22,79 +23,81 @@ from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
-from .gradedring import ONE, ZERO, GradedPoly, dot
+from .gradedring import ONE, ZERO, GradedPoly, _as_poly, _formal_log, _reciprocal
 
 if TYPE_CHECKING:
     from .series import TruncSeries
     from .symfun import ChernVector
 
-# The genus path needs only core, gradedring and series, and the congruence
-# path core, gradedring and lattices; each function imports the modules
-# beyond core and gradedring that it uses, so neither path loads the other's.
+# The genus path needs only core and gradedring, and the congruence path
+# lattices besides; each function imports the modules beyond core and
+# gradedring that it uses, so neither path loads the other's.
 
 
 class GenusSpec:
-    """A genus given by its characteristic series Q with Q(0) = 1."""
+    """A genus given by its characteristic series Q with Q(0) = 1.
 
-    def __init__(self, q: TruncSeries, name: str = "custom"):
-        if not q.coeffs[0].is_constant() or q.coeffs[0].aug() != 1:
+    ``q`` is a TruncSeries or the list of Q's coefficients from z^0 (ints,
+    Fractions or constant GradedPolys), N + 1 of them for order N.
+    """
+
+    def __init__(self, q: TruncSeries | list, name: str = "custom"):
+        coeffs = [_as_poly(c) for c in getattr(q, "coeffs", q)]
+        if not coeffs or coeffs[0] != ONE:
             raise ValueError("characteristic series must start with 1")
-        for c in q.coeffs:
-            if not c.is_constant():
-                raise ValueError("characteristic series must have rational coefficients")
-        self.q = q
+        if any(c is NotImplemented or not c.is_constant() for c in coeffs):
+            raise ValueError("characteristic series must have rational coefficients")
+        self._q = coeffs
+        self._inv = _reciprocal(coeffs)
         self.name = name
-        self._inv = q.inv()
+
+    @property
+    def q(self) -> TruncSeries:
+        """Q as a TruncSeries, built on each request."""
+        from .series import TruncSeries
+
+        return TruncSeries(self._q)
 
     @property
     def order(self) -> int:
-        return self.q.order
+        return len(self._q) - 1
 
     def coefficients(self) -> list[Fraction]:
-        return [c.aug() for c in self.q.coeffs]
+        return [c.aug() for c in self._q]
 
 
 @lru_cache(maxsize=None)
 def todd_genus(order: int) -> GenusSpec:
     """Q = z/(1 - e^{-z}) = sum (-1)^n B_n z^n / n!, exactly."""
-    from .series import TruncSeries
-
-    vals = [Fraction((-1) ** n) * bernoulli(n) / factorial(n) for n in range(order + 1)]
-    return GenusSpec(TruncSeries.from_rationals(vals, order), name="todd")
+    return GenusSpec([Fraction((-1) ** n) * bernoulli(n) / factorial(n) for n in range(order + 1)],
+                     name="todd")
 
 
 @lru_cache(maxsize=None)
 def l_genus(order: int) -> GenusSpec:
-    """Q = z/tanh z, from the Bernoulli form of the tanh series."""
-    from .series import TruncSeries
-
-    tanh_over_z = [Fraction(0)] * (order + 1)
-    tanh_over_z[0] = Fraction(1)
+    """Q = z/tanh z, the reciprocal of the Bernoulli form of tanh(z)/z."""
+    tanh_over_z = [ZERO] * (order + 1)
     for k in range(0, order // 2 + 1):
         # coefficient of z^{2k+1} in tanh lands at z^{2k} in tanh/z
-        coeff = Fraction(2 ** (2 * k + 2) * (2 ** (2 * k + 2) - 1)) * bernoulli(2 * k + 2) \
-            / factorial(2 * k + 2)
-        if 2 * k <= order:
-            tanh_over_z[2 * k] = coeff
-    series = TruncSeries.from_rationals(tanh_over_z, order)
-    return GenusSpec(series.inv(), name="l")
+        tanh_over_z[2 * k] = GradedPoly.const(
+            Fraction(2 ** (2 * k + 2) * (2 ** (2 * k + 2) - 1)) * bernoulli(2 * k + 2)
+            / factorial(2 * k + 2))
+    return GenusSpec(_reciprocal(tanh_over_z), name="l")
 
 
 @lru_cache(maxsize=None)
 def euler_genus(order: int) -> GenusSpec:
     """Q = 1 + z: the genus computing the Euler characteristic."""
-    from .series import TruncSeries
-
-    return GenusSpec(TruncSeries.from_rationals([1, 1], order), name="euler")
+    return custom_genus([1, 1], order, name="euler")
 
 
 def custom_genus(coeffs, order=None, name="custom") -> GenusSpec:
-    from .series import TruncSeries
-
+    """Q with the given rational coefficients from z^0, cut or padded with
+    zeros to ``order`` (by default, as many as are given)."""
     vals = [Fraction(c) for c in coeffs]
     if order is None:
         order = len(vals) - 1
-    return GenusSpec(TruncSeries.from_rationals(vals, order), name=name)
+    return GenusSpec([vals[m] if m < len(vals) else 0 for m in range(order + 1)], name=name)
 
 
 def genus_preset(name: str, order: int) -> GenusSpec:
@@ -349,15 +352,11 @@ def w_multipliers(n: int) -> list[int]:
     of w_m lying in the integral cobordism ring.
 
     T = (Td (x) id) S_t is a ring homomorphism, so T(w_m) = m! g_m with g the
-    logarithm of T(beta)(z)/z = sum_k f_k z^k, f_k = _todd_image(k)/(k+1)!:
-    m g_m = m f_m - sum_{k<m} k g_k f_{m-k}, one weighted dot() per step, as
-    in TruncSeries.log.  q_m is the lcm of the denominators of
+    logarithm of T(beta)(z)/z = sum_k f_k z^k, f_k = _todd_image(k)/(k+1)!,
+    read off gradedring._formal_log.  q_m is the lcm of the denominators of
     Td(S_mu(w_m)) = (mu+1)! m! [t^mu] g_m over all mu.
     """
     f = [ONE] + [_todd_image(k) * Fraction(1, factorial(k + 1)) for k in range(1, n + 1)]
-    g = [ZERO]
-    for m in range(1, n + 1):
-        pairs = [(f[m], ONE)] + [(g[k], f[m - k]) for k in range(1, m)]
-        g.append(dot(pairs, [m] + [-k for k in range(1, m)], m))
+    g = _formal_log(f)
     return [lcm(1, *((factorial(m) * partition_factorial(mu) * c).denominator
                      for mu, c in g[m].items())) for m in range(1, n + 1)]

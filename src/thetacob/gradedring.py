@@ -13,7 +13,9 @@ A polynomial is stored as integer numerators over one common denominator,
 kept reduced (the storage of FLINT's fmpq_poly), so the arithmetic runs on
 integers alone.  Partitions and Fractions appear only at the interface:
 constructors, coeff() and aug() take or give them, items() and
-substitute() decode.
+substitute() decode.  Every sum of products goes through dot(), and so do
+the two series recurrences on plain coefficient lists that series and
+genera share: _reciprocal (1/f) and _formal_log (log f).
 
 A key is decoded by two functools.lru_cache functions, each bounded at
 2^16 keys: _monomial(key) gives the pair (weight, Partition), which is
@@ -36,7 +38,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import factorial, gcd, lcm, log10
 from numbers import Real
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import Partition
 
@@ -332,8 +334,8 @@ def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
     divided by the integer divisor >= 1, exactly.
 
     Without weights every w is 1.  Weights and divisor are the scalar steps
-    of the series recurrences (Miller's power recurrence, the inverse, the
-    logarithm, substitution), so no scaled polynomial is built for them.
+    of the series recurrences (Miller's power recurrence, _reciprocal,
+    _formal_log, substitution), so no scaled polynomial is built for them.
     Every product of numerators is accumulated in plain integers over the
     lcm of the pairs' denominators, and the sum is reduced by one gcd at
     the end, so no intermediate polynomial or Fraction is built.  A product
@@ -359,6 +361,27 @@ def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
     return _canonical({m: n for m, n in acc.items() if n}, denominator * divisor)
+
+
+def _reciprocal(f: Sequence[GradedPoly]) -> list[GradedPoly]:
+    """1/f to the length of f, for f_0 a non-zero rational: from f h = 1, h_0 = 1/f_0
+    and h_m = -(1/f_0) sum_{k=1..m} f_k h_{m-k}, one weighted dot() per coefficient."""
+    h0 = 1 / f[0].aug()
+    h = [GradedPoly.const(h0)]
+    for m in range(1, len(f)):
+        h.append(dot(((f[k], h[m - k]) for k in range(1, m + 1)),
+                     repeat(-h0.numerator), h0.denominator))
+    return h
+
+
+def _formal_log(f: Sequence[GradedPoly]) -> list[GradedPoly]:
+    """log f to the length of f, for f_0 = 1: from f g' = f' for g = log f,
+    n g_n = n f_n - sum_{k<n} k g_k f_{n-k}, one weighted dot() per coefficient."""
+    g = [ZERO]
+    for n in range(1, len(f)):
+        pairs = [(f[n], ONE)] + [(g[k], f[n - k]) for k in range(1, n)]
+        g.append(dot(pairs, [n] + [-k for k in range(1, n)], n))
+    return g
 
 
 def partition_sum(n: int, weights: list[int], divisor: int = 1) -> GradedPoly:
@@ -430,13 +453,14 @@ def t(n: int) -> GradedPoly:
 # -- text form ----------------------------------------------------------------
 
 
-def format_monomial(mu: Partition) -> str:
+def format_monomial(mu: Partition, mark: str = "") -> str:
+    """The text of t^mu, e.g. ``t1^2*t3``; ``mark`` follows each generator."""
     if not mu:
         return "1"
     pieces = []
     for idx in sorted(set(mu)):
         e = mu.count(idx)
-        pieces.append(f"t{idx}" + (f"^{e}" if e > 1 else ""))
+        pieces.append(f"t{idx}{mark}" + (f"^{e}" if e > 1 else ""))
     return "*".join(pieces)
 
 

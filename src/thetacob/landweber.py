@@ -178,7 +178,7 @@ class TensorElement:
         chunks = []
         for (mu, nu), c in self.items():
             left = format_monomial(mu)
-            right = _format_primed(nu)
+            right = format_monomial(nu, "'")
             body = f"{left} (x) {right}"
             if c == 1:
                 chunks.append(body)
@@ -190,16 +190,6 @@ class TensorElement:
 
     def __repr__(self):
         return f"TensorElement({self.__str__()!r})"
-
-
-def _format_primed(nu: Partition) -> str:
-    if not nu:
-        return "1"
-    pieces = []
-    for idx in sorted(set(nu)):
-        e = nu.count(idx)
-        pieces.append(f"t{idx}'" + (f"^{e}" if e > 1 else ""))
-    return "*".join(pieces)
 
 
 def quantize(p: GradedPoly) -> TensorElement:

@@ -23,16 +23,18 @@ coefficient of beta's logarithm, of (beta(z)/z)^{-1}, of log(beta(z)/z) and
 of a power of beta is one sum over partitions (gradedring.partition_sum),
 which cobordism and landweber read directly, and the group law reads those
 coefficients.  revert, inv, log and residue_extract serve generic series,
-and the tests check those closed forms against them.
+and the tests check those closed forms against them.  inv and log wrap the
+coefficient recurrences gradedring._reciprocal and gradedring._formal_log,
+which genera runs on plain coefficient lists without this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import factorial
 
-from .gradedring import GradedPoly, ONE, ZERO, _as_poly, dot, format_poly
+from .gradedring import (GradedPoly, ONE, ZERO, _as_poly, _formal_log, _reciprocal, dot,
+                         format_poly)
 
 
 class SeriesError(ValueError):
@@ -195,23 +197,15 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inv(self) -> "TruncSeries":
-        """Multiplicative inverse: needs a nonzero rational constant term.
-
-        From f * h = 1: h_0 = 1/f_0 and h_m = -(1/f_0) sum_{k=1..m} f_k h_{m-k},
-        one weighted dot() per coefficient.
-        """
+        """Multiplicative inverse (gradedring._reciprocal): needs a nonzero
+        rational constant term."""
         f = self.coeffs
         if not f[0].is_constant() or f[0].is_zero():
             raise NonInvertibleSeriesError(
                 "series inverse needs a nonzero constant rational leading coefficient"
             )
-        h0 = 1 / f[0].aug()
-        h = [GradedPoly.const(h0)]
-        for m in range(1, self.order + 1):
-            h.append(dot(((f[k], h[m - k]) for k in range(1, m + 1)),
-                         repeat(-h0.numerator), h0.denominator))
         shift = -self.grade_shift if self.grade_shift is not None else None
-        return TruncSeries(h, order=self.order, grade_shift=shift)
+        return TruncSeries(_reciprocal(f), order=self.order, grade_shift=shift)
 
     def __pow__(self, k: int) -> "TruncSeries":
         if not isinstance(k, int):
@@ -308,20 +302,11 @@ class TruncSeries:
         return TruncSeries(acc.coeffs, order=n, grade_shift=shift)
 
     def log(self) -> "TruncSeries":
-        """Formal logarithm; needs f_0 = 1.
-
-        From f g' = f' for g = log f: n g_n = n f_n - sum_{k<n} k g_k f_{n-k},
-        one weighted dot() per coefficient.
-        """
-        f = self.coeffs
-        if f[0] != ONE:
+        """Formal logarithm (gradedring._formal_log); needs f_0 = 1."""
+        if self.coeffs[0] != ONE:
             raise SeriesError("log needs constant term 1")
-        g = [ZERO]
-        for n in range(1, self.order + 1):
-            pairs = [(f[n], ONE)] + [(g[k], f[n - k]) for k in range(1, n)]
-            g.append(dot(pairs, [n] + [-k for k in range(1, n)], n))
         shift = 0 if self.grade_shift == 0 else None
-        return TruncSeries(g, order=self.order, grade_shift=shift)
+        return TruncSeries(_formal_log(self.coeffs), order=self.order, grade_shift=shift)
 
     def __str__(self):
         return format_series(self)
@@ -349,23 +334,23 @@ def format_series(f: TruncSeries) -> str:
 
     Multi-term coefficients are parenthesised; zero series prints "0".
     """
-    chunks = []
-    for m, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        body = format_poly(c)
-        if m == 0:
-            chunks.append(body)
-            continue
-        zpow = "z" if m == 1 else f"z^{m}"
-        if c == ONE:
-            piece = zpow
-        elif len(c) > 1 or body.startswith("-"):
-            piece = f"({body})*{zpow}"
-        else:
-            piece = f"{body}*{zpow}"
-        chunks.append(piece)
+    chunks = [_term(c, "" if m == 0 else "z" if m == 1 else f"z^{m}")
+              for m, c in enumerate(f.coeffs) if not c.is_zero()]
     return " + ".join(chunks) if chunks else "0"
+
+
+def _term(c: GradedPoly, mono: str) -> str:
+    """The text of c times the monomial ``mono`` (c alone when it is ""): a
+    coefficient of several terms or with a sign is parenthesised, and 1 is
+    left out."""
+    body = format_poly(c)
+    if not mono:
+        return body
+    if c == ONE:
+        return mono
+    if len(c) > 1 or body.startswith("-"):
+        return f"({body})*{mono}"
+    return f"{body}*{mono}"
 
 
 # -- bivariate series -------------------------------------------------------------
@@ -421,15 +406,7 @@ class BiTruncSeries:
                 ("u" if m == 1 else f"u^{m}") if m else "",
                 ("v" if l == 1 else f"v^{l}") if l else "",
             ]))
-            body = format_poly(c)
-            if not mono:
-                chunks.append(body)
-            elif c == ONE:
-                chunks.append(mono)
-            elif len(c) > 1 or body.startswith("-"):
-                chunks.append(f"({body})*{mono}")
-            else:
-                chunks.append(f"{body}*{mono}")
+            chunks.append(_term(c, mono))
         return " + ".join(chunks)
 
 

@@ -285,6 +285,22 @@ def test_genus_of_poly_term_digits_bounded(tmp_path, capsys, monkeypatch, denomi
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+@pytest.mark.parametrize("n", ["3_0", "+3", " 3", "3 ", "\u0663", "\uff13"])
+def test_genus_theta_index_takes_ascii_digits_only(capsys, n):
+    code, out, err = run_cli(capsys, "genus", "--name", "todd", "--of", "theta:" + n)
+    assert code == 2 and out == "" and err.startswith("error: --of theta:N")
+
+
+def test_genus_of_poly_bounds_only_the_generators_it_contains(capsys, monkeypatch):
+    asked = []
+    genus_of_theta = genera.genus_of_theta
+    monkeypatch.setattr(genera, "genus_of_theta",
+                        lambda spec, n: asked.append(n) or genus_of_theta(spec, n))
+    code, out, _ = run_cli(capsys, "genus", "--name", "todd", "--of", "poly:t60")
+    assert code == 0 and out == "todd genus of poly:t60 = 1\n"
+    assert set(asked) == {60} and len(asked) == 2  # the digit bound, then the value
+
+
 def test_genus_file_todd_to_order_sixty(tmp_path, capsys):
     from thetacob.genera import todd_genus
 
@@ -678,6 +694,9 @@ GRAMMAR_FILES = {
     "v-nan.json": '{"weight": 2, "values": {"2": "nan", "1,1": 1}, "frame": "tangent", '
                   '"basis": "monomial"}',
     "v-weight.json": "{\"weight\": \"\u0663\", " + _VECTOR + "}",
+    "g-true.json": '{"coeffs": ["1", true]}',
+    "v-true.json": '{"weight": true, "values": {"1": 1}, "frame": "tangent", "basis": "monomial"}',
+    "v-float.json": "{\"weight\": 2.7, " + _VECTOR + "}",
 }
 _PATHS = [*(f"@/{name}" for name in GRAMMAR_FILES), "@/missing.json"]
 _FILES = st.sampled_from(_PATHS)
@@ -754,6 +773,19 @@ def grammar_dir(tmp_path_factory):
     for name, text in GRAMMAR_FILES.items():
         (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
     return root
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["genus", "--name", "file:@/g-true.json", "--of", "theta:3"], "--name"),
+    (["congruences", "--n", "1", "--check", "@/v-true.json"], "--check"),
+    (["congruences", "--n", "2", "--check", "@/v-float.json"], "--check"),
+], ids=["genus-true", "check-true", "check-float"])
+def test_input_file_integers_must_be_json_integers(grammar_dir, capsys, argv, flag):
+    """A JSON boolean or a float where a file needs an integer is malformed:
+    int() and Fraction() would read true as 1 and 2.7 as 2."""
+    argv = [arg.replace("@/", f"{grammar_dir}{os.sep}") for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {flag}:"), err
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,9 +5,9 @@ from math import comb, factorial, gcd, lcm
 import pytest
 
 from thetacob.core import EMPTY, Partition, bernoulli, catalan, partition_factorial, partitions_of
-from thetacob.gradedring import GradedPoly, t
+from thetacob.gradedring import ONE, GradedPoly, t
 from thetacob.landweber import quantize
-from thetacob.series import TruncationError
+from thetacob.series import TruncSeries, TruncationError
 from thetacob import symfun
 from thetacob.symfun import ChernVector, to_normal_monomial
 from thetacob.cobordism import (
@@ -20,6 +20,7 @@ from thetacob.cobordism import (
 )
 from thetacob.genera import (
     CongruenceSystem,
+    GenusSpec,
     _todd_image,
     classical_congruences,
     classical_system,
@@ -67,6 +68,23 @@ def test_genus_spec_validation_and_truncation():
         genus_of_theta(spec, 9)
     with pytest.raises(ValueError):
         genus_preset("todd-ish", 4)
+
+
+def test_genus_spec_from_series_and_from_list_agree():
+    """GenusSpec takes Q as a TruncSeries or as its coefficient list."""
+    for listed in (todd_genus(20), l_genus(20), euler_genus(20),
+                   custom_genus(["1", "1/2", "1/12", "-3/7", "5"], 20)):
+        series = TruncSeries.from_rationals(listed.coefficients(), 20)
+        from_series = GenusSpec(series, name=listed.name)
+        assert from_series.coefficients() == listed.coefficients()
+        assert from_series.order == listed.order == 20
+        assert from_series.q == listed.q == series
+        for n in range(21):
+            assert genus_of_theta(from_series, n) == genus_of_theta(listed, n)
+    with pytest.raises(ValueError):
+        GenusSpec(TruncSeries([ONE, t(1)], order=2))
+    with pytest.raises(ValueError):
+        GenusSpec([1, "1/2"])
 
 
 def test_genus_of_poly_consistent_with_theta_values():
@@ -218,7 +236,7 @@ def test_todd_images_match_quantisation_and_stirling():
 def test_todd_images_match_composition_in_any_call_order():
     """The closed form against beta(z/Q(z)) composed once to z^14, and the
     same images whichever weight is asked for first."""
-    composed = beta(14).compose(todd_genus(13)._inv.mul_by_z())
+    composed = beta(14).compose(todd_genus(13).q.inv().mul_by_z())
     by_composition = [factorial(m + 1) * composed[m + 1] for m in range(13)]
     _todd_image.cache_clear()
     ascending = [_todd_image(m) for m in range(13)]

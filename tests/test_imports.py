@@ -15,7 +15,7 @@ ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__fil
 
 OPERATIONS = {"cli_base", "cli_operations", "core", "gradedring", "landweber"}
 SERIES = {"cli_base", "cli_series", "core", "gradedring", "grouplaw", "cobordism"}
-GENUS = {"cli_base", "cli_genera", "core", "gradedring", "series", "genera"}
+GENUS = {"cli_base", "cli_genera", "core", "gradedring", "genera"}
 CONGRUENCES = {"cli_base", "cli_genera", "core", "gradedring", "genera", "lattices"}
 VERIFY = {"cli_base", "cli_verify", "weierstrass"}
 

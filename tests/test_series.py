@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetacob.core import partitions_of
-from thetacob.gradedring import GradedPoly, ONE, ZERO, dot, t
+from thetacob.gradedring import GradedPoly, ONE, ZERO, _formal_log, _reciprocal, dot, t
 from thetacob.grouplaw import ASSOC_ORDER, GroupLaw
 from thetacob.series import (
     BiTruncSeries,
@@ -365,6 +365,21 @@ def test_log_property(f):
     h = f.inv()
     for m in range(f.order + 1):
         assert f.truncated(m).inv() == h.truncated(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c0=_coeff.filter(bool), tail=st.lists(_small_poly, max_size=6))
+def test_reciprocal_and_formal_log_kernels(c0, tail):
+    """On plain coefficient lists: 1/f times f is 1 to the order of f, for
+    any non-zero rational f_0, and the formal log of 1 + (f - f_0) is the
+    Horner oracle's."""
+    f = [GradedPoly.const(c0)] + tail
+    h = _reciprocal(f)
+    assert len(h) == len(f)
+    assert [dot((f[k], h[m - k]) for k in range(m + 1)) for m in range(len(f))] \
+        == [ONE] + [ZERO] * len(tail)
+    unit = [ONE] + tail
+    assert TruncSeries(_formal_log(unit)) == _log_by_horner(TruncSeries(unit))
 
 
 def test_inv_with_rational_constant_term():
