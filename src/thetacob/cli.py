@@ -21,7 +21,7 @@ from .cli_base import MAX_WEIGHT, CliError
 # Each subcommand's handler is named "module:function" and its module is
 # imported on dispatch, so that a process compiles only the handlers of the
 # subcommand it runs; each handler imports the computation modules it uses,
-# json and fractions included.
+# json and fractions included, unless every handler of its module does.
 
 
 def _default_weight() -> int:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 FORMAT_VERSION = "1.0.0"
 
-# Largest `congruences --n`: one run takes 2.1 s at 14 (1.8 to 2.8 s),
-# nearly all of it in the lattice step, and 6.1 s at 15 (5.4 to 6.4 s, cap
-# lifted); `--check` on a weight-14 tangent Chern-product vector takes
-# 2.3 s (2-vCPU Xeon host, Python 3.11.7, one-shot, median of 3).
+# Largest `congruences --n`: one run takes 3.2 s at 14 (2.5 to 3.5 s),
+# nearly all of it in the lattice step, and 7.3 s at 15 (6.5 to 7.5 s, cap
+# lifted); `--check` computes no lattice and takes 0.6 s on a weight-14
+# tangent Chern-product vector (2-vCPU Xeon host, Python 3.11.7, one-shot,
+# median of 3).
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
@@ -23,11 +24,11 @@ MAX_CONGRUENCE_WEIGHT = 14
 # lower order checks nothing.
 MAX_FGL_ORDER = 20
 
-# Largest `--max-weight` and THETA_MAX_WEIGHT: at 16, `classes wn` takes
-# about 0.17 s one-shot (same host, median of 3), 0.05 s of it in the
-# integrality multipliers (in-process); `beta`, `logarithm` and
-# `classes cpn|vn` take 0.08 to 0.10 s, against 0.05 s for `python -c pass`.
-MAX_WEIGHT = 16
+# Largest `--max-weight` and THETA_MAX_WEIGHT: at 20, `classes wn` takes
+# 0.35 s one-shot (same host, median of 3; 0.19 s at 16), and `beta`,
+# `logarithm` and `classes cpn|vn` 0.10 to 0.17 s, against 0.08 s for
+# `python -c pass`.
+MAX_WEIGHT = 20
 
 # Least and largest modulus of a `weierstrass verify` half-period.  The
 # stated tolerances are absolute, set for periods of modulus near 1; the

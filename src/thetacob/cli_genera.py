@@ -5,7 +5,10 @@ subcommands that run `genera`.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
+from math import lcm
 
+from . import genera  # every handler here runs it, and it loads fractions, core and gradedring
 from .cli_base import (
     MAX_CONGRUENCE_WEIGHT,
     MAX_GENUS_FILE_DIGITS,
@@ -18,18 +21,34 @@ from .cli_base import (
     _emit,
     _parse_expr,
 )
+from .core import parse_partition, partitions_of
+from .gradedring import MAX_COEFF_DIGITS, format_poly
 
 
-def _genus_coeff(index: int, value) -> Fraction:
-    """Coefficient `index` of a genus file; a string is bounded before it is built.
+class _JsonInt(str):
+    """The text of a JSON integer, which _read_json keeps unconverted."""
 
-    A decimal exponent counts as digits: "1e5000" and "1e-5000" both have
-    more than MAX_COEFF_DIGITS.
+
+def _read_json(path: str, flag: str, kind: str):
+    """The JSON document in a file, each number kept as its text for
+    _read_number to bound; NaN and Infinity stay floats, which it refuses."""
+    import json
+
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_int=_JsonInt, parse_float=str)
+    # ValueError: JSON and UTF-8 decoding errors; RecursionError: arrays nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"{flag}: cannot read {kind} file {path}: {exc}") from None
+
+
+def _read_number(value, what: str) -> Fraction:
+    """A number of an input file, read by Fraction from its decimal text.
+
+    Only a JSON number or string is a number.  Its text is bounded before
+    it is built, and a decimal exponent counts as digits: "1e5000" and
+    "1e-5000" both have more than MAX_COEFF_DIGITS.
     """
-    from fractions import Fraction
-
-    from .gradedring import MAX_COEFF_DIGITS
-
     if isinstance(value, str):
         mantissa, _, exponent = value.lower().partition("e")
         exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -37,38 +56,25 @@ def _genus_coeff(index: int, value) -> Fraction:
             exponent = "0"  # no exponent, or one that Fraction refuses
         if (len(exponent) > len(str(MAX_COEFF_DIGITS))
                 or len(mantissa) + int(exponent) > MAX_COEFF_DIGITS):
-            raise CliError(f"--name: genus file coefficient {index} has more than "
-                           f"{MAX_COEFF_DIGITS} digits")
-    try:
-        if isinstance(value, bool):
-            raise TypeError("Fraction(True) would be 1")
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise CliError(f"--name: genus file coefficient {index} is not a rational number: "
-                       f"{value!r}") from None
+            raise CliError(f"{what} has more than {MAX_COEFF_DIGITS} digits")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise CliError(f"{what} is not a rational number: {value!r}")
 
 
 def _load_genus(name: str, order: int) -> genera.GenusSpec:
-    from . import genera
-
     if name.startswith("file:"):
-        import json
-        from fractions import Fraction
-
         path = name[5:]
-        try:
-            with open(path) as fh:
-                # A JSON integer stays text until _genus_coeff has bounded it.
-                data = json.load(fh, parse_int=str)
-        # ValueError: JSON and UTF-8 decoding errors; RecursionError: arrays nested too deep
-        except (OSError, ValueError, RecursionError) as exc:
-            raise CliError(f"--name: cannot read genus file {path}: {exc}") from None
+        data = _read_json(path, "--name", "genus")
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
             raise CliError('--name: a genus file must be {"coeffs": ["1", "-1/2", ...]}')
-        coeffs = [_genus_coeff(i, c) for i, c in enumerate(data["coeffs"])]
+        coeffs = [_read_number(c, f"--name: genus file coefficient {i}")
+                  for i, c in enumerate(data["coeffs"])]
         if not coeffs or coeffs[0] != 1:
             raise CliError("--name: the genus file's coefficient list must start with 1")
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        coeffs += [0] * (order + 1 - len(coeffs))
         digits = sum(len(str(max(abs(c.numerator), c.denominator))) for c in coeffs[:order + 1])
         if digits > MAX_GENUS_FILE_DIGITS:
             raise CliError(f"--name: the genus file's coefficients up to z^{order} have "
@@ -81,9 +87,6 @@ def _load_genus(name: str, order: int) -> genera.GenusSpec:
 
 
 def cmd_genus(args):
-    from . import genera
-    from .gradedring import format_poly
-
     target = args.of
     if target.startswith("theta:"):
         digits = target[6:]
@@ -120,14 +123,10 @@ def cmd_genus(args):
 
 
 def _chern_values_payload(vec: ChernVector) -> dict:
-    from .core import partitions_of
-
     return {str(lam): str(vec.values[lam]) for lam in partitions_of(vec.weight)}
 
 
 def cmd_invariants(args):
-    from . import genera
-
     if not 1 <= args.n <= MAX_INVARIANTS_N:
         raise CliError(f"--n must be between 1 and {MAX_INVARIANTS_N}, got {args.n}")
     if not 1 <= args.k <= MAX_INVARIANTS_K:
@@ -162,41 +161,34 @@ def _load_chern_vector(path: str, weight: int) -> ChernVector:
     The weight is compared before the vector is built, because building
     it enumerates the partitions of the file's weight.
     """
-    import json
-    from fractions import Fraction
-
-    from .core import parse_partition
     from .symfun import ChernVector
 
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    # ValueError: bad JSON or an oversized integer; RecursionError: arrays nested too deep
-    except (OSError, ValueError, RecursionError) as exc:
-        raise CliError(f"--check: cannot read vector file {path}: {exc}") from None
+    data = _read_json(path, "--check", "vector")
     try:
         file_weight = data["weight"]
-        if type(file_weight) is not int:  # not a bool, a float or a string either
+        if type(file_weight) is not _JsonInt:  # not a bool, a float or a string either
             raise TypeError(f"the weight must be an integer, got {file_weight!r}")
-        if file_weight == weight:
+        if _read_number(file_weight, "the weight") == weight:
             if not isinstance(data["values"], dict):
                 raise TypeError("values must map partitions to numbers")
-            values = {parse_partition(k): Fraction(str(v)) for k, v in data["values"].items()}
+            values = {parse_partition(k): _read_number(v, f"value {k!r}")
+                      for k, v in data["values"].items()}
+            common = 1  # the conversions compute over the values' common denominator
+            for v in values.values():
+                if (common := lcm(common, v.denominator)) >= 10 ** MAX_COEFF_DIGITS:
+                    raise ValueError("the values' common denominator has more than "
+                                     f"{MAX_COEFF_DIGITS} digits")
             return ChernVector(weight, data["frame"], data["basis"], values)
-    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # CliError from _read_number included
         raise CliError(f"--check: malformed Chern vector file: {exc}") from None
     raise CliError(f"--check: vector weight {file_weight} != --n {weight}")
 
 
 def cmd_congruences(args):
-    from . import genera
-
     if not 0 <= args.n <= MAX_CONGRUENCE_WEIGHT:
         raise CliError(f"--n must be between 0 and {MAX_CONGRUENCE_WEIGHT}, got {args.n}")
-    vec = _load_chern_vector(args.check, args.n) if args.check else None
-    sys_n = genera.congruence_system(args.n)
-    if vec is not None:
-        ok, failing = sys_n.check(vec)
+    if args.check:
+        ok, failing = genera.congruence_check(args.n, _load_chern_vector(args.check, args.n))
         payload = {
             "weight": args.n,
             "pass": ok,
@@ -206,6 +198,7 @@ def cmd_congruences(args):
         lines += [f"  functional mu=({f['mu']}) evaluates to {f['value']}" for f in payload["failing"]]
         _emit(args, "congruences", {"n": args.n, "check": args.check}, payload, lines)
         return
+    sys_n = genera.congruence_system(args.n)
     payload = {
         "weight": sys_n.weight,
         "functionals": [

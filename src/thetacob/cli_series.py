@@ -43,30 +43,21 @@ def cmd_classes(args):
     from . import cobordism as cob
     from .gradedring import format_poly
 
-    n = args.max_weight
-    family = args.family
-    rows = []
+    n, family = args.max_weight, args.family
     if family == "vn":
-        vs = cob.v_classes(n)
-        for m in range(1, n + 1):
-            rows.append({"n": m, "poly": format_poly(vs[m]), "q": cob.q_multiplier(m)})
+        polys, qs = cob.v_classes(n), [cob.q_multiplier(m) for m in range(1, n + 1)]
         header = "v_n classes with minimal integral multipliers q_n"
-        lines = [header] + [f"  v{r['n']} = {r['poly']}   (q_{r['n']} = {r['q']})" for r in rows]
     elif family == "wn":
         from .genera import w_multipliers
 
-        wcl = cob.w_classes(n)
-        qs = w_multipliers(n)
-        for m in range(1, n + 1):
-            rows.append({"n": m, "poly": format_poly(wcl[m]), "q": qs[m - 1]})
+        polys, qs = cob.w_classes(n), w_multipliers(n)
         header = "w_n classes with empirical minimal integral multipliers"
-        lines = [header] + [f"  w{r['n']} = {r['poly']}   (q_{r['n']} = {r['q']})" for r in rows]
     else:
-        cps = cob.cp_classes(n + 1)
-        for m in range(1, n + 1):
-            rows.append({"n": m, "poly": format_poly(cps[m]), "q": 1})
+        polys, qs = cob.cp_classes(n + 1), [1] * n
         header = "cp_n projective-space classes (already integral cobordism classes)"
-        lines = [header] + [f"  cp{r['n']} = {r['poly']}" for r in rows]
+    rows = [{"n": m, "poly": format_poly(polys[m]), "q": qs[m - 1]} for m in range(1, n + 1)]
+    lines = [header] + [f"  {family[:-1]}{r['n']} = {r['poly']}"
+                        + ("" if family == "cpn" else f"   (q_{r['n']} = {r['q']})") for r in rows]
     payload = {"family": family, "max_weight": n, "classes": rows}
     _emit(args, "classes", {"family": family, "max_weight": n}, payload, lines)
 

@@ -23,7 +23,7 @@ from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
-from .gradedring import ONE, ZERO, GradedPoly, _as_poly, _formal_log, _reciprocal
+from .gradedring import ONE, GradedPoly, _as_poly, _formal_log, _reciprocal
 
 if TYPE_CHECKING:
     from .series import TruncSeries
@@ -75,14 +75,9 @@ def todd_genus(order: int) -> GenusSpec:
 
 @lru_cache(maxsize=None)
 def l_genus(order: int) -> GenusSpec:
-    """Q = z/tanh z, the reciprocal of the Bernoulli form of tanh(z)/z."""
-    tanh_over_z = [ZERO] * (order + 1)
-    for k in range(0, order // 2 + 1):
-        # coefficient of z^{2k+1} in tanh lands at z^{2k} in tanh/z
-        tanh_over_z[2 * k] = GradedPoly.const(
-            Fraction(2 ** (2 * k + 2) * (2 ** (2 * k + 2) - 1)) * bernoulli(2 * k + 2)
-            / factorial(2 * k + 2))
-    return GenusSpec(_reciprocal(tanh_over_z), name="l")
+    """Q = z/tanh z = sum_k 2^{2k} B_{2k} z^{2k} / (2k)!, exactly."""
+    return GenusSpec([Fraction(2 ** m) * bernoulli(m) / factorial(m) if m % 2 == 0 else 0
+                      for m in range(order + 1)], name="l")
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +245,7 @@ def _todd_image(m: int) -> GradedPoly:
     })
 
 
-def _system(n: int, functionals: list) -> CongruenceSystem:
+def _system(n: int, functionals: tuple | list) -> CongruenceSystem:
     """The system of the (mu, {lam: coeff}) rows with its integrality lattice."""
     from .lattices import integrality_lattice
 
@@ -266,20 +261,31 @@ def _system(n: int, functionals: list) -> CongruenceSystem:
 
 
 @lru_cache(maxsize=None)
+def _functionals(n: int) -> tuple:
+    """The rows of congruence_system(n), column lam read off the terms of its
+    image: a row holds only its non-zero entries, keyed in partitions_of(n) order."""
+    rows = {mu: {} for w in range(n + 1) for mu in partitions_of(w)}
+    for lam in partitions_of(n):
+        for mu, c in GradedPoly.monomial(lam).substitute(_todd_image).items():
+            rows[mu][lam] = c * partition_factorial(mu) / partition_factorial(lam)
+    return tuple(rows.items())
+
+
+@lru_cache(maxsize=None)
 def congruence_system(n: int) -> CongruenceSystem:
     """Generate all divisibility conditions on weight-n normal Chern numbers.
 
     Row for the partition mu: lam -> Td(S_mu(t^lam)) / (lam+1)!.  Because
     every operation image of a manifold class is again a manifold class
     and the Todd genus is integral, each row must evaluate to an integer.
-    Column lam is read off the terms of its image, so a row holds only its
-    non-zero entries, keyed in partitions_of(n) order.
     """
-    rows = {mu: {} for w in range(n + 1) for mu in partitions_of(w)}
-    for lam in partitions_of(n):
-        for mu, c in GradedPoly.monomial(lam).substitute(_todd_image).items():
-            rows[mu][lam] = c * partition_factorial(mu) / partition_factorial(lam)
-    return _system(n, list(rows.items()))
+    return _system(n, _functionals(n))
+
+
+def congruence_check(n: int, c: ChernVector):
+    """congruence_system(n).check(c) without the integrality lattice, which
+    the verdict does not read and which is most of the system's cost."""
+    return CongruenceSystem(n, _functionals(n), (), ()).check(c)
 
 
 # -- classical low-dimension congruence lists ----------------------------------------------

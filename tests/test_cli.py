@@ -95,6 +95,131 @@ def test_congruence_vector_check(tmp_path, capsys):
     assert code == 0 and "pass" in out
 
 
+def test_congruence_check_needs_no_lattice(tmp_path, capsys, monkeypatch):
+    """The verdict reads the functionals only: with every genera cache
+    cleared and the integrality lattice refusing to run, `--check` prints
+    the verdict the full system gave."""
+    from thetacob import lattices
+
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({
+        "weight": 6, "frame": "tangent", "basis": "chern_product",
+        "values": {str(lam): f"{i}/{i % 3 + 1}" for i, lam in enumerate(core.partitions_of(6))}}))
+    for fn in (genera._functionals, genera.congruence_system, genera._todd_image):
+        fn.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("--check computed the integrality lattice")
+
+    monkeypatch.setattr(lattices, "integrality_lattice", refuse)
+    code, out, err = run_cli(capsys, "congruences", "--n", "6", "--check", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("vector verdict at weight 6: FAIL\n  functional mu=() evaluates to -1/6480")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "169d831b500ca740610e268d695f9a7571e1dd2b1a71c78eb2b31075f49a2f5f")
+
+
+_CHERN_2 = '{"weight": 2, "frame": "tangent", "basis": "chern_product", "values": {"1,1": 6, "2": '
+
+
+@pytest.mark.parametrize("text, argv, code, said", [
+    (_CHERN_2 + '"1e-5000"}}', ["congruences", "--n", "2", "--check"], 2, "1000 digits"),
+    (_CHERN_2 + "9" * 5000 + "}}", ["congruences", "--n", "2", "--check"], 2, "1000 digits"),
+    (_CHERN_2 + '"' + "7" * 3000 + '/3"}}', ["congruences", "--n", "2", "--check"], 2,
+     "1000 digits"),
+    (_CHERN_2 + "0.1}}", ["congruences", "--n", "2", "--check"], 0,
+     "vector verdict at weight 2: FAIL\n  functional mu=() evaluates to 61/120\n"
+     "  functional mu=(1) evaluates to -1/10\n  functional mu=(2) evaluates to -29/5\n"
+     "  functional mu=(1,1) evaluates to 59/10\n"),
+    ('{"coeffs": ["1", 0.1]}', ["genus", "--of", "theta:1", "--name"], 0,
+     "v.json genus of theta:1 = -1/5\n"),
+], ids=["exponent", "json-integer", "fraction", "chern-float", "genus-float"])
+def test_file_numbers_are_decimal_text_within_one_bound(tmp_path, capsys, text, argv, code, said):
+    """A JSON number is read from its decimal text in both files, and a
+    value of more than MAX_COEFF_DIGITS digits exits 2 naming the flag."""
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    flag = argv[-1]
+    argv = [*argv, f"file:{path}" if flag == "--name" else str(path)]
+    got, out, err = run_cli(capsys, *argv)
+    if code:
+        assert (got, out) == (2, "") and err.startswith(f"error: {flag}:") and said in err, err
+        assert "Exceeds the limit" not in err
+    else:
+        assert (got, out, err) == (0, said, "")
+
+
+def test_check_bounds_the_common_denominator(tmp_path, capsys):
+    """Values whose common denominator passes MAX_COEFF_DIGITS digits are
+    refused before the conversions would compute over it."""
+    values = {str(lam): f"1/{'9' * 600}{i}" for i, lam in enumerate(core.partitions_of(4))}
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"weight": 4, "frame": "tangent", "basis": "chern_product",
+                                "values": values}))
+    code, out, err = run_cli(capsys, "congruences", "--n", "4", "--check", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: --check:")
+    assert "common denominator has more than 1000 digits" in err
+
+
+_BOUNDED_TEXTS = st.one_of(
+    st.integers(-10 ** 300, 10 ** 300).map(str),
+    st.tuples(st.integers(-10 ** 300, 10 ** 300), st.integers(1, 10 ** 300)).map(
+        lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.tuples(st.integers(-10 ** 300, 10 ** 300), st.integers(0, 10 ** 300)).map(
+        lambda ab: f"{ab[0]}.{ab[1]}"),
+    st.tuples(st.integers(-10 ** 300, 10 ** 300), st.sampled_from(["e", "E", "e+", "e-"]),
+              st.integers(0, 600)).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_BOUNDED_TEXTS, json_integer=st.booleans())
+def test_file_number_reader_is_fraction_of_the_text(text, json_integer):
+    from fractions import Fraction
+
+    from thetacob.cli_genera import _JsonInt, _read_number
+
+    value = _JsonInt(text) if json_integer else text
+    assert _read_number(value, "--name: coefficient") == Fraction(text)
+
+
+_LONG_TEXTS = st.one_of(
+    st.integers(1001, 3000).map(lambda n: "7" * n),
+    st.integers(1000, 3000).map(lambda n: "1/" + "3" * n),
+    st.tuples(st.integers(1, 9), st.sampled_from(["e", "E", "e+", "e-", "e0"]),
+              st.integers(1000, 10 ** 30)).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+    st.integers(1000, 10 ** 30).map(lambda n: f"0.5e-{n:_}"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_LONG_TEXTS, as_string=st.booleans())
+def test_file_numbers_past_the_bound_exit_two_unbuilt(grammar_dir, text, as_string):
+    """Both files refuse the number by its text, naming the flag, and never
+    pass it to Fraction (an exponent of 10^30 digits would never finish)."""
+    from thetacob import cli_genera
+
+    number = json.dumps(text) if as_string or not text.isdecimal() else text
+    path = grammar_dir / "long.json"
+    for argv, flag, body in (
+            (["congruences", "--n", "1", "--check", str(path)], "--check",
+             '{"weight": 1, "frame": "normal", "basis": "monomial", "values": {"1": %s}}'),
+            (["genus", "--name", f"file:{path}", "--of", "theta:2"], "--name",
+             '{"coeffs": ["1", %s]}')):
+        path.write_text(body % number)
+        out, err, built = StringIO(), StringIO(), []
+        real = cli_genera.Fraction
+        cli_genera.Fraction = lambda value: built.append(value) or real(value)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            cli_genera.Fraction = real
+        assert (code, out.getvalue()) == (2, ""), (argv, err.getvalue())
+        assert err.getvalue().startswith(f"error: {flag}:")
+        assert "more than 1000 digits" in err.getvalue() and text not in built
+
+
 def test_quantize_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "quantize", "--expr", "t1", "--roundtrip")
     assert code == 0
@@ -697,6 +822,15 @@ GRAMMAR_FILES = {
     "g-true.json": '{"coeffs": ["1", true]}',
     "v-true.json": '{"weight": true, "values": {"1": 1}, "frame": "tangent", "basis": "monomial"}',
     "v-float.json": "{\"weight\": 2.7, " + _VECTOR + "}",
+    "v-exp.json": '{"weight": 2, "values": {"2": "1e-5000", "1,1": 1}, "frame": "tangent", '
+                  '"basis": "monomial"}',
+    "v-long-int.json": '{"weight": 2, "values": {"2": ' + "9" * 5000 + ', "1,1": 1}, '
+                       '"frame": "tangent", "basis": "monomial"}',
+    "v-long-frac.json": '{"weight": 2, "values": {"2": "' + "7" * 3000 + '/3", "1,1": 1}, '
+                        '"frame": "tangent", "basis": "monomial"}',
+    "v-decimal.json": '{"weight": 2, "values": {"2": 0.1, "1,1": 1}, "frame": "tangent", '
+                      '"basis": "monomial"}',
+    "g-decimal.json": '{"coeffs": ["1", 0.1]}',
 }
 _PATHS = [*(f"@/{name}" for name in GRAMMAR_FILES), "@/missing.json"]
 _FILES = st.sampled_from(_PATHS)
@@ -740,7 +874,7 @@ def _command(words, *flags):
 _ARGVS = st.tuples(st.sampled_from([[], ["--format", "json"]]), st.one_of(
     st.sampled_from([["beta"], ["logarithm"], ["classes", "vn"], ["classes", "wn"],
                      ["classes", "cpn"], ["classes", "xx"]]).flatmap(
-        lambda words: _command(words, _flag("--max-weight", _numbers(1, 16, 0, 17)))),
+        lambda words: _command(words, _flag("--max-weight", _numbers(1, MAX_WEIGHT, 0, MAX_WEIGHT + 1)))),
     _command(["fgl", "check"], _flag("--order", _numbers(1, 8, 0, 21))),
     _command(["congruences"], _flag("--n", _numbers(0, 2, 4, -1, 15), optional=False),
              _flag("--check", _FILES)),

@@ -60,6 +60,15 @@ def test_genus_presets_on_theta():
         assert genus_of_theta(lg, n) == 0
 
 
+def test_l_genus_is_the_reciprocal_of_tanh_over_z():
+    """Q = z/tanh z, against tanh(z)/z = sum_k 2^{2k+2} (2^{2k+2} - 1) B_{2k+2} z^{2k} / (2k+2)!."""
+    order = 60
+    tanh_over_z = TruncSeries.from_rationals(
+        [Fraction(2 ** (m + 2) * (2 ** (m + 2) - 1)) * bernoulli(m + 2) / factorial(m + 2)
+         if m % 2 == 0 else 0 for m in range(order + 1)], order)
+    assert l_genus(order).q * tanh_over_z == TruncSeries.from_rationals([1], order)
+
+
 def test_genus_spec_validation_and_truncation():
     with pytest.raises(ValueError):
         custom_genus([2, 1], 4)

@@ -42,7 +42,7 @@ LOAD_SETS = {
                    {"cli_base", "cli_genera", "core", "gradedring", "genera", "symfun"}),
     "congruences": (["congruences", "--n", "3"], CONGRUENCES),
     "congruences-check": (["congruences", "--n", "2", "--check", "vec.json"],
-                          CONGRUENCES | {"symfun"}),
+                          GENUS | {"symfun"}),  # the verdict needs no lattice
     "weierstrass-verify": (["weierstrass", "verify", "--omega1=1.3+0.2i", "--omega2=-0.4+1.1i"],
                            VERIFY),
     "weierstrass-json": (["--format", "json", "weierstrass", "verify", "--lemniscatic"], VERIFY),
