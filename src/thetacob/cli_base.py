@@ -60,16 +60,16 @@ MAX_INVARIANTS_K = 10 ** 6
 MAX_THETA_N = 30
 
 # Largest weight of `quantize --expr`, `ln apply --expr` and `ln apply
-# --partition`: one-shot, median of 3 (2-vCPU host), quantising the sum of
-# all monomials of weight <= 14 takes 1.4 s (1.2 to 1.5 s), and of weight 16
-# alone (cap lifted) 1.15 s.
+# --partition`: one-shot, median of 5 (2-vCPU host), quantising the sum of
+# all monomials of weight <= 14 takes 0.95 s (0.74 to 1.07 s), and of weight
+# 16 alone (cap lifted) 1.3 s (0.87 to 1.47 s).
 MAX_EXPR_WEIGHT = 14
 
 # Largest N in `genus --of theta:N` and weight of `genus --of poly:EXPR`.
 # The genus series is cheap here (the L-genus takes 0.5 s to order 200);
 # the bound is set by the terms the parser may expand below it:
-# `(1+t1+...+t6)^10` has 8008 and takes 0.3 to 0.5 s one-shot with a preset
-# genus, and 1.4 to 1.7 s with a genus file {"coeffs": ["1", "1/<50 sevens>"]},
+# `(1+t1+...+t6)^10` has 8008 and takes 0.4 to 0.6 s one-shot with a preset
+# genus, and 1.6 to 1.9 s with a genus file {"coeffs": ["1", "1/<50 sevens>"]},
 # whose widest term has about 3000 digits (2-vCPU host, five runs each).
 MAX_GENUS_WEIGHT = 60
 

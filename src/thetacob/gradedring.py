@@ -12,10 +12,10 @@ of weight above 255 is refused with ValueError wherever a key is built.
 A polynomial is stored as integer numerators over one common denominator,
 kept reduced (the storage of FLINT's fmpq_poly), so the arithmetic runs on
 integers alone.  Partitions and Fractions appear only at the interface:
-constructors, coeff() and aug() take or give them, items() and
-substitute() decode.  Every sum of products goes through dot(), and so do
-the two series recurrences on plain coefficient lists that series and
-genera share: _reciprocal (1/f) and _formal_log (log f).
+constructors, coeff() and aug() take or give them, items() decodes.  Every
+sum of products goes through dot(): the series recurrences _reciprocal (1/f)
+and _formal_log (log f), and _substitute(), the one substitution kernel
+beside dot() and partition_sum(), under substitute() and landweber alike.
 
 A key is decoded by two functools.lru_cache functions, each bounded at
 2^16 keys: _monomial(key) gives the pair (weight, Partition), which is
@@ -260,9 +260,7 @@ class GradedPoly:
         constant one for scalar values, a float taken at its exact rational
         value.  Any other value raises TypeError.  ``assign`` is asked once
         per distinct generator in a call, and its image is kept for the
-        call's other occurrences.  The terms are summed by one weighted
-        dot(): each term's numerator weighs the product of its images but the
-        last times the last, over the common denominator.
+        call's other occurrences.  This is _substitute() on the key 0 alone.
         """
         if callable(assign):
             get = assign
@@ -276,21 +274,11 @@ class GradedPoly:
         @lru_cache(maxsize=None)  # one image per distinct generator in this call
         def image(n):
             value = get(n)
-            poly = _as_poly(value)
-            if poly is NotImplemented:
-                if not isinstance(value, Real):
-                    raise TypeError(f"the value for t{n} must be a real number or a GradedPoly")
-                poly = GradedPoly.const(value)
-            return poly
+            if not isinstance(value, (GradedPoly, Real)):
+                raise TypeError(f"the value for t{n} must be a real number or a GradedPoly")
+            return {0: value if isinstance(value, GradedPoly) else GradedPoly.const(value)}
 
-        pairs = []
-        for mono in self._num:
-            factors = [image(part) for part in _monomial(mono)[1]] or [ONE]
-            head = ONE
-            for f in factors[:-1]:
-                head = head * f
-            pairs.append((head, factors[-1]))
-        return dot(pairs, self._num.values(), self._den)
+        return _substitute(self, image).get(0, ZERO)
 
     def __str__(self):
         return format_poly(self)
@@ -361,6 +349,45 @@ def dot(pairs: Iterable[tuple[GradedPoly, GradedPoly]],
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
     return _canonical({m: n for m, n in acc.items() if n}, denominator * divisor)
+
+
+def _grouped_dot(terms, keep=None, divisor: int = 1) -> dict[int, GradedPoly]:
+    """The sum of w*a*b/divisor over the terms (w, left, right), for left and right
+    maps from an extra key to a polynomial, each product keyed by the sum of its
+    factors' keys: one weighted dot() per key, and with ``keep`` only its keys."""
+    pairs: dict[int, list] = {}
+    weights: dict[int, list] = {}
+    for w, left, right in terms:
+        for k1, a in left.items():
+            for k2, b in right.items():
+                if keep is None or k1 + k2 in keep:
+                    pairs.setdefault(k1 + k2, []).append((a, b))
+                    weights.setdefault(k1 + k2, []).append(w)
+    return {k: q for k in pairs if (q := dot(pairs[k], weights[k], divisor))}
+
+
+def _substitute(p: GradedPoly, image, keep=None) -> dict[int, GradedPoly]:
+    """The image of p under t_n -> image(n), a map from an extra key to a polynomial,
+    multiplied as in _grouped_dot (``keep`` closed under taking sub-multisets).  Each
+    term is the image of its monomial less its smallest part, built once per call in a
+    loop (never a recursion) from the image of its own rest, times that part's image."""
+    images = {0: {0: ONE}}  # packed key -> the image of its monomial
+
+    def split(m):  # the key of m less its smallest part, and that part's image
+        digit = ((m & -m).bit_length() - 1) >> 3
+        return m - (1 << 8 * digit), image(digit + 1)
+
+    def term(m, c):
+        rest, last = split(m) if m else (0, images[0])
+        chain = [rest]
+        while chain[-1] not in images:
+            chain.append(split(chain[-1])[0])
+        for key in reversed(chain[:-1]):
+            prev, low = split(key)
+            images[key] = _grouped_dot(((1, images[prev], low),), keep)
+        return c, images[rest], last
+
+    return _grouped_dot((term(m, c) for m, c in p._num.items()), keep, p._den)
 
 
 def _reciprocal(f: Sequence[GradedPoly]) -> list[GradedPoly]:

@@ -15,8 +15,8 @@ aug(S_lam(.)), which the quantisation / dequantisation round trip checks.
 
 An element of the theta ring tensored with its t' side is stored as a map
 from each t' monomial nu, a packed key as in gradedring, to the polynomial
-in t that multiplies t'^nu, so a product adds the keys of each pair of t'
-monomials and sums each group of coefficient pairs with one gradedring.dot.
+in t that multiplies t'^nu.  S_t and the product run on gradedring's one
+substitution kernel, which adds the t' keys and sums each group by one dot.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial
-from .gradedring import (GradedPoly, ZERO, _check_weight, _integer_form, _key, _monomial, _new,
-                         _top_weight, dot, format_monomial, partition_sum, power_weights)
+from .gradedring import (GradedPoly, ZERO, _check_weight, _grouped_dot, _integer_form, _key,
+                         _monomial, _new, _substitute, _top_weight, format_monomial,
+                         partition_sum, power_weights)
 
 if TYPE_CHECKING:
     from .series import TruncSeries
@@ -49,27 +50,10 @@ def intersection_class(n: int, k: int) -> GradedPoly:
 
 
 @lru_cache(maxsize=None)
-def _generator_image(n: int) -> "TensorElement":
-    """S_t(t_n) = sum_{k=0..n} I(n, k) (x) t'_k / (k+1)!."""
-    return TensorElement._raw({_key((k,)) if k else 0:
-                               intersection_class(n, k) * Fraction(1, factorial(k + 1))
-                               for k in range(n + 1)})
-
-
-def _substitute(p: GradedPoly, keep=None) -> "TensorElement":
-    """S_t(p): substitute t_n -> S_t(t_n) into p.
-
-    With ``keep`` (a set of t' monomials closed under taking
-    sub-multisets), every partial product drops the t' monomials outside
-    it; the coefficients of those inside are unchanged.
-    """
-    total = TensorElement()
-    for mono, c in p.items():
-        term = TensorElement._raw({0: GradedPoly.const(c)})
-        for n in mono:
-            term = term.times(_generator_image(n), keep)
-        total = total + term
-    return total
+def _generator_image(n: int) -> dict[int, GradedPoly]:
+    """S_t(t_n) = sum_{k=0..n} I(n, k) (x) t'_k / (k+1)!, keyed by packed t' monomial."""
+    return {_key((k,)) if k else 0: intersection_class(n, k) * Fraction(1, factorial(k + 1))
+            for k in range(n + 1)}
 
 
 def ln_apply(lam, p: GradedPoly) -> GradedPoly:
@@ -78,7 +62,7 @@ def ln_apply(lam, p: GradedPoly) -> GradedPoly:
     keep = {0}
     for part in lam:  # grow the set of sub-multisets of lam one part at a time
         keep |= {sub + _key((part,)) for sub in keep}
-    return _substitute(p, keep)._terms.get(_key(lam), ZERO) * partition_factorial(lam)
+    return _substitute(p, _generator_image, keep).get(_key(lam), ZERO) * partition_factorial(lam)
 
 
 def ln_apply_series(lam, f: TruncSeries) -> TruncSeries:
@@ -151,19 +135,8 @@ class TensorElement:
         return TensorElement._raw(out)
 
     def __mul__(self, other):
-        return self.times(other)
-
-    def times(self, other, keep=None) -> "TensorElement":
-        """The product; with ``keep``, only its terms whose t' monomial is in ``keep``."""
         _check_weight(_top_weight(self._terms) + _top_weight(other._terms))
-        groups: dict[int, list] = {}
-        for n1, a in self._terms.items():
-            for n2, b in other._terms.items():
-                nu = n1 + n2
-                if keep is None or nu in keep:
-                    groups.setdefault(nu, []).append((a, b))
-        out = ((nu, dot(pairs)) for nu, pairs in groups.items())
-        return TensorElement._raw({nu: q for nu, q in out if q})
+        return TensorElement._raw(_grouped_dot(((1, self._terms, other._terms),)))
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -199,7 +172,7 @@ def quantize(p: GradedPoly) -> TensorElement:
     and it doubles as the point form of the quantum character: the image
     of x (x) 1 under the deformed character map is exactly this sum.
     """
-    return _substitute(p)
+    return TensorElement._raw(_substitute(p, _generator_image))
 
 
 def dequantize(T: TensorElement) -> GradedPoly:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from thetacob import cobordism
@@ -20,3 +22,21 @@ def empty_prefix_caches(monkeypatch):
     yield
     for fn in cached:
         fn.cache_clear()
+
+
+@pytest.fixture
+def near_recursion_limit():
+    """A function that calls fn() from a stack `spare` frames short of
+    sys.getrecursionlimit(), as a request loop or a deep caller would: code
+    that recurses once per part of a monomial fails there at high weight."""
+    def call(fn, spare=150):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+
+        def descend(n):
+            return descend(n - 1) if n else fn()
+
+        return descend(sys.getrecursionlimit() - spare - depth)
+
+    return call

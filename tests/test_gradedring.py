@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from thetacob.cobordism import psi_on_class
 from thetacob.core import EMPTY, Partition, partitions_of
+from thetacob import gradedring
 from thetacob.gradedring import (
     MAX_NESTING,
     ExprSyntaxError,
@@ -511,3 +512,28 @@ def test_substitute_matches_term_by_term_oracle(p, assign):
     expected = _substitute_by_terms(p, assign)
     assert p.substitute(assign) == expected
     assert p.substitute(lambda n: assign[n]) == expected
+
+
+def test_substitute_into_the_deepest_key_from_a_deep_stack(near_recursion_limit):
+    p = t(1) ** 255
+    assign = {1: t(1) + 1}
+    assert near_recursion_limit(lambda: p.substitute(assign)) == _substitute_by_terms(p, assign)
+
+
+def test_substitute_multiplies_a_shared_prefix_once(monkeypatch):
+    """Every monomial's image is built once per call, from the image of the
+    monomial less its smallest part: one dot() per distinct monomial at most,
+    plus one for the sum."""
+    p = GradedPoly({mu: 1 for w in range(1, 9) for mu in partitions_of(w)})
+    assert len(p) == 66
+    calls = []
+
+    def counting_dot(*args):
+        calls.append(args)
+        return dot(*args)
+
+    monkeypatch.setattr(gradedring, "dot", counting_dot)
+    image = p.substitute(lambda n: t(n) + 1)
+    monkeypatch.undo()
+    assert len(calls) <= len(p) + 1
+    assert image == _substitute_by_terms(p, {n: t(n) + 1 for n in range(1, 9)})

@@ -332,3 +332,8 @@ def test_diff1_commutator_pattern():
 def test_diff1_rejects_other_indices():
     with pytest.raises(ValueError):
         Diff1Field(3)
+
+
+def test_quantize_a_deep_power_from_a_deep_stack(near_recursion_limit):
+    p = t(1) ** 100
+    assert dict(near_recursion_limit(lambda: quantize(p)).items()) == _substitute_by_terms(p)
