@@ -119,9 +119,10 @@ _LAW = GroupLaw()
 
 
 def group_law_axioms(order: int) -> dict[str, bool]:
-    """The axioms of the universal group law to total order ``order``, as
-    series.fgl_axiom_residuals gives them, from the kept logarithm.  One
-    GroupLaw serves every order, so each degree is checked once."""
+    """The axioms of the universal group law to total order ``order``, each
+    named as in grouplaw.GroupLaw.axioms and mapped to "residual is exactly
+    zero", from the kept logarithm.  One GroupLaw serves every order, so
+    each degree is checked once."""
     n = max(order, 2)
     return _LAW.axioms(beta_coefficients(n), log_coefficients(n), order)
 

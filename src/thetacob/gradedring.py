@@ -13,9 +13,10 @@ A polynomial is stored as integer numerators over one common denominator,
 kept reduced (the storage of FLINT's fmpq_poly), so the arithmetic runs on
 integers alone.  Partitions and Fractions appear only at the interface:
 constructors, coeff() and aug() take or give them, items() decodes.  Every
-sum of products goes through dot(): the series recurrences _reciprocal (1/f)
-and _formal_log (log f), and _substitute(), the one substitution kernel
-beside dot() and partition_sum(), under substitute() and landweber alike.
+sum of products goes through dot(): the series recurrences _reciprocal (1/f),
+_revert (the compositional inverse) and _formal_log (log f), and
+_substitute(), the one substitution kernel beside dot() and partition_sum(),
+under substitute() and landweber alike.
 
 A key is decoded by two functools.lru_cache functions, each bounded at
 2^16 keys: _monomial(key) gives the pair (weight, Partition), which is
@@ -399,6 +400,26 @@ def _reciprocal(f: Sequence[GradedPoly]) -> list[GradedPoly]:
         h.append(dot(((f[k], h[m - k]) for k in range(1, m + 1)),
                      repeat(-h0.numerator), h0.denominator))
     return h
+
+
+def _revert(f: Sequence[GradedPoly]) -> list[GradedPoly]:
+    """The compositional inverse g of f to the length of f, for f_0 = 0 and f_1 = 1.
+
+    Lagrange-Buermann inversion gives g_m = (1/m) [z^(m-1)] h^m for h = (f/z)^{-1},
+    and J.C.P. Miller's power recurrence the coefficients of a = h^m: a_0 = 1 and
+    a_k = (1/k) sum_{j=1..k} ((m+1) j - k) h_j a_{k-j}, one weighted dot() per
+    coefficient, O(n^3) products in all (Brent and Kung, J. ACM 1978).
+    """
+    h = _reciprocal(f[1:]) if len(f) > 1 else []
+    g = [ZERO, ONE][:len(f)]
+    for m in range(2, len(f)):
+        # a_k = [z^k] h^m; the last, k = m-1, is divided by m too: g_m
+        a = [ONE]
+        for k in range(1, m):
+            a.append(dot(((h[j], a[k - j]) for j in range(1, k + 1)),
+                         ((m + 1) * j - k for j in range(1, k + 1)), k if k < m - 1 else k * m))
+        g.append(a[m - 1])
+    return g
 
 
 def _formal_log(f: Sequence[GradedPoly]) -> list[GradedPoly]:

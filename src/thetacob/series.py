@@ -15,17 +15,17 @@ returns.  It multiplies and compares; it does not compose.  fgl and
 fgl_axiom_residuals hand the coefficients of beta and of its logarithm to
 grouplaw.GroupLaw, which builds F and checks its axioms degree by degree.
 
-Series reversion is Lagrange-Buermann inversion with J.C.P. Miller's power
-recurrence (see TruncSeries.revert): O(n^3) coefficient products.
-
-The universal series themselves need none of this arithmetic: every
-coefficient of beta's logarithm, of (beta(z)/z)^{-1}, of log(beta(z)/z) and
-of a power of beta is one sum over partitions (gradedring.partition_sum),
-which cobordism and landweber read directly, and the group law reads those
-coefficients.  revert, inv, log and residue_extract serve generic series,
-and the tests check those closed forms against them.  inv and log wrap the
-coefficient recurrences gradedring._reciprocal and gradedring._formal_log,
-which genera runs on plain coefficient lists without this module.
+This module serves library callers and the tests; no CLI subcommand,
+selftest included, loads it.  The universal series themselves need none of
+its arithmetic: every coefficient of beta's logarithm, of (beta(z)/z)^{-1},
+of log(beta(z)/z) and of a power of beta is one sum over partitions
+(gradedring.partition_sum), which cobordism and landweber read directly,
+and the group law reads those coefficients.  revert, inv, log and
+residue_extract serve generic series, and the tests check those closed
+forms against them.  revert, inv and log wrap the coefficient recurrences
+gradedring._revert (Lagrange-Buermann inversion with Miller's power
+recurrence), _reciprocal and _formal_log, which genera and the acceptance
+suite run on plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .gradedring import (GradedPoly, ONE, ZERO, _as_poly, _formal_log, _reciprocal, dot,
-                         format_poly)
+from .gradedring import (GradedPoly, ONE, ZERO, _as_poly, _formal_log, _reciprocal, _revert,
+                         dot, format_poly)
 
 
 class SeriesError(ValueError):
@@ -251,42 +251,13 @@ class TruncSeries:
         return TruncSeries(acc.coeffs, order=n, grade_shift=shift)
 
     def revert(self) -> "TruncSeries":
-        """Compositional inverse g with f(g(z)) = g(f(z)) = z; needs f_0 = 0
-        and f_1 = 1 (at order 0, only f_0 = 0).
-
-        Lagrange-Buermann inversion gives each coefficient of g on its own,
-
-            g_m = (1/m) [z^(m-1)] h^m,    h = (f/z)^{-1},
-
-        and J.C.P. Miller's power recurrence gives the coefficients of a = h^m
-        from those of h: a_0 = 1 and
-
-            a_k = (1/k) sum_{j=1..k} ((m+1) j - k) h_j a_{k-j}.
-
-        So g_m costs O(m^2) coefficient products, O(n^3) for the whole series
-        instead of the O(n^4) of solving f(g) = z order by order.  The
-        recurrence's scalars are weights and divisors of dot(), so it builds
-        no scaled polynomial.  Brent and Kung ("Fast algorithms for
-        manipulating formal power series", J. ACM 1978) survey this and the
-        asymptotically faster Newton reversion.
-        """
-        f, n = self.coeffs, self.order
-        if not f[0].is_zero() or (n > 0 and f[1] != ONE):
+        """Compositional inverse g with f(g(z)) = g(f(z)) = z
+        (gradedring._revert): needs f_0 = 0 and f_1 = 1 (at order 0, only f_0 = 0)."""
+        f = self.coeffs
+        if not f[0].is_zero() or (self.order > 0 and f[1] != ONE):
             raise NotNormalizedError("reversion needs f_0 = 0 and f_1 = 1")
         shift = 1 if self.grade_shift == 1 else None
-        if n == 0:
-            return TruncSeries([ZERO], order=0, grade_shift=shift)
-        h = TruncSeries(f[1:], order=n - 1).inv().coeffs
-        g = [ZERO, ONE]
-        for m in range(2, n + 1):
-            # a_k = [z^k] h^m; the last, k = m-1, is divided by m too: g_m
-            a = [ONE]
-            for k in range(1, m):
-                a.append(dot(((h[j], a[k - j]) for j in range(1, k + 1)),
-                             ((m + 1) * j - k for j in range(1, k + 1)),
-                             k if k < m - 1 else k * m))
-            g.append(a[m - 1])
-        return TruncSeries(g, order=n, grade_shift=shift)
+        return TruncSeries(_revert(f), order=self.order, grade_shift=shift)
 
     # -- exp / log ---------------------------------------------------------------
 

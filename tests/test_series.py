@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetacob.core import partitions_of
-from thetacob.gradedring import GradedPoly, ONE, ZERO, _formal_log, _reciprocal, dot, t
+from thetacob.gradedring import (GradedPoly, ONE, ZERO, _formal_log, _reciprocal, _revert,
+                                 dot, t)
 from thetacob.grouplaw import ASSOC_ORDER, GroupLaw
 from thetacob.series import (
     BiTruncSeries,
@@ -22,7 +23,8 @@ from thetacob.series import (
     format_series,
     residue_extract,
 )
-from thetacob.cobordism import beta, beta_over_z, mischenko_log
+from thetacob.cobordism import (beta, beta_coefficients, beta_over_z, log_coefficients,
+                                mischenko_log)
 
 
 # -- reference routes: reversion by composition, the group law by Horner ----------------
@@ -41,7 +43,7 @@ def _revert_by_composition(f):
     terms involving only g_1..g_{m-1}, so each step is a triangular
     read-off.  Needs f_0 = 0 and f_1 = 1.
     """
-    if not f.coeffs[0].is_zero() or f.coeffs[1] != ONE:
+    if not f.coeffs[0].is_zero() or (f.order > 0 and f.coeffs[1] != ONE):
         raise NotNormalizedError("reversion needs f_0 = 0 and f_1 = 1")
     n = f.order
     g = [ZERO, ONE]
@@ -259,6 +261,21 @@ def test_revert_property(f):
     # g_m depends on f_0..f_m only
     for m in range(f.order + 1):
         assert f.truncated(m).revert() == g.truncated(m)
+
+
+def test_revert_kernel_is_the_lagrange_closed_form():
+    """gradedring._revert on plain lists against the logarithm that cobordism
+    reads off partitions (Lagrange inversion), the lengths 1 and 2 included."""
+    for n in range(13):
+        assert _revert(beta_coefficients(n)) == list(log_coefficients(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_normalised_series(6))
+def test_revert_kernel_matches_composition_oracle(f):
+    g = _revert(f.coeffs)
+    assert g == _revert_by_composition(f).coeffs
+    assert _revert(g) == f.coeffs
 
 
 def test_inv_geometric_series():
