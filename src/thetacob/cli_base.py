@@ -45,8 +45,8 @@ MAX_HALF_PERIOD = 1e4
 MAX_PERIOD_SKEW = 10
 
 # Largest `invariants --n`: the Chern tables run over the partitions of n,
-# one-shot on a 2-vCPU Xeon host, median of 3: 1.6 s at 45 and 5.4 s at 50
-# (4.0 to 5.7 s), timed with the cap lifted.
+# one-shot on a 2-vCPU Xeon host, median of 5: 1.4 s at 45 (1.3 to 1.6 s)
+# and 3.7 s at 50 (3.3 to 3.9 s), timed with the cap lifted.
 MAX_INVARIANTS_N = 45
 
 # Largest `invariants --k`: the Euler characteristic and the middle Betti

@@ -54,15 +54,46 @@ EMPTY = Partition()
 
 def parse_partition(text: str) -> Partition:
     """Inverse of str(Partition): "2,1" -> (2,1), "" -> empty partition."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return EMPTY
-    return Partition(int(x) for x in text.split(","))
+    parts = [x.strip() for x in text.split(",")]
+    if not all(x.isascii() and x.isdigit() for x in parts):
+        raise ValueError(f"partition parts must be ASCII digits, got {text!r}")
+    return Partition(map(int, parts))
+
+
+def _walk(n: int, most: int, visit) -> None:
+    """Call visit(pairs) for each partition of n with at most ``most`` parts, in
+    reverse-lexicographic order; pairs is one list of (part, multiplicity), parts
+    decreasing, changed in place between calls.  Each step lowers the last part
+    above 1 by one and refills the rest greedily; when the refill needs more than
+    ``most`` parts, the part before is lowered instead (Knuth, TAOCP 4A, 7.2.1.4)."""
+    pairs = [(n, 1)] if n and most > 0 else []
+    length = len(pairs)
+    if not n:
+        visit(pairs)
+    while pairs:
+        visit(pairs)
+        rest = pairs.pop()[1] if pairs[-1][0] == 1 else 0  # the ones are refilled
+        length -= rest
+        while pairs:
+            part, m = pairs.pop()
+            if m > 1:
+                pairs.append((part, m - 1))
+            rest += part
+            length -= 1
+            q, r = divmod(rest, part - 1)
+            if length + q + (r > 0) <= most:
+                pairs.append((part - 1, q))
+                if r:
+                    pairs.append((r, 1))
+                length += q + (r > 0)
+                break
 
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order.
+    """All partitions of n in reverse-lexicographic order, read off _walk unchecked.
 
     For n = 4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  This is descending
     lexicographic order on the part tuples; table output and golden files
@@ -70,16 +101,13 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    out = []
 
-    def gen(m, maxpart):
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(m, maxpart), 0, -1):
-            for rest in gen(m - first, first):
-                yield (first,) + rest
+    def visit(pairs):
+        out.append(tuple.__new__(Partition, [part for part, m in pairs for _ in range(m)]))
 
-    return tuple(Partition(p) for p in gen(n, n))
+    _walk(n, n, visit)
+    return tuple(out)
 
 
 def partition_factorial(lam) -> int:

@@ -160,11 +160,7 @@ def middle_betti(n: int, k: int = 1) -> int:
 
     The correction term equals n * C_{n+1} with C the Catalan numbers.
     """
-    frac = Fraction(n, n + 2) * comb(2 * n + 2, n + 1)
-    assert frac.denominator == 1
-    value = k ** (n + 1) * factorial(n + 1) + int(frac)
-    assert int(frac) == n * catalan(n + 1)
-    return value
+    return k ** (n + 1) * factorial(n + 1) + n * catalan(n + 1)
 
 
 def theta_signature(n: int, k: int = 1) -> Rat:

@@ -16,7 +16,7 @@ constructors, coeff() and aug() take or give them, items() decodes.  Every
 sum of products goes through dot(): the series recurrences _reciprocal (1/f),
 _revert (the compositional inverse) and _formal_log (log f), and
 _substitute(), the one substitution kernel beside dot() and partition_sum(),
-under substitute() and landweber alike.
+under substitute() and landweber alike; partition_sum() reads core._walk.
 
 A key is decoded by two functools.lru_cache functions, each bounded at
 2^16 keys: _monomial(key) gives the pair (weight, Partition), which is
@@ -41,7 +41,7 @@ from math import factorial, gcd, lcm, log10
 from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
-from .core import Partition
+from .core import Partition, _walk
 
 
 class MissingGeneratorError(ValueError):
@@ -441,33 +441,23 @@ def partition_sum(n: int, weights: list[int], divisor: int = 1) -> GradedPoly:
     with m_i the number of parts of mu equal to i.  With
     w[l] = alpha (alpha-1)...(alpha-l+1) (power_weights) it is
     [z^n] (1+u)^alpha, and with w[l] = (-1)^(l-1) (l-1)!, w[0] = 0, it is
-    [z^n] log(1+u) (Comtet, Advanced Combinatorics, 1974).  Only the
-    partitions with fewer than len(weights) parts are walked, each once, and
-    the terms are built as integers over one denominator: no series
-    arithmetic and no Fraction.
+    [z^n] log(1+u) (Comtet, Advanced Combinatorics, 1974).  core._walk visits
+    only the partitions with fewer than len(weights) parts, and the terms are
+    built as integers over one denominator: no series arithmetic, no Fraction.
     """
     _check_weight(n)
-    most = len(weights) - 1
     terms = []
 
-    def walk(rest, top, key, length, den):
-        # the parts still to place sum to rest, and each is at most top
-        if not rest:
-            if weights[length]:
-                terms.append((key, weights[length], den))
-            return
-        room = most - length
-        for part in range(min(rest, top), 0, -1):
-            if part * room < rest:
-                break
-            step, f = 1 << 8 * (part - 1), factorial(part + 1)
-            k, d = key, den
-            for m in range(1, min(rest // part, room) + 1):
-                k += step
-                d *= m * f
-                walk(rest - m * part, part - 1, k, length + m, d)
+    def visit(pairs):
+        length, key, den = 0, 0, 1
+        for part, m in pairs:
+            length += m
+            key += m << 8 * (part - 1)
+            den *= factorial(m) * factorial(part + 1) ** m
+        if weights[length]:
+            terms.append((key, weights[length], den))
 
-    walk(n, n, 0, 0, 1)
+    _walk(n, len(weights) - 1, visit)
     den = lcm(*(d for _, _, d in terms))
     return _canonical({key: w * (den // d) for key, w, d in terms}, den * divisor)
 

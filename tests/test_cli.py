@@ -525,7 +525,7 @@ def test_validation_errors_exit_two(capsys, tmp_path):
         code, out, err = run_cli(capsys, "genus", "--name", "todd", "--of", target)
         assert code == 2 and out == "" and "--of" in err
         assert "int()" not in err
-    for partition in (",", "2,,1", "x"):
+    for partition in (",", "2,,1", "x", "\u0663", "\uff13", "+2", "1_0"):
         code, out, err = run_cli(capsys, "ln", "apply", "--partition", partition, "--expr", "t2")
         assert code == 2 and out == "" and "--partition" in err
         assert "int()" not in err
@@ -547,7 +547,8 @@ def test_validation_errors_exit_two(capsys, tmp_path):
     # are enumerated, and a zero denominator is a malformed file
     for weight, values, said in ((45, {"1": 1}, "vector weight 45 != --n 2"),
                                  (3, {"3": 0, "2,1": 0, "1,1,1": 0}, "vector weight 3 != --n 2"),
-                                 (2, {"1,1": "1/0", "2": 0}, "malformed")):
+                                 (2, {"1,1": "1/0", "2": 0}, "malformed"),
+                                 (2, {"1,1": 0, "\u0662": 0}, "malformed")):
         path = tmp_path / f"vec{weight}.json"
         path.write_text(json.dumps({"weight": weight, "frame": "tangent",
                                     "basis": "chern_product", "values": values}))

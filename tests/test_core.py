@@ -44,6 +44,7 @@ def test_partition_string_roundtrip():
     assert str(Partition((2, 1))) == "2,1"
     assert parse_partition("2,1") == Partition((2, 1))
     assert parse_partition("") == EMPTY
+    assert parse_partition(" 2, 1 ") == Partition((2, 1))
 
 
 def test_partitions_of_small():
@@ -54,14 +55,19 @@ def test_partitions_of_small():
 
 
 def test_partitions_reverse_lexicographic():
-    for n in range(1, 9):
+    for n in range(1, 31):
         parts = [tuple(p) for p in partitions_of(n)]
         assert parts == sorted(parts, reverse=True)
+        for p in partitions_of(n):  # built without the validating constructor
+            assert type(p) is Partition and sum(p) == n
+            assert all(type(x) is int and x >= 1 for x in p)
+            assert all(a >= b for a, b in zip(p, p[1:]))
 
 
 def test_partition_count_against_oracle():
     for n in range(21):
         assert len(partitions_of(n)) == partition_count_oracle(n)
+    assert len(partitions_of(45)) == 89134
 
 
 def test_partition_factorial():

@@ -4,6 +4,7 @@ from math import comb, factorial, gcd, lcm
 
 import pytest
 
+from thetacob.cli_base import MAX_INVARIANTS_N
 from thetacob.core import EMPTY, Partition, bernoulli, catalan, partition_factorial, partitions_of
 from thetacob.gradedring import ONE, GradedPoly, t
 from thetacob.landweber import quantize
@@ -124,6 +125,16 @@ def test_custom_genus_matches_euler():
     spec = custom_genus(["1", "1"], 6)
     for n in range(1, 7):
         assert genus_of_theta(spec, n) == (-1) ** n * factorial(n + 1)
+
+
+def test_middle_betti_catalan_form():
+    """The binomial correction n/(n+2) C(2n+2, n+1) is n C_(n+1), the form
+    middle_betti computes, for every n the CLI accepts."""
+    for n in range(1, MAX_INVARIANTS_N + 1):
+        correction = Fraction(n, n + 2) * comb(2 * n + 2, n + 1)
+        assert correction == n * catalan(n + 1)
+        for k in (1, 2, 10 ** 6):
+            assert middle_betti(n, k) == k ** (n + 1) * factorial(n + 1) + correction
 
 
 def test_theta_invariants_tables():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +21,8 @@ from thetacob.gradedring import (
     format_monomial,
     format_poly,
     parse_poly,
+    partition_sum,
+    power_weights,
     t,
 )
 
@@ -123,6 +125,41 @@ def test_weighted_dot_matches_fraction_oracle(terms, divisor, cancel):
     assert got == expected
     if cancel:
         assert got.is_zero()
+
+
+def _partition_sum_by_series(n, weights, divisor):
+    """[z^n] of sum_l w[l] u^l / l!, over divisor, for u = sum_i t_i z^i/(i+1)!:
+    each power of u expanded as a list of Fraction dicts, one product at a
+    time, keyed by sorted part tuples.  The oracle for partition_sum()."""
+    power = [{(): Fraction(1)}] + [{} for _ in range(n)]  # u^0 to z^n
+    total = {}
+    for l, w in enumerate(weights):
+        for mono, c in power[n].items():
+            total[mono] = total.get(mono, 0) + c * Fraction(w, factorial(l) * divisor)
+        product = [{} for _ in range(n + 1)]
+        for i, coeff in enumerate(power):
+            for j in range(1, n + 1 - i):  # times the term t_j z^j/(j+1)! of u
+                for mono, c in coeff.items():
+                    key = tuple(sorted(mono + (j,), reverse=True))
+                    product[i + j][key] = product[i + j].get(key, 0) + c / factorial(j + 1)
+        power = product
+    return GradedPoly({Partition(mono): c for mono, c in total.items()})
+
+
+def test_partition_sum_matches_series_oracle():
+    """Full, short (the length pruning) and zero weights, with and without a
+    divisor above 1, against the series expansion."""
+    rng = random.Random(2718)
+    for n in range(13):
+        cases = [(power_weights(-n - 1, n + 1), n + 1), (power_weights(3, n + 2), 1),
+                 ([0] + [(-1) ** (l - 1) * factorial(l - 1) for l in range(1, n + 1)], 1),
+                 ([0] * (n + 1), 5)]
+        for _ in range(4):
+            weights = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(1, n + 1))]
+            cases.append((weights, rng.choice((1, 7, 12))))
+        for weights, divisor in cases:
+            expected = _partition_sum_by_series(n, weights, divisor)
+            assert partition_sum(n, weights, divisor) == expected, (n, weights, divisor)
 
 
 def _within_key_weight(parts) -> Partition:
