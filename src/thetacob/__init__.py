@@ -23,17 +23,14 @@ _HOMES = {
     "gradedring": ("GradedPoly", "format_poly", "parse_poly", "t"),
     "series": ("BiTruncSeries", "TruncSeries", "fgl", "fgl_axiom_residuals",
                "residue_extract"),
-    "symfun": ("ChernVector", "SymFunExpr", "chern_product_to_monomial", "convert_basis",
-               "monomial_to_chern_product", "normal_to_tangent", "sign_involution",
-               "tangent_to_normal", "to_normal_monomial"),
+    "symfun": ("ChernVector", "SymFunExpr", "convert", "convert_basis", "sign_involution",
+               "to_normal_monomial"),
     "grouplaw": ("ASSOC_ORDER", "GroupLaw"),
-    "cobordism": ("adams_novikov", "beta", "beta_coefficients", "beta_over_z", "cp_classes",
-                  "decompose", "decompose_tangent", "log_coefficients", "mischenko_log",
+    "cobordism": ("beta_coefficients", "cp_classes", "decompose", "log_coefficients",
                   "psi_on_class", "q_multiplier", "theta_power_class", "v_classes",
                   "w_classes"),
-    "landweber": ("Diff1Field", "TensorElement", "dequantize", "diff1_commutator",
-                  "dual_pairing", "intersection_class", "ln_apply", "ln_apply_series",
-                  "quantize"),
+    "landweber": ("TensorElement", "dequantize", "dual_pairing", "intersection_class",
+                  "ln_apply", "quantize"),
     "genera": ("CongruenceSystem", "GenusSpec", "congruence_system", "custom_genus",
                "euler_genus", "genus_of_poly", "genus_of_theta", "l_genus",
                "theta_invariants", "todd_genus"),

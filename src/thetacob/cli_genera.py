@@ -122,8 +122,9 @@ def cmd_genus(args):
     _emit(args, "genus", {"name": args.name, "of": target}, payload, lines)
 
 
-def _chern_values_payload(vec: ChernVector) -> dict:
-    return {str(lam): str(vec.values[lam]) for lam in partitions_of(vec.weight)}
+def _chern_values_payload(keys: list, vec: ChernVector) -> dict:
+    """The vector's values as text under the keys, str(lam) for lam in partitions_of order."""
+    return dict(zip(keys, [str(vec.values[lam]) for lam in partitions_of(vec.weight)]))
 
 
 def cmd_invariants(args):
@@ -132,15 +133,16 @@ def cmd_invariants(args):
     if not 1 <= args.k <= MAX_INVARIANTS_K:
         raise CliError(f"--k must be between 1 and {MAX_INVARIANTS_K}, got {args.k}")
     inv = genera.theta_invariants(args.n, args.k)
+    keys = [str(lam) for lam in partitions_of(args.n)] if inv.chern_tangent else None
     payload = {
         "n": inv.n,
         "k": inv.k,
         "betti": list(inv.betti),
         "euler": inv.euler,
         "signature": str(inv.signature) if inv.signature is not None else None,
-        "chern_tangent_products": _chern_values_payload(inv.chern_tangent)
+        "chern_tangent_products": _chern_values_payload(keys, inv.chern_tangent)
         if inv.chern_tangent else None,
-        "chern_normal_monomial": _chern_values_payload(inv.chern_normal)
+        "chern_normal_monomial": _chern_values_payload(keys, inv.chern_normal)
         if inv.chern_normal else None,
     }
     lines = [

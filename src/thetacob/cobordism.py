@@ -16,12 +16,11 @@ Every coefficient and class is computed once per process, by a cache per
 index (_beta_coefficient, _log_coefficient, _cp_class, _v_class,
 _w_class), and each per-order function is a view over them:
 beta_coefficients, log_coefficients, cp_classes, v_classes and w_classes
-give tuples, and beta, beta_over_z and mischenko_log wrap the same
-coefficients in a series.TruncSeries, which they import when called.  So
-orders a < b share their first a + 1 coefficients as objects, and the
-group law (grouplaw.GroupLaw, kept by group_law_axioms) reads the tuples.
-decompose() reconstructs any weight-n class from its normal Chern numbers,
-decompose_tangent() from the tangent ones via the v family.
+give tuples of GradedPoly, the coefficient or class of index m at
+position m.  So orders a < b share their first a + 1 coefficients as
+objects, and the group law (grouplaw.GroupLaw, kept by group_law_axioms)
+reads the tuples; no series type is involved.  decompose() reconstructs
+any weight-n class from its normal Chern numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .gradedring import GradedPoly, ONE, ZERO, partition_sum, power_weights, t
 from .grouplaw import GroupLaw
 
 if TYPE_CHECKING:
-    from .series import TruncSeries
     from .symfun import ChernVector
 
 
@@ -50,22 +48,6 @@ def _beta_coefficient(m: int) -> GradedPoly:
 def beta_coefficients(order: int) -> tuple[GradedPoly, ...]:
     """The coefficients of beta(z) = z + sum t_n z^{n+1}/(n+1)!, z^0..z^order."""
     return tuple(_beta_coefficient(m) for m in range(order + 1))
-
-
-@lru_cache(maxsize=None)
-def beta(order: int) -> TruncSeries:
-    """The universal exponential series over the theta basis, to z^order."""
-    from .series import TruncSeries
-
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    return TruncSeries(beta_coefficients(order), order=order, grade_shift=1)
-
-
-@lru_cache(maxsize=None)
-def beta_over_z(order: int) -> TruncSeries:
-    """The Q-form companion 1 + sum t_n z^n/(n+1)! (grade shift 0)."""
-    return beta(order + 1).divide_by_z()
 
 
 @lru_cache(maxsize=None)
@@ -83,17 +65,6 @@ def log_coefficients(order: int) -> tuple[GradedPoly, ...]:
     per process: every order reads the same coefficients.
     """
     return (ZERO,) + tuple(_log_coefficient(m) for m in range(1, order + 1))
-
-
-@lru_cache(maxsize=None)
-def mischenko_log(order: int) -> TruncSeries:
-    """Compositional inverse of beta: the universal logarithm series, the
-    coefficients log_coefficients(order) as a series."""
-    from .series import TruncSeries
-
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    return TruncSeries(log_coefficients(order), order=order, grade_shift=1)
 
 
 @lru_cache(maxsize=None)
@@ -185,29 +156,6 @@ def decompose(c: ChernVector) -> GradedPoly:
         raise FrameBasisError("decompose needs a normal-frame, monomial-basis vector")
     return GradedPoly({lam: c.values[lam] / partition_factorial(lam)
                        for lam in partitions_of(c.weight)})
-
-
-def decompose_tangent(c: ChernVector) -> GradedPoly:
-    """Rebuild a weight-n class from tangent monomial Chern numbers:
-    (-1)^n sum over partitions of c_lam * v^lam / (lam+1)!.
-
-    Agrees with decompose() on the normal data of the same class.
-    """
-    from .symfun import ChernVector, FrameBasisError
-
-    if c.frame != "tangent" or c.basis != "monomial":
-        raise FrameBasisError("decompose_tangent needs a tangent-frame, monomial-basis vector")
-    n = c.weight
-    same_sum = decompose(ChernVector(n, "normal", "monomial", c.values))
-    return same_sum.substitute(v_classes(n)) * (-1) ** n  # t_n -> v_n
-
-
-def adams_novikov(k: int, order: int) -> TruncSeries:
-    """The k-th Adams operation on the universal series: (1/k) beta(k beta^{-1}(u))."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lg = mischenko_log(order)
-    return beta(order).compose(lg.scale(Fraction(k))).scale(Fraction(1, k))
 
 
 def psi_on_class(k: int, p: GradedPoly) -> GradedPoly:

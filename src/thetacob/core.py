@@ -15,6 +15,10 @@ from math import comb, factorial
 Rat = Fraction
 
 
+class TruncationError(ValueError):
+    """Requested coefficient index exceeds the truncation order."""
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers.
 

@@ -4,7 +4,7 @@ A genus is determined by a characteristic series Q(z) = 1 + a_1 z + ...;
 its value on the n-th theta class is (n+1)! [z^{n+1}] (z / Q(z)), and on
 an arbitrary polynomial class it acts as the induced ring homomorphism.
 Q and 1/Q are lists of rational coefficients, inverted by
-gradedring._reciprocal, so no genus loads the series module.  Presets
+gradedring._reciprocal, so a genus needs no series type.  Presets
 cover the Todd genus (Q = z/(1 - e^{-z})), the signature (Q = z/tanh z)
 and the Euler characteristic (Q = 1 + z), all built from exact Bernoulli data.
 
@@ -22,11 +22,11 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import EMPTY, Partition, Rat, bernoulli, catalan, partition_factorial, partitions_of
+from .core import (EMPTY, Partition, Rat, TruncationError, bernoulli, catalan,
+                   partition_factorial, partitions_of)
 from .gradedring import ONE, GradedPoly, _as_poly, _formal_log, _reciprocal
 
 if TYPE_CHECKING:
-    from .series import TruncSeries
     from .symfun import ChernVector
 
 # The genus path needs only core and gradedring, and the congruence path
@@ -37,12 +37,12 @@ if TYPE_CHECKING:
 class GenusSpec:
     """A genus given by its characteristic series Q with Q(0) = 1.
 
-    ``q`` is a TruncSeries or the list of Q's coefficients from z^0 (ints,
-    Fractions or constant GradedPolys), N + 1 of them for order N.
+    ``q`` is the sequence of Q's coefficients from z^0 (ints, Fractions or
+    constant GradedPolys), N + 1 of them for order N.
     """
 
-    def __init__(self, q: TruncSeries | list, name: str = "custom"):
-        coeffs = [_as_poly(c) for c in getattr(q, "coeffs", q)]
+    def __init__(self, q, name: str = "custom"):
+        coeffs = [_as_poly(c) for c in q]
         if not coeffs or coeffs[0] != ONE:
             raise ValueError("characteristic series must start with 1")
         if any(c is NotImplemented or not c.is_constant() for c in coeffs):
@@ -50,13 +50,6 @@ class GenusSpec:
         self._q = coeffs
         self._inv = _reciprocal(coeffs)
         self.name = name
-
-    @property
-    def q(self) -> TruncSeries:
-        """Q as a TruncSeries, built on each request."""
-        from .series import TruncSeries
-
-        return TruncSeries(self._q)
 
     @property
     def order(self) -> int:
@@ -104,9 +97,9 @@ def genus_preset(name: str, order: int) -> GenusSpec:
 
 def genus_of_theta(spec: GenusSpec, n: int) -> Rat:
     """Value on the n-th theta class: (n+1)! [z^{n+1}] (z / Q(z))."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if n > spec.order:
-        from .series import TruncationError
-
         raise TruncationError(f"genus series truncated at order {spec.order}, need {n}")
     return factorial(n + 1) * spec._inv[n].aug()
 

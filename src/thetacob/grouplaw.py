@@ -5,8 +5,9 @@ GroupLaw reads beta and L as plain coefficient sequences, [z^m] at index m,
 so it needs no series type: F comes from the univariate powers of L instead
 of composing bivariate series, and each axiom is read off coefficients of
 powers of beta and of F, degree by degree, so that a kept law grows by the
-missing degrees only.  series.fgl wraps F's coefficients in a BiTruncSeries;
-cobordism keeps one law over the universal series.
+missing degrees only.  cobordism keeps one law over the coefficient tuples
+of the universal series; series.fgl, which no module of the package calls,
+wraps F's coefficients in a BiTruncSeries for library callers and the tests.
 """
 
 from __future__ import annotations

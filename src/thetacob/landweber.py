@@ -24,15 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import TYPE_CHECKING
 
 from .core import Partition, partition_factorial
 from .gradedring import (GradedPoly, ZERO, _check_weight, _grouped_dot, _integer_form, _key,
                          _monomial, _new, _substitute, _top_weight, format_monomial,
                          partition_sum, power_weights)
-
-if TYPE_CHECKING:
-    from .series import TruncSeries
 
 
 @lru_cache(maxsize=None)
@@ -63,19 +59,6 @@ def ln_apply(lam, p: GradedPoly) -> GradedPoly:
     for part in lam:  # grow the set of sub-multisets of lam one part at a time
         keep |= {sub + _key((part,)) for sub in keep}
     return _substitute(p, _generator_image, keep).get(_key(lam), ZERO) * partition_factorial(lam)
-
-
-def ln_apply_series(lam, f: TruncSeries) -> TruncSeries:
-    """Apply S_lam to every coefficient of a series.
-
-    On the universal exponential series the one-part operation (k) must
-    reproduce beta^{k+1}; partitions of length > 1 give zero.
-    """
-    from .series import TruncSeries
-
-    lam = Partition(lam)
-    shift = f.grade_shift + lam.weight if f.grade_shift is not None else None
-    return TruncSeries([ln_apply(lam, c) for c in f.coeffs], order=f.order, grade_shift=shift)
 
 
 def dual_pairing(lam, mu) -> Fraction:
@@ -179,56 +162,3 @@ def dequantize(T: TensorElement) -> GradedPoly:
     """Augmentation on the t side, substitution t'_n -> t_n on the other."""
     return _new(*_integer_form({nu: q.aug() for nu, q in T._terms.items()}))
 
-
-# -- vector-field realisation -----------------------------------------------------------
-
-
-class Diff1Field:
-    """First-order derivation realising S_(1) or S_(2) on the coordinate
-    ring of formal line diffeomorphisms x + sum a_k x^{k+1}.
-
-    S_(1) sends a_k to k a_{k-1} and S_(2) sends a_k to (k-1) a_{k-2},
-    with a_0 read as 1.  Polynomials reuse GradedPoly with generators
-    interpreted as the coordinates a_k.
-    """
-
-    def __init__(self, k: int):
-        if k not in (1, 2):
-            raise ValueError("only the generating fields k = 1, 2 are defined")
-        self.k = k
-
-    def on_generator(self, j: int) -> GradedPoly:
-        if self.k == 1:
-            coeff, idx = j, j - 1
-        else:
-            coeff, idx = j - 1, j - 2
-        if coeff == 0 or idx < 0:
-            return ZERO
-        if idx == 0:
-            return GradedPoly.const(coeff)
-        return coeff * GradedPoly.gen(idx)
-
-    def apply(self, p: GradedPoly) -> GradedPoly:
-        acc = ZERO
-        for mono, c in p.items():
-            for value in sorted(set(mono)):
-                m = mono.count(value)
-                rest = list(mono)
-                rest.remove(value)
-                acc = acc + (c * m) * GradedPoly.monomial(rest) * self.on_generator(value)
-        return acc
-
-
-def diff1_commutator(max_index: int):
-    """Images of a_1..a_max under the commutator [S_(1), S_(2)].
-
-    Returned as a list of (k, polynomial); the observed pattern is
-    -(k-2) a_{k-3} with a_0 = 1, reported descriptively.
-    """
-    s1, s2 = Diff1Field(1), Diff1Field(2)
-    out = []
-    for k in range(1, max_index + 1):
-        ak = GradedPoly.gen(k)
-        image = s1.apply(s2.apply(ak)) - s2.apply(s1.apply(ak))
-        out.append((k, image))
-    return out

@@ -15,17 +15,19 @@ returns.  It multiplies and compares; it does not compose.  fgl and
 fgl_axiom_residuals hand the coefficients of beta and of its logarithm to
 grouplaw.GroupLaw, which builds F and checks its axioms degree by degree.
 
-This module serves library callers and the tests; no CLI subcommand,
-selftest included, loads it.  The universal series themselves need none of
-its arithmetic: every coefficient of beta's logarithm, of (beta(z)/z)^{-1},
-of log(beta(z)/z) and of a power of beta is one sum over partitions
-(gradedring.partition_sum), which cobordism and landweber read directly,
-and the group law reads those coefficients.  revert, inv, log and
-residue_extract serve generic series, and the tests check those closed
-forms against them.  revert, inv and log wrap the coefficient recurrences
-gradedring._revert (Lagrange-Buermann inversion with Miller's power
-recurrence), _reciprocal and _formal_log, which genera and the acceptance
-suite run on plain coefficient lists.
+This module is a leaf: no other module of the package imports it, and no
+CLI subcommand, selftest included, loads it.  It serves library callers
+and the tests.  The package keeps the universal series as coefficient
+lists (cobordism.beta_coefficients, log_coefficients and the class
+families): every coefficient of beta's logarithm, of (beta(z)/z)^{-1}, of
+log(beta(z)/z) and of a power of beta is one sum over partitions
+(gradedring.partition_sum), and the group law reads those lists.  revert,
+inv, log and residue_extract serve generic series, and the tests check
+those closed forms against them.  revert, inv and log wrap the coefficient
+recurrences gradedring._revert (Lagrange-Buermann inversion with Miller's
+power recurrence), _reciprocal and _formal_log, which genera and the
+acceptance suite run on plain coefficient lists.  TruncationError is
+core's, which genera raises too.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .core import TruncationError
 from .gradedring import (GradedPoly, ONE, ZERO, _as_poly, _formal_log, _reciprocal, _revert,
                          dot, format_poly)
 
@@ -51,10 +54,6 @@ class CompositionDomainError(SeriesError):
 
 class NotNormalizedError(SeriesError):
     """revert() needs f_0 = 0 and f_1 = 1."""
-
-
-class TruncationError(SeriesError):
-    """Requested coefficient index exceeds the truncation order."""
 
 
 def _to_poly(c) -> GradedPoly:

@@ -18,8 +18,8 @@ leaving or entering m is one triangular pass, never an inverse.
 
 ChernVector packages the p(n) Chern numbers of a stably complex manifold.
 Two frames (tangent / normal bundle) and two index conventions (monomial
-symmetric functions vs. products of Chern classes) coexist.  Every map
-between them goes through the values of the power sums p_kappa: from
+symmetric functions vs. products of Chern classes) coexist.  convert maps
+between any two through the values of the power sums p_kappa: from
 monomial values by P, from product values by p_kappa written in e.  The
 tangent and normal bundles sum to a trivial one, so their power sums
 differ by a sign, and a change of frame multiplies the value of p_kappa
@@ -234,8 +234,9 @@ def _in_basis(n: int, src: str, dst: str) -> dict:
             for lam in partitions_of(n)}
 
 
-def _convert(c: ChernVector, frame: str, basis: str) -> ChernVector:
-    """c in another frame and basis, through the values of the power sums."""
+def convert(c: ChernVector, frame: str, basis: str) -> ChernVector:
+    """c in another frame and basis, through the values of the power sums;
+    ChernVector refuses a frame or basis it does not know."""
     n = c.weight
     if c.basis == "monomial":
         power_sums = _mul(_power_sum_rows(n, False), c.values)
@@ -250,49 +251,8 @@ def _convert(c: ChernVector, frame: str, basis: str) -> ChernVector:
     return ChernVector(n, frame, basis, {lam: values[lam] for lam in partitions_of(n)})
 
 
-def tangent_to_normal(c: ChernVector) -> ChernVector:
-    """Tangent monomial Chern numbers -> normal ones (involutive map).
-
-    Tangent and normal bundles are stably complementary, so their power
-    sums differ by a sign: the value of p_kappa picks up (-1)^length(kappa),
-    so the monomial values map by the matrix of sign_involution in the m
-    basis (an integer involution).
-    """
-    if c.basis != "monomial":
-        raise FrameBasisError("tangent/normal exchange is defined on the monomial basis")
-    if c.frame != "tangent":
-        raise FrameBasisError("expected a tangent-frame vector")
-    return _convert(c, "normal", "monomial")
-
-
-def normal_to_tangent(c: ChernVector) -> ChernVector:
-    if c.basis != "monomial":
-        raise FrameBasisError("tangent/normal exchange is defined on the monomial basis")
-    if c.frame != "normal":
-        raise FrameBasisError("expected a normal-frame vector")
-    return _convert(c, "tangent", "monomial")
-
-
-def chern_product_to_monomial(c: ChernVector) -> ChernVector:
-    """Values of Chern-class products -> monomial Chern numbers.
-
-    The product c_{i_1}...c_{i_k} is the elementary symmetric function
-    e_lam of the Chern roots, so product values are the values of e_lam
-    in the monomial basis; this inverts that relation.
-    """
-    if c.basis != "chern_product":
-        raise FrameBasisError("expected a chern_product-basis vector")
-    return _convert(c, c.frame, "monomial")
-
-
-def monomial_to_chern_product(c: ChernVector) -> ChernVector:
-    if c.basis != "monomial":
-        raise FrameBasisError("expected a monomial-basis vector")
-    return _convert(c, c.frame, "chern_product")
-
-
 def to_normal_monomial(c: ChernVector) -> ChernVector:
     """Normalise any frame/basis combination to (normal, monomial)."""
     if c.frame == "normal" and c.basis == "monomial":
         return c
-    return _convert(c, "normal", "monomial")
+    return convert(c, "normal", "monomial")

@@ -4,17 +4,29 @@ import pytest
 
 from thetacob import cobordism
 from thetacob.grouplaw import GroupLaw
+from thetacob.series import TruncSeries
+
+
+# The universal series as TruncSeries, over the coefficients cobordism keeps.
+def beta(order):
+    return TruncSeries(cobordism.beta_coefficients(order), grade_shift=1)
+
+
+def beta_over_z(order):
+    return beta(order + 1).divide_by_z()
+
+
+def log_series(order):
+    return TruncSeries(cobordism.log_coefficients(order), grade_shift=1)
 
 
 @pytest.fixture
 def empty_prefix_caches(monkeypatch):
     """Start from no computed coefficient of beta or of the logarithm, no
-    cp_n, v_n or w_n, no kept group law and no cached series or tuple built
-    from them."""
+    cp_n, v_n or w_n, no kept group law and no cached tuple built from them."""
     cached = (cobordism._beta_coefficient, cobordism._log_coefficient, cobordism._cp_class,
               cobordism._v_class, cobordism._w_class, cobordism.beta_coefficients,
-              cobordism.beta, cobordism.beta_over_z, cobordism.log_coefficients,
-              cobordism.mischenko_log, cobordism.cp_classes, cobordism.v_classes,
+              cobordism.log_coefficients, cobordism.cp_classes, cobordism.v_classes,
               cobordism.w_classes)
     monkeypatch.setattr(cobordism, "_LAW", GroupLaw())
     for fn in cached:

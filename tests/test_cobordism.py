@@ -10,18 +10,13 @@ from thetacob.acceptance import _v_by_jacobi_trudi
 from thetacob.cli import main
 from thetacob.grouplaw import GroupLaw
 from thetacob.series import TruncSeries, fgl, fgl_axiom_residuals
-from thetacob.symfun import ChernVector, FrameBasisError, to_normal_monomial
+from thetacob.symfun import ChernVector, FrameBasisError, convert, to_normal_monomial
 from thetacob.cobordism import (
-    adams_novikov,
-    beta,
     beta_coefficients,
-    beta_over_z,
     cp_classes,
     decompose,
-    decompose_tangent,
     group_law_axioms,
     log_coefficients,
-    mischenko_log,
     psi_on_class,
     q_multiplier,
     theta_power_class,
@@ -29,7 +24,7 @@ from thetacob.cobordism import (
     w_classes,
 )
 from thetacob.genera import theta_normal_vector, theta_tangent_product_vector
-from thetacob.symfun import chern_product_to_monomial
+from conftest import beta, beta_over_z, log_series
 
 P = Partition
 
@@ -94,7 +89,7 @@ def test_beta_todd_specialisation_is_alternating_exponential():
 
 
 def test_mischenko_and_cp_classes():
-    lg = mischenko_log(8)
+    lg = log_coefficients(8)
     cps = cp_classes(7)
     for n in range(1, 7):
         assert cps[n] == (n + 1) * lg[n + 1]
@@ -114,8 +109,7 @@ def test_mischenko_and_cp_classes():
 def test_log_and_cp_classes_do_not_depend_on_call_order(empty_prefix_caches, calls):
     for kind, n in calls:
         if kind == "log":
-            got = mischenko_log(n)
-            assert got == beta(n).revert() and got.grade_shift == 1
+            assert list(log_coefficients(n)) == beta(n).revert().coeffs
         else:
             lg = beta(n + 1).revert()
             assert cp_classes(n) == (ONE,) + tuple((m + 1) * lg[m + 1] for m in range(1, n))
@@ -124,32 +118,26 @@ def test_log_and_cp_classes_do_not_depend_on_call_order(empty_prefix_caches, cal
 @pytest.mark.parametrize("orders", [range(16, 1, -1), range(2, 17)], ids=["descending", "ascending"])
 def test_orders_share_their_prefix(empty_prefix_caches, orders):
     """Orders a < b <= 16 read the same coefficient and class objects up to
-    index a, and the series wrap the very tuples' objects: each coefficient
-    is computed once, whichever order asks first."""
+    index a: each coefficient is computed once, whichever order asks first."""
     views = {"beta": beta_coefficients, "log": log_coefficients, "cp": cp_classes,
-             "v": v_classes, "w": w_classes, "beta series": lambda n: beta(n).coeffs,
-             "log series": lambda n: mischenko_log(n).coeffs}
+             "v": v_classes, "w": w_classes}
     got = {(name, n): view(n) for n in orders for name, view in views.items()}
     for (name, a), short in got.items():
         for b in range(a + 1, 17):
             long = got[name, b]
             assert all(short[i] is long[i] for i in range(len(short))), (name, a, b)
-    for n in orders:
-        for name in ("beta", "log"):
-            pairs = zip(got[f"{name} series", n], got[name, n], strict=True)
-            assert all(x is y for x, y in pairs), (name, n)
 
 
 @pytest.mark.parametrize("orders", [range(1, 13), range(12, 0, -1)], ids=["ascending", "descending"])
 def test_fgl_from_the_kept_log_matches_a_fresh_reversion(empty_prefix_caches, orders):
     for n in orders:
         b = beta(max(n, 2))
-        assert fgl(b, n, log=mischenko_log(max(n, 2))) == fgl(b, n), n
+        assert fgl(b, n, log=log_series(max(n, 2))) == fgl(b, n), n
 
 
 def test_group_law_at_order_zero(empty_prefix_caches):
     assert fgl_axiom_residuals(beta(4), 0) == group_law_axioms(0)
-    assert fgl(beta(4), 0) == fgl(beta(4), 0, log=mischenko_log(2))
+    assert fgl(beta(4), 0) == fgl(beta(4), 0, log=log_series(2))
 
 
 def _fgl_check_text(capsys, n):
@@ -208,11 +196,7 @@ def oracle_series():
 
 @pytest.mark.parametrize("order", range(1, ORACLE_ORDER + 1))
 def test_closed_forms_match_the_series_routes(empty_prefix_caches, oracle_series, order):
-    if order >= 2:
-        assert mischenko_log(order).coeffs == oracle_series["log"][:order + 1]
-    else:
-        with pytest.raises(ValueError, match="order must be >= 2"):
-            mischenko_log(order)
+    assert list(log_coefficients(order)) == oracle_series["log"][:order + 1]
     inv, ln = oracle_series["inv"], oracle_series["ln"]
     assert v_classes(order) == (ONE,) + tuple(
         ((-1) ** n * factorial(n + 1)) * inv[n] for n in range(1, order + 1))
@@ -277,38 +261,48 @@ def test_decompose_theta_vectors():
     assert decompose(zero_vec).is_zero()
 
 
+def _decompose_tangent(c: ChernVector) -> GradedPoly:
+    """The tangent route: (-1)^n sum over partitions of c_lam * v^lam / (lam+1)!,
+    decompose() of the same values read as normal ones, with t_n -> v_n."""
+    n = c.weight
+    same_sum = decompose(ChernVector(n, "normal", "monomial", c.values))
+    return same_sum.substitute(v_classes(n)) * (-1) ** n
+
+
+def _tangent_monomial(n: int) -> ChernVector:
+    return convert(theta_tangent_product_vector(n), "tangent", "monomial")
+
+
 def test_decompose_tangent_theta2():
-    mono = chern_product_to_monomial(theta_tangent_product_vector(2))
-    assert decompose_tangent(mono) == t(2)
+    mono = _tangent_monomial(2)
+    assert decompose(to_normal_monomial(mono)) == _decompose_tangent(mono) == t(2)
 
 
 def test_decompose_frame_guards():
-    vec = theta_normal_vector(2)
-    with pytest.raises(FrameBasisError):
-        decompose_tangent(vec)
+    for vec in (theta_tangent_product_vector(2), _tangent_monomial(2),
+                convert(theta_normal_vector(2), "normal", "chern_product")):
+        with pytest.raises(FrameBasisError):
+            decompose(vec)
 
 
 def test_decompose_routes_agree_on_reference_manifolds():
     # theta loci, their products, and low projective spaces
-    cases = []
-    for n in (1, 2, 3, 4):
-        cases.append(chern_product_to_monomial(theta_tangent_product_vector(n)))
+    cases = [_tangent_monomial(n) for n in (1, 2, 3, 4)]
     cases.append(cp_tangent_chern_vector(1))
     cases.append(cp_tangent_chern_vector(2))
-    t1 = chern_product_to_monomial(theta_tangent_product_vector(1))
-    t2 = chern_product_to_monomial(theta_tangent_product_vector(2))
+    t1, t2 = _tangent_monomial(1), _tangent_monomial(2)
     cases.append(product_chern_vector(t1, t1))
     cases.append(product_chern_vector(t2, t1))
     for tangent in cases:
         normal = to_normal_monomial(tangent)
-        assert decompose(normal) == decompose_tangent(tangent)
+        assert decompose(normal) == _decompose_tangent(tangent)
 
 
 def test_decompose_products_hit_theta_monomials():
-    t1 = chern_product_to_monomial(theta_tangent_product_vector(1))
-    t2 = chern_product_to_monomial(theta_tangent_product_vector(2))
-    assert decompose_tangent(product_chern_vector(t1, t1)) == GradedPoly.monomial((1, 1))
-    assert decompose_tangent(product_chern_vector(t2, t1)) == GradedPoly.monomial((2, 1))
+    t1, t2 = _tangent_monomial(1), _tangent_monomial(2)
+    for a, b in ((t1, t1), (t2, t1)):
+        product = to_normal_monomial(product_chern_vector(a, b))
+        assert decompose(product) == GradedPoly.monomial((a.weight, b.weight))
 
 
 def test_cp_chern_vectors():
@@ -319,21 +313,26 @@ def test_cp_chern_vectors():
     assert cp3.values[P((3,))] == 4
     assert cp3.values[P((2, 1))] == 12
     assert cp3.values[P((1, 1, 1))] == 4
-    assert decompose_tangent(cp2) == cp_classes(3)[2]
-    assert decompose_tangent(cp3) == cp_classes(4)[3]
+    assert decompose(to_normal_monomial(cp2)) == cp_classes(3)[2]
+    assert decompose(to_normal_monomial(cp3)) == cp_classes(4)[3]
 
 
 def test_adams_operations():
-    assert adams_novikov(1, 6) == TruncSeries.identity(6)
-    psi2 = adams_novikov(2, 6)
+    def adams(k, order):  # (1/k) beta(k L(u)) on the universal series
+        return beta(order).compose(log_series(order).scale(Fraction(k))).scale(Fraction(1, k))
+
+    assert adams(1, 6) == TruncSeries.identity(6)
+    psi2 = adams(2, 6)
     assert psi2[1] == ONE
     assert psi2[2] == Fraction(1, 2) * t(1)
+    # (1/k) beta(k z) is psi_on_class(k, .) on each coefficient of beta
+    for k in (2, 3):
+        scaled = beta(8).compose(TruncSeries.identity(8).scale(k)).scale(Fraction(1, k))
+        assert scaled.coeffs == [psi_on_class(k, c) for c in beta_coefficients(8)], k
     assert psi_on_class(3, t(2)) == 9 * t(2)
     assert psi_on_class(2, t(1) * t(2) + 5) == 8 * t(1) * t(2) + 5
     with pytest.raises(ValueError):
         psi_on_class(0, t(1))
-    with pytest.raises(ValueError):
-        adams_novikov(0, 5)
 
 
 def test_theta_power_scaling():

@@ -5,14 +5,14 @@ from math import comb, factorial, gcd, lcm
 import pytest
 
 from thetacob.cli_base import MAX_INVARIANTS_N
-from thetacob.core import EMPTY, Partition, bernoulli, catalan, partition_factorial, partitions_of
+from thetacob.core import (EMPTY, Partition, TruncationError, bernoulli, catalan,
+                           partition_factorial, partitions_of)
 from thetacob.gradedring import ONE, GradedPoly, t
 from thetacob.landweber import quantize
-from thetacob.series import TruncSeries, TruncationError
+from thetacob.series import TruncSeries
 from thetacob import symfun
 from thetacob.symfun import ChernVector, to_normal_monomial
 from thetacob.cobordism import (
-    beta,
     cp_classes,
     decompose,
     q_multiplier,
@@ -42,6 +42,7 @@ from thetacob.genera import (
     tangent_product_functional_to_normal_monomial,
     w_multipliers,
 )
+from conftest import beta
 from test_cobordism import product_chern_vector
 from test_landweber import _cartan_ln_apply
 
@@ -67,7 +68,8 @@ def test_l_genus_is_the_reciprocal_of_tanh_over_z():
     tanh_over_z = TruncSeries.from_rationals(
         [Fraction(2 ** (m + 2) * (2 ** (m + 2) - 1)) * bernoulli(m + 2) / factorial(m + 2)
          if m % 2 == 0 else 0 for m in range(order + 1)], order)
-    assert l_genus(order).q * tanh_over_z == TruncSeries.from_rationals([1], order)
+    q = TruncSeries.from_rationals(l_genus(order).coefficients(), order)
+    assert q * tanh_over_z == TruncSeries.from_rationals([1], order)
 
 
 def test_genus_spec_validation_and_truncation():
@@ -76,23 +78,26 @@ def test_genus_spec_validation_and_truncation():
     spec = custom_genus([1, 1], 4)
     with pytest.raises(TruncationError):
         genus_of_theta(spec, 9)
+    for n in (-1, -13):  # not a coefficient counted from the end
+        with pytest.raises(ValueError, match="need n >= 0"):
+            genus_of_theta(todd_genus(12), n)
     with pytest.raises(ValueError):
         genus_preset("todd-ish", 4)
 
 
 def test_genus_spec_from_series_and_from_list_agree():
-    """GenusSpec takes Q as a TruncSeries or as its coefficient list."""
+    """GenusSpec takes Q's coefficients as rationals or as the constant
+    GradedPolys of a series."""
     for listed in (todd_genus(20), l_genus(20), euler_genus(20),
                    custom_genus(["1", "1/2", "1/12", "-3/7", "5"], 20)):
         series = TruncSeries.from_rationals(listed.coefficients(), 20)
-        from_series = GenusSpec(series, name=listed.name)
+        from_series = GenusSpec(series.coeffs, name=listed.name)
         assert from_series.coefficients() == listed.coefficients()
         assert from_series.order == listed.order == 20
-        assert from_series.q == listed.q == series
         for n in range(21):
             assert genus_of_theta(from_series, n) == genus_of_theta(listed, n)
     with pytest.raises(ValueError):
-        GenusSpec(TruncSeries([ONE, t(1)], order=2))
+        GenusSpec(TruncSeries([ONE, t(1)], order=2).coeffs)
     with pytest.raises(ValueError):
         GenusSpec([1, "1/2"])
 
@@ -256,7 +261,8 @@ def test_todd_images_match_quantisation_and_stirling():
 def test_todd_images_match_composition_in_any_call_order():
     """The closed form against beta(z/Q(z)) composed once to z^14, and the
     same images whichever weight is asked for first."""
-    composed = beta(14).compose(todd_genus(13).q.inv().mul_by_z())
+    q = TruncSeries.from_rationals(todd_genus(13).coefficients(), 13)
+    composed = beta(14).compose(q.inv().mul_by_z())
     by_composition = [factorial(m + 1) * composed[m + 1] for m in range(13)]
     _todd_image.cache_clear()
     ascending = [_todd_image(m) for m in range(13)]

@@ -1,5 +1,6 @@
 """A process compiles and loads only the modules its subcommand runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -130,13 +131,34 @@ def test_bare_import_loads_no_submodule():
     assert not [m for m in loaded if m.startswith("thetacob.")]
 
 
+def test_no_module_but_series_imports_series():
+    """`series` is a leaf: no other module imports it, at module level or in a function."""
+    package = os.path.dirname(thetacob.__file__)
+    importers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "series.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                dotted = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("series" in d.split(".") for d in dotted):
+                importers.append(f"{name}:{node.lineno}")
+    assert not importers
+
+
 def test_public_names_resolve_to_their_home_modules():
     listed = dir(thetacob)
     for name in thetacob.__all__:
         home = importlib.import_module(f"thetacob.{thetacob._HOME_OF[name]}")
         assert getattr(thetacob, name) is getattr(home, name), name
         assert name in listed, name
-    from thetacob import beta, quantize  # noqa: F401  (from-imports keep working)
+    from thetacob import beta_coefficients, quantize  # noqa: F401  (from-imports keep working)
     assert "check_chern_vector" not in thetacob.__all__
     with pytest.raises(AttributeError):
         thetacob.no_such_name

@@ -23,8 +23,8 @@ from thetacob.series import (
     format_series,
     residue_extract,
 )
-from thetacob.cobordism import (beta, beta_coefficients, beta_over_z, log_coefficients,
-                                mischenko_log)
+from thetacob.cobordism import beta_coefficients, log_coefficients
+from conftest import beta, beta_over_z, log_series
 
 
 # -- reference routes: reversion by composition, the group law by Horner ----------------
@@ -542,7 +542,7 @@ def test_degree_verdicts_match_whole_table_oracle():
     tables of each order: on the universal beta, and with one coefficient
     perturbed at each degree 2..10, of the logarithm at even degrees and of
     beta at odd ones."""
-    b, lg = beta(12), mischenko_log(12)
+    b, lg = beta(12), log_series(12)
     cases = [(b, lg)] + [(b, _perturbed_at(lg, d)) if d % 2 == 0 else (_perturbed_at(b, d), lg)
                          for d in range(2, 11)]
     failed = []
@@ -564,7 +564,7 @@ def test_degree_verdicts_match_whole_table_oracle():
 def test_group_law_grown_by_many_threads_at_once():
     """Threads extending one law together get a fresh law's answers, and the
     law ends checked once to the highest order asked."""
-    b, lg = beta(10), _perturbed_at(mischenko_log(10), 5)
+    b, lg = beta(10), _perturbed_at(log_series(10), 5)
     orders = [10, 3, 7, 1, 9, 5, 10, 2, 8, 4, 6]
     want = [fgl_axiom_residuals(b, n, log=lg) for n in orders]
     law = GroupLaw()

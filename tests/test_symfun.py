@@ -9,15 +9,11 @@ from thetacob.core import Partition, partitions_of
 from thetacob.symfun import (
     BASES,
     ChernVector,
-    FrameBasisError,
     IncompleteVectorError,
     SymFunExpr,
-    chern_product_to_monomial,
+    convert,
     convert_basis,
-    monomial_to_chern_product,
-    normal_to_tangent,
     sign_involution,
-    tangent_to_normal,
     to_normal_monomial,
 )
 
@@ -174,15 +170,14 @@ def test_chern_vector_conversions_match_the_dense_oracle():
         E = _to_m_matrix(n, "e")
         for frame, other in (("tangent", "normal"), ("normal", "tangent")):
             c = ChernVector(n, frame, "monomial", _random_values(rng, n))
-            exchange = tangent_to_normal if frame == "tangent" else normal_to_tangent
-            flipped = exchange(c)
+            flipped = convert(c, other, "monomial")
             assert (flipped.frame, flipped.basis) == (other, "monomial")
             assert _vector(flipped) == _times(A, _vector(c))
-            prod = monomial_to_chern_product(c)
+            prod = convert(c, frame, "chern_product")
             assert (prod.frame, prod.basis) == (frame, "chern_product")
             assert _vector(prod) == _times(E, _vector(c))
             c = ChernVector(n, frame, "chern_product", _random_values(rng, n))
-            mono = chern_product_to_monomial(c)
+            mono = convert(c, frame, "monomial")
             assert (mono.frame, mono.basis) == (frame, "monomial")
             assert _vector(mono) == _times(_mat_inverse(E), _vector(c))
             assert list(mono.values) == list(parts)
@@ -287,8 +282,8 @@ def test_tangent_normal_exchange_theta_data():
         val = Fraction((-1) ** n * factorial(n + 1))
         tangent_prod = ChernVector.build(
             n, "tangent", "chern_product", {lam: val for lam in partitions_of(n)})
-        mono = chern_product_to_monomial(tangent_prod)
-        normal = tangent_to_normal(mono)
+        mono = convert(tangent_prod, "tangent", "monomial")
+        normal = convert(mono, "normal", "monomial")
         for lam in partitions_of(n):
             expected = factorial(n + 1) if lam == P((n,)) else 0
             assert normal.values[lam] == expected, (n, lam)
@@ -296,11 +291,11 @@ def test_tangent_normal_exchange_theta_data():
 
 def test_tangent_normal_weight_one_and_two():
     c1 = ChernVector.build(1, "tangent", "monomial", {(1,): -2})
-    assert tangent_to_normal(c1).values[P((1,))] == 2
+    assert convert(c1, "normal", "monomial").values[P((1,))] == 2
     theta2 = ChernVector.build(2, "tangent", "chern_product", {(2,): 6, (1, 1): 6})
-    mono = chern_product_to_monomial(theta2)
+    mono = convert(theta2, "tangent", "monomial")
     assert mono.values == {P((2,)): -6, P((1, 1)): 6}
-    normal = tangent_to_normal(mono)
+    normal = convert(mono, "normal", "monomial")
     assert normal.values == {P((2,)): 6, P((1, 1)): 0}
 
 
@@ -309,19 +304,19 @@ def test_exchange_involutive_on_random_vectors():
     for n in range(1, 6):
         values = {lam: Fraction(rng.randint(-30, 30)) for lam in partitions_of(n)}
         c = ChernVector.build(n, "tangent", "monomial", values)
-        back = normal_to_tangent(tangent_to_normal(c))
+        back = convert(convert(c, "normal", "monomial"), "tangent", "monomial")
         assert back.values == c.values and back.frame == "tangent"
 
 
 def test_chern_product_conversions():
     # c1^2 = m_(2) + 2 m_(1,1) and c2 = m_(1,1)
     mono = ChernVector.build(2, "tangent", "monomial", {(2,): 3, (1, 1): 3})
-    prod = monomial_to_chern_product(mono)
+    prod = convert(mono, "tangent", "chern_product")
     assert prod.values[P((1, 1))] == 3 + 2 * 3  # c1^2
     assert prod.values[P((2,))] == 3            # c2
-    assert chern_product_to_monomial(prod) == mono
+    assert convert(prod, "tangent", "monomial") == mono
     c1 = ChernVector.build(1, "tangent", "chern_product", {(1,): 7})
-    assert chern_product_to_monomial(c1).values[P((1,))] == 7
+    assert convert(c1, "tangent", "monomial").values[P((1,))] == 7
 
 
 def test_to_normal_monomial_paths():
@@ -330,5 +325,6 @@ def test_to_normal_monomial_paths():
     assert direct.frame == "normal" and direct.basis == "monomial"
     already = ChernVector.build(2, "normal", "monomial", direct.values)
     assert to_normal_monomial(already) == already
-    with pytest.raises(FrameBasisError):
-        tangent_to_normal(theta2)  # wrong basis
+    for frame, basis in (("sideways", "monomial"), ("normal", "chern")):
+        with pytest.raises(ValueError, match="must be"):
+            convert(theta2, frame, basis)
