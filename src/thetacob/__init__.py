@@ -25,7 +25,7 @@ _HOMES = {
                "residue_extract"),
     "symfun": ("ChernVector", "SymFunExpr", "convert", "convert_basis", "sign_involution",
                "to_normal_monomial"),
-    "grouplaw": ("ASSOC_ORDER", "GroupLaw"),
+    "grouplaw": ("GroupLaw",),
     "cobordism": ("beta_coefficients", "cp_classes", "decompose", "log_coefficients",
                   "psi_on_class", "q_multiplier", "theta_power_class", "v_classes",
                   "w_classes"),

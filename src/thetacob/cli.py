@@ -102,13 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fgl", help="formal group law")
     fsub = p.add_subparsers(dest="fgl_command", required=True)
-    # 6 is grouplaw.ASSOC_ORDER, which this module does not import.
-    pc = fsub.add_parser("check", help="axiom residuals (must vanish exactly; "
-                         "associativity to total order 6 at most)",
-                         description="Check the group-law axioms to total order --order, "
-                         "associativity to total order 6 at most: it is the one check in "
-                         "three variables.")
-    pc.add_argument("--order", type=int, default=8)
+    pc = fsub.add_parser("check", help="axiom residuals (must vanish exactly)")
+    pc.add_argument("--order", type=int, default=8, help="check every axiom to this total order")
     pc.set_defaults(handler="cli_series:cmd_fgl_check")
 
     p = sub.add_parser("weierstrass", help="floating-point elliptic checks")

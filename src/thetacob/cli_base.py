@@ -18,9 +18,9 @@ FORMAT_VERSION = "1.0.0"
 MAX_CONGRUENCE_WEIGHT = 14
 
 # Largest `fgl check --order` (2-vCPU host, Python 3.11): one-shot, median
-# of 3, a check takes 0.14 s at 16, 0.22 s at 18 and 0.46 s at 20 (0.43 to
-# 0.46 s); in-process at 20 the logarithm takes 0.01 s and the axioms
-# 0.32 to 0.47 s.  A process checks each degree once, so a repeated or
+# of 3, a check takes 0.14 s at 16, 0.25 s at 18 and 0.56 s at 20 (0.55 to
+# 0.58 s); in-process at 20 the logarithm takes 0.01 s and the axioms
+# 0.33 to 0.55 s.  A process checks each degree once, so a repeated or
 # lower order checks nothing.
 MAX_FGL_ORDER = 20
 

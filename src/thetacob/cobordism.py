@@ -91,11 +91,10 @@ _LAW = GroupLaw()
 
 def group_law_axioms(order: int) -> dict[str, bool]:
     """The axioms of the universal group law to total order ``order``, each
-    named as in grouplaw.GroupLaw.axioms and mapped to "residual is exactly
-    zero", from the kept logarithm.  One GroupLaw serves every order, so
-    each degree is checked once."""
-    n = max(order, 2)
-    return _LAW.axioms(beta_coefficients(n), log_coefficients(n), order)
+    named and read as in grouplaw.GroupLaw.axioms (associativity off the
+    exponential identity), from the kept logarithm.  One GroupLaw serves
+    every order, so each degree is checked once."""
+    return _LAW.axioms(beta_coefficients(order), log_coefficients(order), order)
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,9 @@ GroupLaw reads beta and L as plain coefficient sequences, [z^m] at index m,
 so it needs no series type: F comes from the univariate powers of L instead
 of composing bivariate series, and each axiom is read off coefficients of
 powers of beta and of F, degree by degree, so that a kept law grows by the
-missing degrees only.  cobordism keeps one law over the coefficient tuples
-of the universal series; series.fgl, which no module of the package calls,
-wraps F's coefficients in a BiTruncSeries for library callers and the tests.
+missing degrees only; associativity is read off the exponential identity.
+cobordism keeps one law over the universal series' coefficient tuples;
+series.fgl wraps F in a BiTruncSeries for library callers and the tests.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ import threading
 from math import comb
 
 from .gradedring import ONE, ZERO, dot
-
-# Total order of the associativity check, the one check in three variables.
-# Its cost grows fastest with the order: in-process (2-vCPU host), a fresh
-# check at order 16 takes 0.09 s with 6 here and 0.15 s with 12.
-ASSOC_ORDER = 6
 
 
 def _extend_powers(P: list, f, d: int) -> None:
@@ -36,25 +31,24 @@ class GroupLaw:
     its logarithm L, and its axioms, kept as a growing prefix by total degree.
 
     By the binomial theorem F_{m,l} = sum_{j<=m} [u^m]L^j Q_{j,l} with
-    Q_{j,l} = sum_i C(i+j, j) b_{i+j} [v^l]L^i.  Each axiom is a set of
+    Q_{j,l} = sum_i C(i+j, j) b_{i+j} [v^l]L^i.  Three axioms are sets of
     coefficient identities, each of one total degree d, expanded directly
     (nothing is assumed of F): the unit F_{d,0} = delta_{d,1}; commutativity;
     F(beta(z), beta(w)) = beta(z + w) as sum_l R_{l,a} [w^b]beta^l =
-    C(a+b, a) beta_{a+b}, with R_{l,a} = sum_m F_{m,l} [z^a]beta^m; and, to
-    total degree ASSOC_ORDER, associativity as the [u^a v^b w^c] identity
-    sum_m F_{m,c} Phi_m[a,b] = sum_l F_{a,l} Phi_l[b,c], with Phi_m = F^m.
+    C(a+b, a) beta_{a+b}, with R_{l,a} = sum_m F_{m,l} [z^a]beta^m.  For
+    beta = z + ..., that identity to degree N makes F associative modulo
+    degree N + 1 (Hazewinkel 1978), so associativity takes its verdict.
 
     Degree d adds one coefficient to every power of L and of beta, the
-    diagonals Q_{j,d-j}, F_{m,d-m} and R_{l,d-l}, the degree-d coefficients
-    of each Phi_m and degree d's verdicts; an order's verdict is all() over
-    degrees 0..order.  A higher order extends the kept prefix, so beta and L
-    must agree, on the common prefix, with every pair given before.  Both
-    are sequences of at least order + 1 coefficients.
+    diagonals Q_{j,d-j}, F_{m,d-m} and R_{l,d-l} and degree d's verdicts; an
+    order's verdict is all() over degrees 0..order.  A higher order extends
+    the kept prefix, so beta and L must agree, on the common prefix, with
+    every pair given before.  Both hold at least order + 1 coefficients.
     """
 
     def __init__(self):
         self._PL, self._Q, self._F = [], [], []  # [u^m] L^j, Q_{j,l}, F_{m,l}
-        self._PB, self._R, self._Phi = [], [], []  # [z^a] beta^m, R_{l,a}, (a, b) -> Phi_m[a,b]
+        self._PB, self._R = [], []  # [z^a] beta^m, R_{l,a}
         self._ok = {"unit": [], "commutativity": [], "associativity": [], "exp_identity": []}
         self._lock = threading.Lock()
 
@@ -65,7 +59,8 @@ class GroupLaw:
             return [F[m][: order + 1 - m] for m in range(order + 1)]
 
     def axioms(self, beta, log, order: int) -> dict[str, bool]:
-        """Each axiom's verdict "residual is zero" to total order ``order``."""
+        """Each axiom's verdict "residual is zero" to total order ``order``.
+        Associativity's is the exponential identity's: False means "not established"."""
         with self._lock:
             self._grow(beta, log, order)
             for d in range(len(self._ok["unit"]), order + 1):
@@ -86,7 +81,7 @@ class GroupLaw:
         return F
 
     def _check(self, b, d) -> None:
-        F, PB, R, Phi, ok = self._F, self._PB, self._R, self._Phi, self._ok
+        F, PB, R, ok = self._F, self._PB, self._R, self._ok
         _extend_powers(PB, b, d)
         R.append([])
         for l in range(d + 1):
@@ -96,14 +91,4 @@ class GroupLaw:
         ok["exp_identity"].append(all(
             dot((R[l][a], PB[l][d - a]) for l in range(d - a + 1)) == comb(d, a) * b[d]
             for a in range(d + 1)))
-        if d > ASSOC_ORDER:
-            return
-        Phi.append({(0, 0): ONE} if d == 0 else {})
-        for m in range(d, 0, -1):  # so Phi_{m-1} holds degrees below d only
-            for a in range(d + 1):
-                Phi[m][a, d - a] = dot((c, F[a - i][d - a - j]) for (i, j), c in Phi[m - 1].items()
-                                       if i <= a and j <= d - a)
-        ok["associativity"].append(all(
-            dot((F[m][c], Phi[m].get((a, b), ZERO)) for m in range(a + b + 1))
-            == dot((F[a][l], Phi[l].get((b, c), ZERO)) for l in range(b + c + 1))
-            for a in range(d + 1) for b in range(d + 1 - a) for c in [d - a - b]))
+        ok["associativity"].append(ok["exp_identity"][-1])

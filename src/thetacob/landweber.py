@@ -110,6 +110,8 @@ class TensorElement:
                        for mu, c in q.items()), key=key)
 
     def __add__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         out = dict(self._terms)
         for nu, q in other._terms.items():
             s = out.pop(nu, ZERO) + q
@@ -118,6 +120,8 @@ class TensorElement:
         return TensorElement._raw(out)
 
     def __mul__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         _check_weight(_top_weight(self._terms) + _top_weight(other._terms))
         return TensorElement._raw(_grouped_dot(((1, self._terms, other._terms),)))
 

@@ -117,6 +117,9 @@ class TruncSeries:
             raise TruncationError(f"coefficient z^{m} outside truncation order {self.order}")
         return self.coeffs[m]
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -403,10 +406,9 @@ def fgl(beta_series: TruncSeries, order: int, log: TruncSeries | None = None) ->
 
 def fgl_axiom_residuals(beta_series: TruncSeries, order: int,
                         log: TruncSeries | None = None) -> dict[str, bool]:
-    """The group-law axioms to total order ``order``: 'unit',
-    'commutativity', 'associativity' (to min(order, grouplaw.ASSOC_ORDER)) and
-    'exp_identity' (F(beta(z), beta(w)) = beta(z+w)), each mapped to the
-    boolean "residual is exactly zero".  ``log`` is as for fgl().
+    """The group-law axioms to total order ``order``, named and read as in
+    grouplaw.GroupLaw.axioms: 'unit', 'commutativity', 'associativity' and
+    'exp_identity' (F(beta(z), beta(w)) = beta(z+w)).  ``log`` is as for fgl().
     """
     from .grouplaw import GroupLaw
 

@@ -628,13 +628,16 @@ def test_fgl_order_bounded(capsys):
     assert code == 0 and out.count("residual 0") == 4
 
 
-def test_fgl_check_help_states_the_associativity_order(capsys):
-    from thetacob.grouplaw import ASSOC_ORDER
+def test_fgl_check_help_names_no_associativity_cap(capsys):
+    """Every axiom is checked to the order asked, so the help names no lower one."""
+    import thetacob
+    from thetacob import grouplaw
     for argv in (["fgl", "--help"], ["fgl", "check", "--help"]):
         with pytest.raises(SystemExit):
             main(argv)
         out = " ".join(capsys.readouterr().out.split())
-        assert f"associativity to total order {ASSOC_ORDER}" in out
+        assert "axiom" in out and "associativity" not in out and "at most" not in out
+    assert not hasattr(grouplaw, "ASSOC_ORDER") and "ASSOC_ORDER" not in thetacob.__all__
 
 
 def test_weierstrass_verify_exit_codes(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from thetacob.core import partitions_of
 from thetacob.gradedring import (GradedPoly, ONE, ZERO, _formal_log, _reciprocal, _revert,
                                  dot, t)
-from thetacob.grouplaw import ASSOC_ORDER, GroupLaw
+from thetacob.grouplaw import GroupLaw
 from thetacob.series import (
     BiTruncSeries,
     CompositionDomainError,
@@ -24,6 +24,8 @@ from thetacob.series import (
     residue_extract,
 )
 from thetacob.cobordism import beta_coefficients, log_coefficients
+from thetacob.genera import GenusSpec, genus_of_theta
+from thetacob.landweber import quantize
 from conftest import beta, beta_over_z, log_series
 
 
@@ -122,18 +124,20 @@ def eval_fgl_at(F: BiTruncSeries, x: dict, y: dict, nvars: int, order: int) -> d
     return {e: c for e, ps in pairs.items() if (c := dot(ps))}
 
 
-def _residuals_by_expansion(F, beta_series, order, assoc_order):
-    """The group-law axioms of F by composing it in three and two variables."""
-    unit = {m: c for (m, l), c in F.terms.items() if l == 0} == {1: ONE}
-    comm = {(l, m): c for (m, l), c in F.terms.items()} == F.terms
-
+def _associative_by_expansion(F, order):
+    """F(F(u, v), w) = F(u, F(v, w)) to total order ``order``, composed in three variables."""
     u = {(1, 0, 0): ONE}
     v = {(0, 1, 0): ONE}
     w = {(0, 0, 1): ONE}
-    Fa = eval_fgl_at(F, u, v, 3, assoc_order)
-    left = eval_fgl_at(F, Fa, w, 3, assoc_order)
-    Fb = eval_fgl_at(F, v, w, 3, assoc_order)
-    right = eval_fgl_at(F, u, Fb, 3, assoc_order)
+    left = eval_fgl_at(F, eval_fgl_at(F, u, v, 3, order), w, 3, order)
+    right = eval_fgl_at(F, u, eval_fgl_at(F, v, w, 3, order), 3, order)
+    return left == right
+
+
+def _residuals_by_expansion(F, beta_series, order):
+    """Unit, commutativity and the exponential identity of F, composed in two variables."""
+    unit = {m: c for (m, l), c in F.terms.items() if l == 0} == {1: ONE}
+    comm = {(l, m): c for (m, l), c in F.terms.items()} == F.terms
 
     b = beta_series.truncated(order)
     bz = eval_series_at(b, BiTruncSeries({(1, 0): ONE}, order=order))
@@ -142,12 +146,7 @@ def _residuals_by_expansion(F, beta_series, order, assoc_order):
     zw = BiTruncSeries({(1, 0): ONE, (0, 1): ONE}, order=order)
     bzw = eval_series_at(b, zw)
 
-    return {
-        "unit": unit,
-        "commutativity": comm,
-        "associativity": left == right,
-        "exp_identity": Fsub == bzw.terms,
-    }
+    return {"unit": unit, "commutativity": comm, "exp_identity": Fsub == bzw.terms}
 
 
 def _fgl_by_power_tables(beta_series, order, log=None):
@@ -171,8 +170,8 @@ def _fgl_by_power_tables(beta_series, order, log=None):
 
 
 def _residuals_by_power_tables(F, beta, order):
-    """The axioms of a given F with exponential beta, from whole power tables
-    of beta and F = BiTruncSeries products, for one order."""
+    """Unit, commutativity and the exponential identity of a given F with
+    exponential beta, from whole power tables of beta, for one order."""
     unit = all(F.coefficient(m, 0) == (ONE if m == 1 else ZERO) for m in range(order + 1))
 
     powers = [TruncSeries.const(1, order)]
@@ -184,22 +183,26 @@ def _residuals_by_power_tables(F, beta, order):
     exp_identity = all(
         dot((R[l][a], P[l][b]) for l in range(b + 1)) == comb(a + b, a) * beta[a + b]
         for a in range(order + 1) for b in range(order + 1 - a))
+    return {"unit": unit, "commutativity": _is_symmetric(F), "exp_identity": exp_identity}
 
-    k = min(order, ASSOC_ORDER)
+
+def _associative_by_power_tables(F):
+    """The [u^a v^b w^c] identity sum_m F_{m,c} Phi_m[a,b] = sum_l F_{a,l} Phi_l[b,c],
+    Phi_m = F^m as BiTruncSeries products, to F's total order."""
+    k = F.order
     Phi = [BiTruncSeries({(0, 0): ONE}, order=k)]
     for _ in range(k):
         Phi.append(Phi[-1] * F)
-    associativity = all(
+    return all(
         dot((F.coefficient(m, c), Phi[m].coefficient(a, b)) for m in range(k + 1 - c))
         == dot((F.coefficient(a, l), Phi[l].coefficient(b, c)) for l in range(k + 1 - a))
         for a in range(k + 1) for b in range(k + 1 - a) for c in range(k + 1 - a - b))
 
-    return {
-        "unit": unit,
-        "commutativity": _is_symmetric(F),
-        "associativity": associativity,
-        "exp_identity": exp_identity,
-    }
+
+def _without_associativity(verdicts):
+    """GroupLaw's verdicts but associativity, which must be the exponential identity's."""
+    assert verdicts["associativity"] == verdicts["exp_identity"]
+    return {axiom: ok for axiom, ok in verdicts.items() if axiom != "associativity"}
 
 
 def _axioms_of_given_law(F, beta_series, order):
@@ -214,6 +217,18 @@ def _random_normalised(rng, order):
     """z + sum_{m>=2} r_m z^m with small seeded rationals, some of them zero."""
     coeffs = [0, 1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(order - 1)]
     return TruncSeries.from_rationals(coeffs, order)
+
+
+def test_iterating_a_series_yields_its_kept_coefficients():
+    """Iteration stops at the truncation order, so a series is a coefficient
+    sequence wherever one is taken, as by GenusSpec."""
+    s = TruncSeries.from_rationals([1, 2], 2)
+    assert list(s) == s.coeffs and len(s.coeffs) == 3
+    q = TruncSeries.from_rationals(["1", "1/2", "1/12", "-3/7", "5"], 6)
+    from_series, from_list = GenusSpec(q), GenusSpec(q.coeffs)
+    assert from_series.order == from_list.order == 6
+    assert ([genus_of_theta(from_series, n) for n in range(7)]
+            == [genus_of_theta(from_list, n) for n in range(7)])
 
 
 def test_revert_matches_composition_oracle():
@@ -512,6 +527,10 @@ def _perturbed(F, keys, delta):
 
 
 def test_axiom_residuals_match_expansion_oracle():
+    """Unit, commutativity and the identity against two-variable compositions
+    at every order; associativity, read off the identity, against F composed
+    in three variables at the highest order where the identity holds."""
+    holds = {}  # case -> the last law on which the identity held
     for n in range(1, 9):
         b = beta(max(n, 2))
         F = fgl(b, n)
@@ -519,16 +538,23 @@ def test_axiom_residuals_match_expansion_oracle():
         if n >= 2:
             cases["F20"] = (_perturbed(F, [(2, 0)], t(1)), {"unit"})
         if n >= 3:
-            # u^2 v + u v^2 is a symmetric 2-cocycle, so associativity
-            # first fails at order 4; the exponential identity at once.
+            # u^2 v + u v^2 is a symmetric 2-cocycle, so composing F in three
+            # variables first finds associativity failing at order 4; the
+            # exponential identity fails at once, and associativity with it.
             cases["symmetric"] = (_perturbed(F, [(2, 1), (1, 2)], t(2)),
-                                  {"exp_identity"} | ({"associativity"} if n >= 4 else set()))
+                                  {"exp_identity", "associativity"})
             cases["asymmetric"] = (_perturbed(F, [(2, 1)], t(2)), {"commutativity"})
         for name, (G, must_fail) in cases.items():
             new = _axioms_of_given_law(G, b.truncated(n), n)
-            assert new == _residuals_by_expansion(G, b, n, min(n, 6)), (n, name)
+            assert _without_associativity(new) == _residuals_by_expansion(G, b, n), (n, name)
             failed = {axiom for axiom, ok in new.items() if not ok}
             assert must_fail <= failed if must_fail else not failed, (n, name, failed)
+            if new["exp_identity"]:
+                holds[name] = (G, n)
+    # every perturbed law fails the identity at the first order it exists
+    assert set(holds) == {"true"}
+    G, n = holds["true"]
+    assert n == 8 and _associative_by_expansion(G, n)
 
 
 def _perturbed_at(series, degree):
@@ -540,22 +566,30 @@ def _perturbed_at(series, degree):
 def test_degree_verdicts_match_whole_table_oracle():
     """Orders 1..12 asked of one law, ascending, against the whole power
     tables of each order: on the universal beta, and with one coefficient
-    perturbed at each degree 2..10, of the logarithm at even degrees and of
-    beta at odd ones."""
+    perturbed at each degree d = 2..12, of the logarithm at even degrees and
+    of beta at odd ones.  The identity holds to order d - 1 and fails at d,
+    and associativity, read off it, holds in three variables to the highest
+    order where the identity holds."""
     b, lg = beta(12), log_series(12)
-    cases = [(b, lg)] + [(b, _perturbed_at(lg, d)) if d % 2 == 0 else (_perturbed_at(b, d), lg)
-                         for d in range(2, 11)]
+    cases = [(None, b, lg)] + [(d, b, _perturbed_at(lg, d)) if d % 2 == 0
+                               else (d, _perturbed_at(b, d), lg) for d in range(2, 13)]
     failed = []
-    for bs, ls in cases:
-        law, broken = GroupLaw(), set()
+    for d, bs, ls in cases:
+        law, broken, holds = GroupLaw(), set(), None
         for n in range(1, 13):
             F = _fgl_by_power_tables(bs, n, ls)
             assert law.law(bs.coeffs, ls.coeffs, n) == [
                 [F.coefficient(m, l) for l in range(n + 1 - m)] for m in range(n + 1)], n
             got = law.axioms(bs.coeffs, ls.coeffs, n)
-            assert got == _residuals_by_power_tables(F, bs.truncated(n), n), n
+            assert _without_associativity(got) == _residuals_by_power_tables(
+                F, bs.truncated(n), n), n
+            assert got["exp_identity"] == (d is None or n < d), (d, n)
             broken |= {axiom for axiom, ok in got.items() if not ok}
+            if got["exp_identity"]:
+                holds = F
         failed.append(broken)
+        assert holds.order == (12 if d is None else d - 1), d
+        assert _associative_by_power_tables(holds), d
     # F = beta(L(u) + L(v)) is symmetric whatever L is; the other axioms break
     assert failed[0] == set()
     assert set().union(*failed[1:]) == {"unit", "associativity", "exp_identity"}
@@ -591,9 +625,13 @@ def test_group_law_grown_by_many_threads_at_once():
     (lambda: beta(3) * "x", "can't multiply sequence by non-int of type 'TruncSeries'"),
     (lambda: "x" * beta(3), "can't multiply sequence by non-int of type 'TruncSeries'"),
     (lambda: BiTruncSeries({(1, 0): 1}, order=3) * 2, "for \\*: 'BiTruncSeries' and 'int'"),
+    (lambda: quantize(t(1)) + 1, "for \\+: 'TensorElement' and 'int'"),
+    (lambda: quantize(t(1)) * 2, "for \\*: 'TensorElement' and 'int'"),
+    (lambda: quantize(t(1)) * "x", "can't multiply sequence by non-int of type 'TensorElement'"),
 ], ids=["float-minus-poly", "poly-minus-float", "series-plus-float", "float-plus-series",
         "series-minus-float", "float-minus-series", "series-times-float", "series-times-str",
-        "str-times-series", "bivariate-times-int"])
+        "str-times-series", "bivariate-times-int", "tensor-plus-int", "tensor-times-int",
+        "tensor-times-str"])
 def test_unsupported_operand_raises_the_standard_type_error(op, message):
     """An operand that is neither a series nor an exact scalar is refused by
     Python's own TypeError, not by an error from inside the arithmetic."""
