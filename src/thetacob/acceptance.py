@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .core import EMPTY, Partition, bernoulli, partitions_of, splittings
+from .core import EMPTY, Partition, bernoulli, partitions_of
 from .gradedring import ONE, ZERO, GradedPoly, _reciprocal, _revert, parse_poly, t
 from .grouplaw import GroupLaw, _extend_powers
 from . import cobordism as cob
@@ -25,24 +25,14 @@ from . import weierstrass as ws
 CHECKS: list[tuple[str, object]] = []
 
 
-# -- the recursive Cartan expansion: an independent route to the operations ----------
+# -- the Cartan rule on one factor: an independent route to the operations ----------
 #
-# S_lam on a generator is read off the one-part rule, and on a monomial it is
-# expanded factor by factor over the splittings of lam.  The package computes
-# the operations from the total operation S_t instead; the two routes must agree.
-
-
-def _cartan_on_generator(lam: Partition, n: int) -> GradedPoly:
-    """S_lam(t_n): zero unless lam is empty or a one-part partition (k), k <= n."""
-    lam = Partition(lam)
-    if lam == EMPTY:
-        return GradedPoly.gen(n)
-    if lam.length != 1:
-        return ZERO
-    k = lam[0]
-    if k > n:
-        return ZERO
-    return ln.intersection_class(n, k)
+# S_(k) sends t_h to I(h, k) for k <= h, and S_lam kills t_h when lam has two or
+# more parts.  So the Cartan formula peels one generator t_h off a monomial by
+#     S_lam(t_h y) = t_h S_lam(y) + sum over distinct parts k <= h of lam of
+#                    I(h, k) S_(lam minus one k)(y).
+# The package computes the operations from the total operation S_t instead; the
+# two routes must agree.
 
 
 @lru_cache(maxsize=None)
@@ -50,15 +40,12 @@ def _cartan_on_factors(lam: Partition, factors: tuple[int, ...]) -> GradedPoly:
     if not factors:
         return ONE if lam == EMPTY else ZERO
     head, tail = factors[0], factors[1:]
-    acc = ZERO
-    for mu, nu in splittings(lam):
-        left = _cartan_on_generator(mu, head)
-        if left.is_zero():
-            continue
-        right = _cartan_on_factors(nu, tail)
-        if right.is_zero():
-            continue
-        acc = acc + left * right
+    acc = GradedPoly.gen(head) * _cartan_on_factors(lam, tail)
+    for k in dict.fromkeys(lam):  # the distinct parts
+        if k <= head:
+            rest = list(lam)
+            rest.remove(k)
+            acc = acc + ln.intersection_class(head, k) * _cartan_on_factors(Partition(rest), tail)
     return acc
 
 

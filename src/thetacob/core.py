@@ -7,7 +7,6 @@ denominator).  ``Rat`` is an alias so the intent is visible in signatures.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -124,27 +123,6 @@ def partition_factorial(lam) -> int:
     for part in lam:
         out *= factorial(part + 1)
     return out
-
-
-@lru_cache(maxsize=None)
-def splittings(lam: Partition) -> tuple[tuple[Partition, Partition], ...]:
-    """All ordered pairs (mu, nu) with multiset union mu + nu = lam.
-
-    Each distinct pair occurs exactly once, e.g. (1,1) splits as
-    (0)+(1,1), (1)+(1), (1,1)+(0).  This is the comultiplication behind
-    the Cartan rule for the Landweber-Novikov operations.
-    """
-    lam = Partition(lam)
-    values = sorted(set(lam), reverse=True)
-    mults = [lam.count(v) for v in values]
-    out = []
-    for choice in itertools.product(*(range(m + 1) for m in mults)):
-        left, right = [], []
-        for v, m, j in zip(values, mults, choice):
-            left.extend([v] * j)
-            right.extend([v] * (m - j))
-        out.append((Partition(left), Partition(right)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -739,9 +739,10 @@ def _replay(capsys, cases):
 
 
 def test_operations_replay_recorded_digests(capsys):
-    """Every `quantize` entry and every 10th `ln apply` entry."""
-    cases = _recorded_digests()["quantize"] + _recorded_digests()["ln"][::10]
-    assert len(cases) > 150
+    """Every `quantize` entry, every 10th `ln apply` entry and `selftest`."""
+    groups = _recorded_digests()
+    cases = groups["quantize"] + groups["ln"][::10] + groups["selftest"]
+    assert len(cases) > 150 and groups["selftest"][0][0] == ["selftest"]
     _replay(capsys, cases)
 
 

@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from thetacob.core import Partition, bernoulli, partitions_of, splittings
+from thetacob.core import Partition, bernoulli, partitions_of
 from thetacob.gradedring import ONE, GradedPoly, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
@@ -64,8 +65,9 @@ def product_chern_vector(a: ChernVector, b: ChernVector) -> ChernVector:
     values = {lam: Fraction(0) for lam in partitions_of(n)}
     for lam in partitions_of(n):
         total = Fraction(0)
-        for mu, nu in splittings(lam):
-            if mu.weight == a.weight and nu.weight == b.weight:
+        for mu in partitions_of(a.weight):
+            if not Counter(mu) - Counter(lam):  # mu is a sub-multiset of lam
+                nu = Partition((Counter(lam) - Counter(mu)).elements())
                 total += a.values[mu] * b.values[nu]
         values[lam] = total
     return ChernVector(n, a.frame, "monomial", values)

@@ -12,7 +12,6 @@ from thetacob.core import (
     parse_partition,
     partition_factorial,
     partitions_of,
-    splittings,
 )
 
 
@@ -124,17 +123,6 @@ def test_catalan():
     from math import comb
     for n in range(12):
         assert catalan(n) * (n + 1) == comb(2 * n, n)
-
-
-def test_splittings_multiset_convention():
-    pairs = splittings(Partition((1, 1)))
-    assert len(pairs) == 3
-    assert (Partition((1,)), Partition((1,))) in pairs
-    pairs21 = splittings(Partition((2, 1)))
-    assert len(pairs21) == 4
-    # every pair unions back to the original
-    for mu, nu in pairs21:
-        assert Partition((*mu, *nu)) == Partition((2, 1))
 
 
 def test_rational_arithmetic_exact():

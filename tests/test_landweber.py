@@ -1,10 +1,13 @@
+import ast
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from thetacob import acceptance
 from thetacob.acceptance import _cartan_ln_apply
 from thetacob.core import EMPTY, Partition, partition_factorial, partitions_of
 from thetacob.gradedring import GradedPoly, ONE, ZERO, t
@@ -127,10 +130,24 @@ def test_operations_match_cartan_expansion():
     polys = [_random_poly(rng, 8) for _ in range(12)]
     polys += [t(3) * t(2) * t(1) ** 2, t(4) ** 2, t(1) ** 6]
     for p in polys:
-        for w in range(7):
+        for w in range(9):
             for lam in partitions_of(w):
                 assert ln_apply(lam, p) == _cartan_ln_apply(lam, p), (lam, p)
         assert quantize(p) == _cartan_quantize(p), p
+
+
+def test_cartan_route_reads_none_of_the_code_it_checks():
+    """The oracle reads intersection_class alone, never S_t or its kernel."""
+    source = Path(acceptance.__file__).read_text()
+    under_test = {"ln_apply", "quantize", "dequantize", "dual_pairing", "_generator_image",
+                  "_substitute", "_grouped_dot"}
+    oracles = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
+               and node.name in ("_cartan_on_factors", "_cartan_ln_apply")]
+    assert len(oracles) == 2
+    for fn in oracles:
+        names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(fn)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not names & under_test, (fn.name, names & under_test)
 
 
 def _polys(max_weight):
