@@ -25,10 +25,9 @@ _HOMES = {
                "residue_extract"),
     "symfun": ("ChernVector", "SymFunExpr", "convert", "convert_basis", "sign_involution",
                "to_normal_monomial"),
-    "grouplaw": ("GroupLaw",),
-    "cobordism": ("beta_coefficients", "cp_classes", "decompose", "log_coefficients",
-                  "psi_on_class", "q_multiplier", "theta_power_class", "v_classes",
-                  "w_classes"),
+    "cobordism": ("GroupLaw", "beta_coefficients", "cp_classes", "decompose",
+                  "log_coefficients", "psi_on_class", "q_multiplier", "theta_power_class",
+                  "v_classes", "w_classes"),
     "landweber": ("TensorElement", "dequantize", "dual_pairing", "intersection_class",
                   "ln_apply", "quantize"),
     "genera": ("CongruenceSystem", "GenusSpec", "congruence_system", "custom_genus",

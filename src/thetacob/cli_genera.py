@@ -29,6 +29,16 @@ class _JsonInt(str):
     """The text of a JSON integer, which _read_json keeps unconverted."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when it gives a key twice: json.load keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str, flag: str, kind: str):
     """The JSON document in a file, each number kept as its text for
     _read_number to bound; NaN and Infinity stay floats, which it refuses."""
@@ -36,7 +46,8 @@ def _read_json(path: str, flag: str, kind: str):
 
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_JsonInt, parse_float=str)
+            return json.load(fh, parse_int=_JsonInt, parse_float=str,
+                             object_pairs_hook=_unique_keys)
     # ValueError: JSON and UTF-8 decoding errors; RecursionError: arrays nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"{flag}: cannot read {kind} file {path}: {exc}") from None
@@ -166,6 +177,10 @@ def _load_chern_vector(path: str, weight: int) -> ChernVector:
     from .symfun import ChernVector
 
     data = _read_json(path, "--check", "vector")
+    if not isinstance(data, dict):
+        raise CliError("--check: a Chern vector file must be a JSON object")
+    if missing := [repr(key) for key in ("weight", "frame", "basis", "values") if key not in data]:
+        raise CliError(f"--check: the Chern vector file is missing {', '.join(missing)}")
     try:
         file_weight = data["weight"]
         if type(file_weight) is not _JsonInt:  # not a bool, a float or a string either
@@ -173,15 +188,18 @@ def _load_chern_vector(path: str, weight: int) -> ChernVector:
         if _read_number(file_weight, "the weight") == weight:
             if not isinstance(data["values"], dict):
                 raise TypeError("values must map partitions to numbers")
-            values = {parse_partition(k): _read_number(v, f"value {k!r}")
-                      for k, v in data["values"].items()}
+            values = {}
+            for k, v in data["values"].items():
+                if (lam := parse_partition(k)) in values:
+                    raise ValueError(f"values give the partition {str(lam)!r} twice")
+                values[lam] = _read_number(v, f"value {k!r}")
             common = 1  # the conversions compute over the values' common denominator
             for v in values.values():
                 if (common := lcm(common, v.denominator)) >= 10 ** MAX_COEFF_DIGITS:
                     raise ValueError("the values' common denominator has more than "
                                      f"{MAX_COEFF_DIGITS} digits")
             return ChernVector(weight, data["frame"], data["basis"], values)
-    except (KeyError, TypeError, ValueError) as exc:  # CliError from _read_number included
+    except (TypeError, ValueError) as exc:  # CliError from _read_number included
         raise CliError(f"--check: malformed Chern vector file: {exc}") from None
     raise CliError(f"--check: vector weight {file_weight} != --n {weight}")
 
@@ -204,8 +222,7 @@ def cmd_congruences(args):
     payload = {
         "weight": sys_n.weight,
         "functionals": [
-            {"mu": str(mu), "coeffs": {str(lam): str(c) for lam, c in sorted(
-                row.items(), key=lambda kv: (kv[0].weight, kv[0]), reverse=True)}}
+            {"mu": str(mu), "coeffs": {str(lam): str(c) for lam, c in row.items()}}
             for mu, row in sys_n.functionals
         ],
         "elementary_divisors": list(sys_n.elementary_divisors),

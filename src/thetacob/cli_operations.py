@@ -4,14 +4,13 @@ the subcommands that run `landweber`'s operations.
 
 from __future__ import annotations
 
+from . import landweber as ln  # every handler here runs it, and it loads core and gradedring
 from .cli_base import MAX_EXPR_WEIGHT, MAX_THETA_N, CliError, _emit, _parse_expr
+from .core import parse_partition
+from .gradedring import format_poly
 
 
 def cmd_ln_apply(args):
-    from . import landweber as ln
-    from .core import parse_partition
-    from .gradedring import format_poly
-
     try:
         lam = parse_partition(args.partition)
     except ValueError:
@@ -27,9 +26,6 @@ def cmd_ln_apply(args):
 
 
 def cmd_theta_intersect(args):
-    from . import landweber as ln
-    from .gradedring import format_poly
-
     n, k = args.n, args.k
     if not 0 <= n <= MAX_THETA_N:
         raise CliError(f"--n must be between 0 and {MAX_THETA_N}, got {n}")
@@ -42,9 +38,6 @@ def cmd_theta_intersect(args):
 
 
 def cmd_quantize(args):
-    from . import landweber as ln
-    from .gradedring import format_poly
-
     poly = _parse_expr("--expr", args.expr, MAX_EXPR_WEIGHT)
     q = ln.quantize(poly)
     terms = [

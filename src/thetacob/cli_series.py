@@ -4,13 +4,12 @@ the subcommands that read `cobordism`'s universal series.
 
 from __future__ import annotations
 
+from . import cobordism as cob  # every handler here runs it, and it loads gradedring
 from .cli_base import MAX_FGL_ORDER, CliError, _emit
+from .gradedring import format_poly
 
 
 def cmd_beta(args):
-    from . import cobordism as cob
-    from .gradedring import format_poly
-
     n = args.max_weight
     b = cob.beta_coefficients(n + 1)
     coeffs = [format_poly(b[m]) for m in range(n + 2)]
@@ -21,9 +20,6 @@ def cmd_beta(args):
 
 
 def cmd_logarithm(args):
-    from . import cobordism as cob
-    from .gradedring import format_poly
-
     n = args.max_weight
     lg = cob.log_coefficients(n + 1)
     cps = cob.cp_classes(n + 1)
@@ -40,9 +36,6 @@ def cmd_logarithm(args):
 
 
 def cmd_classes(args):
-    from . import cobordism as cob
-    from .gradedring import format_poly
-
     n, family = args.max_weight, args.family
     if family == "vn":
         polys, qs = cob.v_classes(n), [cob.q_multiplier(m) for m in range(1, n + 1)]
@@ -63,8 +56,6 @@ def cmd_classes(args):
 
 
 def cmd_fgl_check(args):
-    from . import cobordism as cob
-
     order = args.order
     if not 1 <= order <= MAX_FGL_ORDER:
         raise CliError(f"--order must be between 1 and {MAX_FGL_ORDER}, got {order}")

@@ -18,21 +18,23 @@ _w_class), and each per-order function is a view over them:
 beta_coefficients, log_coefficients, cp_classes, v_classes and w_classes
 give tuples of GradedPoly, the coefficient or class of index m at
 position m.  So orders a < b share their first a + 1 coefficients as
-objects, and the group law (grouplaw.GroupLaw, kept by group_law_axioms)
-reads the tuples; no series type is involved.  decompose() reconstructs
-any weight-n class from its normal Chern numbers.
+objects.  GroupLaw reads such tuples as plain coefficient sequences: it
+builds F(u, v) = beta(L(u) + L(v)), L the logarithm, from the univariate
+powers of L, not by composing bivariate series.  group_law_axioms keeps
+one law, and series.fgl wraps its F in a BiTruncSeries.  decompose()
+reconstructs any weight-n class from its normal Chern numbers.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import TYPE_CHECKING
 
 from .core import partition_factorial, partitions_of, bernoulli
-from .gradedring import GradedPoly, ONE, ZERO, partition_sum, power_weights, t
-from .grouplaw import GroupLaw
+from .gradedring import GradedPoly, ONE, ZERO, dot, partition_sum, power_weights, t
 
 if TYPE_CHECKING:
     from .symfun import ChernVector
@@ -85,15 +87,91 @@ def cp_classes(order: int) -> tuple[GradedPoly, ...]:
     return (ONE,) + tuple(_cp_class(n) for n in range(1, order))
 
 
+def _extend_powers(P: list, f, d: int) -> None:
+    """Add [z^d] f^j, j = 0..d, to the table P[j][m] = [z^m] f^j of a series f with f_0 = 0."""
+    P.append([ZERO] * d)
+    P[0].append(ONE if d == 0 else ZERO)
+    for j in range(1, d + 1):
+        P[j].append(dot((f[k], P[j - 1][d - k]) for k in range(1, d - j + 2)))
+
+
+class GroupLaw:
+    """The group law F(u, v) = beta(L(u) + L(v)) of an exponential beta and
+    its logarithm L, and its axioms, kept as a growing prefix by total degree.
+
+    By the binomial theorem F_{m,l} = sum_{j<=m} [u^m]L^j Q_{j,l} with
+    Q_{j,l} = sum_i C(i+j, j) b_{i+j} [v^l]L^i.  Three axioms are sets of
+    coefficient identities, each of one total degree d, expanded directly
+    (nothing is assumed of F): the unit F_{d,0} = delta_{d,1}; commutativity;
+    F(beta(z), beta(w)) = beta(z + w) as sum_l R_{l,a} [w^b]beta^l =
+    C(a+b, a) beta_{a+b}, with R_{l,a} = sum_m F_{m,l} [z^a]beta^m.  For
+    beta = z + ..., that identity to degree N makes F associative modulo
+    degree N + 1 (Hazewinkel 1978), so associativity takes its verdict.
+
+    Degree d adds one coefficient to every power of L and of beta, the
+    diagonals Q_{j,d-j}, F_{m,d-m} and R_{l,d-l} and degree d's verdicts; an
+    order's verdict is all() over degrees 0..order.  A higher order extends
+    the kept prefix, so beta and L must agree, on the common prefix, with
+    every pair given before.  Both hold at least order + 1 coefficients.
+    """
+
+    def __init__(self):
+        self._PL, self._Q, self._F = [], [], []  # [u^m] L^j, Q_{j,l}, F_{m,l}
+        self._PB, self._R = [], []  # [z^a] beta^m, R_{l,a}
+        self._ok = {"unit": [], "commutativity": [], "associativity": [], "exp_identity": []}
+        self._lock = threading.Lock()
+
+    def law(self, beta, log, order: int) -> list[list]:
+        """F to total order ``order``: row m holds F_{m,l} for l <= order - m."""
+        with self._lock:
+            F = self._grow(beta, log, order)
+            return [F[m][: order + 1 - m] for m in range(order + 1)]
+
+    def axioms(self, beta, log, order: int) -> dict[str, bool]:
+        """Each axiom's verdict "residual is zero" to total order ``order``.
+        Associativity's is the exponential identity's: False means "not established"."""
+        with self._lock:
+            self._grow(beta, log, order)
+            for d in range(len(self._ok["unit"]), order + 1):
+                self._check(beta, d)
+            return {name: all(ok[: order + 1]) for name, ok in self._ok.items()}
+
+    def _grow(self, b, L, order) -> list:
+        PL, Q, F = self._PL, self._Q, self._F
+        for d in range(len(F), order + 1):
+            _extend_powers(PL, L, d)
+            Q.append([])
+            F.append([])
+            for j in range(d + 1):
+                ns = range(max(j, 1), d + 1)
+                Q[j].append(dot(((b[n], PL[n - j][d - j]) for n in ns), (comb(n, j) for n in ns)))
+            for m in range(d + 1):
+                F[m].append(dot((PL[j][m], Q[j][d - m]) for j in range(m + 1)))
+        return F
+
+    def _check(self, b, d) -> None:
+        F, PB, R, ok = self._F, self._PB, self._R, self._ok
+        _extend_powers(PB, b, d)
+        R.append([])
+        for l in range(d + 1):
+            R[l].append(dot((F[m][l], PB[m][d - l]) for m in range(d - l + 1)))
+        ok["unit"].append(F[d][0] == (ONE if d == 1 else ZERO))
+        ok["commutativity"].append(all(F[m][d - m] == F[d - m][m] for m in range(d + 1)))
+        ok["exp_identity"].append(all(
+            dot((R[l][a], PB[l][d - a]) for l in range(d - a + 1)) == comb(d, a) * b[d]
+            for a in range(d + 1)))
+        ok["associativity"].append(ok["exp_identity"][-1])
+
+
 # The group law F and its axioms' verdicts so far, by total degree.
 _LAW = GroupLaw()
 
 
 def group_law_axioms(order: int) -> dict[str, bool]:
     """The axioms of the universal group law to total order ``order``, each
-    named and read as in grouplaw.GroupLaw.axioms (associativity off the
-    exponential identity), from the kept logarithm.  One GroupLaw serves
-    every order, so each degree is checked once."""
+    named and read as in GroupLaw.axioms (associativity off the exponential
+    identity), from the kept logarithm.  One GroupLaw serves every order, so
+    each degree is checked once."""
     return _LAW.axioms(beta_coefficients(order), log_coefficients(order), order)
 
 

@@ -13,7 +13,7 @@ BiTruncSeries holds a bivariate series truncated by total degree, such as
 the formal group law F(u, v) = beta(beta^{-1}(u) + beta^{-1}(v)) that fgl
 returns.  It multiplies and compares; it does not compose.  fgl and
 fgl_axiom_residuals hand the coefficients of beta and of its logarithm to
-grouplaw.GroupLaw, which builds F and checks its axioms degree by degree.
+cobordism.GroupLaw, which builds F and checks its axioms degree by degree.
 
 This module is a leaf: no other module of the package imports it, and no
 CLI subcommand, selftest included, loads it.  It serves library callers
@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .cobordism import GroupLaw
 from .core import TruncationError
 from .gradedring import (GradedPoly, ONE, ZERO, _as_poly, _formal_log, _reciprocal, _revert,
                          dot, format_poly)
@@ -397,8 +398,6 @@ def fgl(beta_series: TruncSeries, order: int, log: TruncSeries | None = None) ->
     basis; its exponential is beta.  ``log``, when given, must be
     L = beta^{-1} to at least ``order``; without it beta_series is reverted.
     """
-    from .grouplaw import GroupLaw
-
     F = GroupLaw().law(*_law_inputs(beta_series, order, log), order)
     return BiTruncSeries({(m, l): c for m, row in enumerate(F) for l, c in enumerate(row)},
                          order=order)
@@ -407,9 +406,7 @@ def fgl(beta_series: TruncSeries, order: int, log: TruncSeries | None = None) ->
 def fgl_axiom_residuals(beta_series: TruncSeries, order: int,
                         log: TruncSeries | None = None) -> dict[str, bool]:
     """The group-law axioms to total order ``order``, named and read as in
-    grouplaw.GroupLaw.axioms: 'unit', 'commutativity', 'associativity' and
+    cobordism.GroupLaw.axioms: 'unit', 'commutativity', 'associativity' and
     'exp_identity' (F(beta(z), beta(w)) = beta(z+w)).  ``log`` is as for fgl().
     """
-    from .grouplaw import GroupLaw
-
     return GroupLaw().axioms(*_law_inputs(beta_series, order, log), order)

@@ -3,7 +3,6 @@ import sys
 import pytest
 
 from thetacob import cobordism
-from thetacob.grouplaw import GroupLaw
 from thetacob.series import TruncSeries
 
 
@@ -28,7 +27,7 @@ def empty_prefix_caches(monkeypatch):
               cobordism._v_class, cobordism._w_class, cobordism.beta_coefficients,
               cobordism.log_coefficients, cobordism.cp_classes, cobordism.v_classes,
               cobordism.w_classes)
-    monkeypatch.setattr(cobordism, "_LAW", GroupLaw())
+    monkeypatch.setattr(cobordism, "_LAW", cobordism.GroupLaw())
     for fn in cached:
         fn.cache_clear()
     yield

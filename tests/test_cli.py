@@ -631,13 +631,12 @@ def test_fgl_order_bounded(capsys):
 def test_fgl_check_help_names_no_associativity_cap(capsys):
     """Every axiom is checked to the order asked, so the help names no lower one."""
     import thetacob
-    from thetacob import grouplaw
     for argv in (["fgl", "--help"], ["fgl", "check", "--help"]):
         with pytest.raises(SystemExit):
             main(argv)
         out = " ".join(capsys.readouterr().out.split())
         assert "axiom" in out and "associativity" not in out and "at most" not in out
-    assert not hasattr(grouplaw, "ASSOC_ORDER") and "ASSOC_ORDER" not in thetacob.__all__
+    assert not hasattr(cobordism, "ASSOC_ORDER") and "ASSOC_ORDER" not in thetacob.__all__
 
 
 def test_weierstrass_verify_exit_codes(capsys):
@@ -836,6 +835,18 @@ GRAMMAR_FILES = {
     "v-decimal.json": '{"weight": 2, "values": {"2": 0.1, "1,1": 1}, "frame": "tangent", '
                       '"basis": "monomial"}',
     "g-decimal.json": '{"coeffs": ["1", 0.1]}',
+    "v-array.json": "[]",
+    "v-null.json": "null",
+    "v-string.json": '"x"',
+    "v-number.json": "2",
+    "v-weight-only.json": '{"weight": 2}',
+    "v-no-frame.json": '{"weight": 2, "values": {"2": 1, "1,1": 1}, "basis": "monomial"}',
+    "v-no-basis.json": '{"weight": 2, "values": {"2": 1, "1,1": 1}, "frame": "tangent"}',
+    "v-partition-twice.json": '{"weight": 2, "values": {"2": 1, "1,1": 0, "1, 1": 5}, '
+                              '"frame": "tangent", "basis": "monomial"}',
+    "v-key-twice.json": '{"weight": 2, "values": {"2": 1, "1,1": 0, "1,1": 5}, '
+                        '"frame": "tangent", "basis": "monomial"}',
+    "g-key-twice.json": '{"coeffs": ["1", "1/2"], "coeffs": ["1"]}',
 }
 _PATHS = [*(f"@/{name}" for name in GRAMMAR_FILES), "@/missing.json"]
 _FILES = st.sampled_from(_PATHS)
@@ -925,6 +936,31 @@ def test_input_file_integers_must_be_json_integers(grammar_dir, capsys, argv, fl
     argv = [arg.replace("@/", f"{grammar_dir}{os.sep}") for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith(f"error: {flag}:"), err
+
+
+@pytest.mark.parametrize("name", ["v-array.json", "v-null.json", "v-string.json",
+                                  "v-number.json", "v-weight-only.json", "v-no-frame.json",
+                                  "v-no-basis.json"])
+def test_chern_vector_file_of_the_wrong_shape_is_refused_in_words(grammar_dir, capsys, name):
+    """A file that is no JSON object, or lacks a key, is refused with a message
+    that names the flag and the fault, not with Python's own."""
+    code, out, err = run_cli(capsys, "congruences", "--n", "2", "--check",
+                             str(grammar_dir / name))
+    assert code == 2 and out == "" and err.startswith("error: --check:"), err
+    assert not re.search(r"indices|subscriptable|NoneType|: '\w+'$", err.strip()), err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["congruences", "--n", "2", "--check", "@/v-partition-twice.json"], "--check"),
+    (["congruences", "--n", "2", "--check", "@/v-key-twice.json"], "--check"),
+    (["genus", "--name", "file:@/g-key-twice.json", "--of", "theta:2"], "--name"),
+], ids=["check-partition", "check-key", "genus-key"])
+def test_input_file_gives_each_key_once(grammar_dir, capsys, argv, flag):
+    """A file that gives one partition or JSON key twice is refused: read last-wins,
+    its verdict would depend on which value comes last."""
+    argv = [arg.replace("@/", f"{grammar_dir}{os.sep}") for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {flag}:") and "twice" in err, err
 
 
 @settings(max_examples=80, deadline=None)

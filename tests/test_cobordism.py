@@ -9,10 +9,10 @@ from thetacob.gradedring import ONE, GradedPoly, parse_poly, t
 from thetacob import cobordism
 from thetacob.acceptance import _v_by_jacobi_trudi
 from thetacob.cli import main
-from thetacob.grouplaw import GroupLaw
 from thetacob.series import TruncSeries, fgl, fgl_axiom_residuals
 from thetacob.symfun import ChernVector, FrameBasisError, convert, to_normal_monomial
 from thetacob.cobordism import (
+    GroupLaw,
     beta_coefficients,
     cp_classes,
     decompose,

@@ -15,12 +15,12 @@ import thetacob
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thetacob.__file__)))
 
 OPERATIONS = {"cli_base", "cli_operations", "core", "gradedring", "landweber"}
-SERIES = {"cli_base", "cli_series", "core", "gradedring", "grouplaw", "cobordism"}
+SERIES = {"cli_base", "cli_series", "core", "gradedring", "cobordism"}
 GENUS = {"cli_base", "cli_genera", "core", "gradedring", "genera"}
 CONGRUENCES = {"cli_base", "cli_genera", "core", "gradedring", "genera", "lattices"}
 VERIFY = {"cli_base", "cli_verify", "weierstrass"}
-SELFTEST = {"cli_base", "cli_verify", "acceptance", "core", "gradedring", "grouplaw", "symfun",
-            "cobordism", "landweber", "lattices", "genera", "weierstrass"}  # all but `series`
+SELFTEST = {"cli_base", "cli_verify", "acceptance", "core", "gradedring", "symfun", "cobordism",
+            "landweber", "lattices", "genera", "weierstrass"}  # all but `series`
 
 # Case -> (argv, the thetacob modules besides `cli` that its process loads,
 # exactly: the shared `cli_base`, the one handler module that `main` imports
@@ -150,6 +150,35 @@ def test_no_module_but_series_imports_series():
             if any("series" in d.split(".") for d in dotted):
                 importers.append(f"{name}:{node.lineno}")
     assert not importers
+
+
+def _package_imports(function: ast.FunctionDef) -> set[str]:
+    """The package modules that a function imports in its body."""
+    found = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.ImportFrom) and node.level:  # the package imports relatively
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_handler_modules_import_once_what_every_handler_imports():
+    """The rule of cli.py: a handler imports the modules it runs, unless every
+    handler of its module does; then the module imports them, once."""
+    package = os.path.dirname(thetacob.__file__)
+    checked, shared = set(), {}
+    for name in sorted(os.listdir(package)):
+        if not (name.startswith("cli_") and name.endswith(".py")):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        handlers = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+        if handlers:
+            checked.add(name[:-3])
+            if common := set.intersection(*map(_package_imports, handlers)):
+                shared[name] = sorted(common)
+    assert checked == {"cli_genera", "cli_operations", "cli_series", "cli_verify"}
+    assert not shared
 
 
 def test_public_names_resolve_to_their_home_modules():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from thetacob.core import partitions_of
 from thetacob.gradedring import (GradedPoly, ONE, ZERO, _formal_log, _reciprocal, _revert,
                                  dot, t)
-from thetacob.grouplaw import GroupLaw
+from thetacob.cobordism import GroupLaw
 from thetacob.series import (
     BiTruncSeries,
     CompositionDomainError,
